@@ -151,4 +151,4 @@ query-smoke:
 	cmp /tmp/query-smoke-folded.json /tmp/query-smoke-computed.json
 	@echo "query-smoke: folded and computed answers are byte-identical"
 
-ci: build check race bench sweep-demo loadgen-smoke fleet-smoke query-smoke cover
+ci: build check race diff-race bench sweep-demo loadgen-smoke fleet-smoke query-smoke cover

@@ -1,0 +1,165 @@
+package service
+
+import (
+	"bufio"
+	"math"
+	"net/url"
+	"os"
+	"reflect"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+
+	"vccmin/internal/tasks"
+)
+
+type bindAll struct {
+	S    string   `json:"s,omitempty"`
+	L    []string `json:"l"`
+	N    int      `json:"n"`
+	Seed int64    `json:"seed"`
+	F    float64  `json:"f"`
+	P    *float64 `json:"p,omitempty"`
+	B    bool     `json:"b"`
+	Skip int      `json:"-"`
+}
+
+func TestBindQuery(t *testing.T) {
+	q, _ := url.ParseQuery("s=x&l=a,b&n=-3&seed=9223372036854775807&f=1e-3&p=0.5&b=true&Skip=4")
+	var got bindAll
+	if err := bindQuery(q, &got); err != nil {
+		t.Fatal(err)
+	}
+	half := 0.5
+	want := bindAll{S: "x", L: []string{"a", "b"}, N: -3, Seed: 1<<63 - 1, F: 1e-3, P: &half, B: true}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("bound %+v, want %+v", got, want)
+	}
+
+	// Absent and empty parameters keep the starting value; a nil
+	// pointer stays nil.
+	start := bindAll{N: 20_000, Seed: 7}
+	got = start
+	q, _ = url.ParseQuery("n=&s=")
+	if err := bindQuery(q, &got); err != nil || !reflect.DeepEqual(got, start) {
+		t.Fatalf("bound %+v (err %v), want the starting value %+v", got, err, start)
+	}
+
+	for _, b := range []string{"1", "0", "true", "false"} {
+		q, _ = url.ParseQuery("b=" + b)
+		if err := bindQuery(q, &got); err != nil {
+			t.Errorf("b=%s: %v", b, err)
+		}
+	}
+
+	for raw, msg := range map[string]string{
+		"n=x":                      `bad n "x"`,
+		"n=1.5":                    `bad n "1.5"`,
+		"seed=9223372036854775808": `bad seed "9223372036854775808"`,
+		"f=abc":                    `bad f "abc"`,
+		"p=-":                      `bad p "-"`,
+		"b=2":                      `bad b "2"`,
+		"b=-1":                     `bad b "-1"`,
+	} {
+		q, _ = url.ParseQuery(raw)
+		if err := bindQuery(q, &bindAll{}); err == nil || err.Error() != msg {
+			t.Errorf("%s: %v, want %q", raw, err, msg)
+		}
+	}
+}
+
+func TestPageWindow(t *testing.T) {
+	for _, tc := range []struct {
+		p             page
+		total, lo, hi int
+	}{
+		{page{}, 5, 0, 5},
+		{page{Offset: 2}, 5, 2, 5},
+		{page{Offset: 2, Limit: 2}, 5, 2, 4},
+		{page{Offset: 4, Limit: 9}, 5, 4, 5},
+		{page{Offset: 9}, 5, 5, 5},
+		{page{Limit: math.MaxInt}, 5, 0, 5},
+	} {
+		if lo, hi := tc.p.window(tc.total); lo != tc.lo || hi != tc.hi {
+			t.Errorf("%+v.window(%d) = [%d,%d), want [%d,%d)", tc.p, tc.total, lo, hi, tc.lo, tc.hi)
+		}
+	}
+	for _, raw := range []string{"offset=-1", "limit=-1", "offset=x"} {
+		q, _ := url.ParseQuery(raw)
+		if _, err := bindPage(q); err == nil {
+			t.Errorf("%s accepted", raw)
+		}
+	}
+}
+
+// TestOpenAPIQueryParams holds docs/openapi.yaml to the structs: every
+// GET route that documents query parameters must bind a struct, and
+// its documented names must equal that struct's json tags.
+func TestOpenAPIQueryParams(t *testing.T) {
+	bound := map[string]any{
+		"/v1/capacity":           tasks.CapacityRequest{},
+		"/v1/operating-point":    tasks.OperatingPointRequest{},
+		"/v1/dvfs":               tasks.DVFSExploreRequest{},
+		"/v1/fleet":              tasks.FleetRequest{},
+		"/v1/sweeps":             page{},
+		"/v1/sweeps/{id}/rows":   page{},
+		"/v1/sweeps/{id}/stream": streamQuery{},
+	}
+	documented := openAPIGetQueryParams(t, "../../docs/openapi.yaml")
+	for path := range documented {
+		if _, ok := bound[path]; !ok {
+			t.Errorf("GET %s documents query parameters but binds no struct", path)
+		}
+	}
+	for path, v := range bound {
+		var tags []string
+		rt := reflect.TypeOf(v)
+		for i := 0; i < rt.NumField(); i++ {
+			tags = append(tags, strings.Split(rt.Field(i).Tag.Get("json"), ",")[0])
+		}
+		slices.Sort(tags)
+		doc := documented[path]
+		slices.Sort(doc)
+		if !slices.Equal(doc, tags) {
+			t.Errorf("GET %s: openapi documents %v, the struct binds %v", path, doc, tags)
+		}
+	}
+}
+
+var (
+	specPathRe  = regexp.MustCompile(`^  (/\S+):\s*$`)
+	specOpRe    = regexp.MustCompile(`^    (\w+):`)
+	specQueryRe = regexp.MustCompile(`name: (\w+), in: query`)
+)
+
+// openAPIGetQueryParams reads the query parameter names of every GET
+// operation in the spec, keyed by path.
+func openAPIGetQueryParams(t *testing.T, file string) map[string][]string {
+	t.Helper()
+	f, err := os.Open(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	out := map[string][]string{}
+	path, op := "", ""
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		if m := specPathRe.FindStringSubmatch(line); m != nil {
+			path, op = m[1], ""
+		} else if m := specOpRe.FindStringSubmatch(line); m != nil {
+			op = m[1]
+		} else if m := specQueryRe.FindStringSubmatch(line); m != nil && op == "get" {
+			out[path] = append(out[path], m[1])
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(out) == 0 {
+		t.Fatal("no GET query parameters found in the spec (did its shape change?)")
+	}
+	return out
+}

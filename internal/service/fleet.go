@@ -1,123 +1,10 @@
 package service
 
 import (
-	"fmt"
 	"net/http"
 
-	"vccmin/internal/cliflag"
 	"vccmin/internal/tasks"
 )
-
-// maxFleetDies bounds the fleet size a single /v1/fleet or batch
-// request may simulate; each die is a multi-voltage certification.
-const maxFleetDies = 200_000
-
-// maxFleetDieRows bounds the fleets that may ask for per-die rows in
-// the response; distributions stay cheap at any size, row dumps do not.
-const maxFleetDieRows = 10_000
-
-// maxPredictSample bounds the dies a prediction study may measure.
-const maxPredictSample = 2_000
-
-// parseFleetRequest builds the fleet-sweep task request from query
-// parameters. Scheme lists are comma-separated; omitted values take the
-// population defaults.
-func parseFleetRequest(r *http.Request) (tasks.FleetRequest, error) {
-	var req tasks.FleetRequest
-	var err error
-	if req.Dies, err = queryInt(r, "dies", 0); err != nil {
-		return req, err
-	}
-	if req.DiesPerWafer, err = queryInt(r, "dies_per_wafer", 0); err != nil {
-		return req, err
-	}
-	req.Schemes = cliflag.Split(r.URL.Query().Get("schemes"))
-	if req.WaferSigma, err = queryFloatPtr(r, "wafer_sigma"); err != nil {
-		return req, err
-	}
-	if req.Gradient, err = queryFloatPtr(r, "gradient"); err != nil {
-		return req, err
-	}
-	if req.DieSigma, err = queryFloatPtr(r, "die_sigma"); err != nil {
-		return req, err
-	}
-	if req.CapacityFloor, err = queryFloatPtr(r, "capacity_floor"); err != nil {
-		return req, err
-	}
-	if req.VSteps, err = queryInt(r, "vsteps", 0); err != nil {
-		return req, err
-	}
-	req.Geometry = r.URL.Query().Get("geom")
-	if req.Seed, err = queryInt64(r, "seed", 1); err != nil {
-		return req, err
-	}
-	rows, err := queryInt(r, "include_dies", 0)
-	if err != nil {
-		return req, err
-	}
-	req.IncludeDies = rows != 0
-	if req.Workers, err = queryInt(r, "workers", 0); err != nil {
-		return req, err
-	}
-	for name, v := range map[string]int64{
-		"dies": int64(req.Dies), "dies_per_wafer": int64(req.DiesPerWafer),
-		"vsteps": int64(req.VSteps), "seed": req.Seed,
-		"include_dies": int64(rows), "workers": int64(req.Workers),
-	} {
-		if v < 0 {
-			return req, fmt.Errorf("%s %d negative", name, v)
-		}
-	}
-	return req, nil
-}
-
-// queryFloatPtr parses an optional float parameter, distinguishing
-// "omitted" (nil: take the default) from an explicit value.
-func queryFloatPtr(r *http.Request, name string) (*float64, error) {
-	if r.URL.Query().Get(name) == "" {
-		return nil, nil
-	}
-	f, err := queryFloat(r, name, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &f, nil
-}
-
-// gateFleet applies the service-side size limits to a validated fleet
-// task.
-func gateFleet(t tasks.FleetTask) error {
-	if dies := t.DieCount(); dies > maxFleetDies {
-		return fmt.Errorf("fleet has %d dies, limit %d", dies, maxFleetDies)
-	}
-	if t.Req.IncludeDies && t.DieCount() > maxFleetDieRows {
-		return fmt.Errorf("include_dies limited to %d dies, fleet has %d", maxFleetDieRows, t.DieCount())
-	}
-	return nil
-}
-
-// handleFleet sweeps a simulated die population and serves its Vcc-min
-// distribution, yield-versus-voltage curves and per-wafer summaries.
-// Like every sync endpoint the response is a pure function of the
-// request, keyed by the canonical hash, so a repeated fleet replays
-// stored bytes at any worker count.
-func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	req, err := parseFleetRequest(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	t, err := tasks.NewFleetTask(req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	if err := gateFleet(t); err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	s.runTask(w, r, t)
-}
 
 // fleetPostBody is the POST /v1/fleet envelope: exactly one of a fleet
 // sweep or a Vcc-min prediction study.
@@ -127,8 +14,8 @@ type fleetPostBody struct {
 }
 
 // handleFleetPost accepts the JSON forms of both population kinds:
-// {"sweep": {...}} runs a fleet sweep, {"predict": {...}} a
-// data-efficient Vcc-min prediction study.
+// {"sweep": {...}} runs a fleet sweep (the body form of GET /v1/fleet),
+// {"predict": {...}} a data-efficient Vcc-min prediction study.
 func (s *Server) handleFleetPost(w http.ResponseWriter, r *http.Request) {
 	var body fleetPostBody
 	if err := decodeBody(w, r, &body); err != nil {
@@ -140,30 +27,10 @@ func (s *Server) handleFleetPost(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "body must contain exactly one of sweep or predict, got both")
 	case body.Sweep != nil:
 		t, err := tasks.NewFleetTask(*body.Sweep)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "%s", err)
-			return
-		}
-		if err := gateFleet(t); err != nil {
-			writeErr(w, http.StatusBadRequest, "%s", err)
-			return
-		}
-		s.runTask(w, r, t)
+		s.serveTask(w, r, t, err)
 	case body.Predict != nil:
 		t, err := tasks.NewPredictTask(*body.Predict)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "%s", err)
-			return
-		}
-		if t.Spec.Fleet.Dies > maxFleetDies {
-			writeErr(w, http.StatusBadRequest, "fleet has %d dies, limit %d", t.Spec.Fleet.Dies, maxFleetDies)
-			return
-		}
-		if t.SampleCount() > maxPredictSample {
-			writeErr(w, http.StatusBadRequest, "sample %d exceeds limit %d", t.SampleCount(), maxPredictSample)
-			return
-		}
-		s.runTask(w, r, t)
+		s.serveTask(w, r, t, err)
 	default:
 		writeErr(w, http.StatusBadRequest, "body must contain one of sweep or predict")
 	}

@@ -31,12 +31,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t, err := tasks.NewQueryTask(req)
+	if err == nil {
+		err = s.admit(t)
+	}
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	if n := t.GridCells(); n > s.cfg.MaxGridCells {
-		writeErr(w, http.StatusBadRequest, "grid has %d cells, limit %d", n, s.cfg.MaxGridCells)
 		return
 	}
 	if src, ok := s.colstoreSource(t.SweepHash()); ok {

@@ -241,11 +241,13 @@ func (s *Server) routes() {
 	table := []route{
 		{"GET", "/v1/healthz", s.handleHealthz},
 		{"GET", "/v1/stats", s.handleStats},
-		{"GET", "/v1/capacity", s.handleCapacity},
-		{"GET", "/v1/operating-point", s.handleOperatingPoint},
+		{"GET", "/v1/capacity", getTask(s, tasks.CapacityRequest{}, tasks.NewCapacityTask)},
+		{"GET", "/v1/operating-point", getTask(s, tasks.OperatingPointRequest{}, tasks.NewOperatingPointTask)},
 		{"GET", "/v1/overhead", s.handleOverhead},
-		{"GET", "/v1/dvfs", s.handleDVFS},
-		{"GET", "/v1/fleet", s.handleFleet},
+		// GET /v1/dvfs defaults to a 20k-instruction scale per workload
+		// (the request struct's zero means the reference budgets).
+		{"GET", "/v1/dvfs", getTask(s, tasks.DVFSExploreRequest{Scale: 20_000}, tasks.NewDVFSExploreTask)},
+		{"GET", "/v1/fleet", getTask(s, tasks.FleetRequest{}, tasks.NewFleetTask)},
 		{"POST", "/v1/fleet", s.handleFleetPost},
 		{"POST", "/v1/sim", s.handleSim},
 		{"POST", "/v1/query", s.handleQuery},
@@ -482,21 +484,30 @@ func (s *Server) submitWait(ctx context.Context, tier engine.Tier, work func(con
 	}
 }
 
-// runTask executes one task on the pool's interactive tier through the
-// engine and writes its stored bytes, with X-Cache reporting which tier
-// answered ("miss" = computed now, "hit" = memory, "disk" = the on-disk
-// store, e.g. after a restart, "inflight" = deduplicated onto a
-// concurrent identical request). Task errors are never cached;
-// bad-input errors answer 400, internal encode failures 500, the
-// requester's own cancellation 503, and a full interactive queue is
-// shed with 503 + Retry-After.
-func (s *Server) runTask(w http.ResponseWriter, r *http.Request, t engine.Task) {
+// serveTask is the tail of the interactive handlers: a constructor
+// error or an admit rejection answers 400, anything else runs on the
+// pool's interactive tier.
+func (s *Server) serveTask(w http.ResponseWriter, r *http.Request, t engine.Task, err error) {
+	if err == nil {
+		err = s.admit(t)
+	}
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%s", err)
+		return
+	}
 	s.runTaskTier(w, r, t, engine.TierInteractive)
 }
 
-// runTaskTier is runTask on an explicit pool tier: the query endpoint
-// routes checkpoint-backed (cheap) queries interactively and
-// sweep-computing ones onto the batch tier behind the sweep jobs.
+// runTaskTier executes one admitted task on the given pool tier through
+// the engine and writes its stored bytes, with X-Cache reporting which
+// tier answered ("miss" = computed now, "hit" = memory, "disk" = the
+// on-disk store, e.g. after a restart, "inflight" = deduplicated onto a
+// concurrent identical request). Task errors are never cached;
+// bad-input errors answer 400, internal encode failures 500, the
+// requester's own cancellation 503, and a full queue is shed with 503 +
+// Retry-After. The query endpoint routes checkpoint-backed (cheap)
+// queries interactively and sweep-computing ones onto the batch tier
+// behind the sweep jobs.
 func (s *Server) runTaskTier(w http.ResponseWriter, r *http.Request, t engine.Task, tier engine.Tier) {
 	queue := "interactive"
 	if tier == engine.TierBatch {
@@ -539,48 +550,6 @@ func (s *Server) runTaskTier(w http.ResponseWriter, r *http.Request, t engine.Ta
 	// another handler's in-flight response.
 	w.Write(res.Bytes)
 	w.Write([]byte{'\n'})
-}
-
-// ---- Query parsing helpers ----
-
-func queryFloat(r *http.Request, name string, def float64) (float64, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return def, nil
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", name, v)
-	}
-	return f, nil
-}
-
-func queryInt(r *http.Request, name string, def int) (int, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return def, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", name, v)
-	}
-	return n, nil
-}
-
-// queryInt64 parses a full-range int64 parameter. Seeds go through
-// this, never queryInt: Atoi is platform-int sized, so a 64-bit seed
-// would silently truncate on a 32-bit build and be rejected on any
-// build past math.MaxInt.
-func queryInt64(r *http.Request, name string, def int64) (int64, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return def, nil
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", name, v)
-	}
-	return n, nil
 }
 
 // ---- Sync endpoints ----
@@ -627,80 +596,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-func (s *Server) handleCapacity(w http.ResponseWriter, r *http.Request) {
-	var req tasks.CapacityRequest
-	pfail, err := queryFloat(r, "pfail", 0.001)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	req.Pfail = &pfail
-	req.Geometry = r.URL.Query().Get("geom")
-	req.Granularity = r.URL.Query().Get("gran")
-	if req.Trials, err = queryInt(r, "trials", 0); err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	if req.Trials < 0 {
-		writeErr(w, http.StatusBadRequest, "trials %d negative", req.Trials)
-		return
-	}
-	if req.Seed, err = queryInt64(r, "seed", 1); err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	if req.Seed < 0 {
-		writeErr(w, http.StatusBadRequest, "seed %d negative", req.Seed)
-		return
-	}
-	// workers only changes Monte Carlo scheduling, never the estimate;
-	// the task excludes it from the canonical hash, so the same query at
-	// a different worker count replays the stored bytes. It is still
-	// validated here so a malformed value is a 400 regardless of cache
-	// state.
-	if req.Workers, err = queryInt(r, "workers", 0); err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	if req.Workers < 0 {
-		writeErr(w, http.StatusBadRequest, "workers %d negative", req.Workers)
-		return
-	}
-	t, err := tasks.NewCapacityTask(req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	s.runTask(w, r, t)
-}
-
-func (s *Server) handleOperatingPoint(w http.ResponseWriter, r *http.Request) {
-	var req tasks.OperatingPointRequest
-	if v := r.URL.Query().Get("min_performance"); v != "" {
-		minPerf, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "bad min_performance %q", v)
-			return
-		}
-		req.MinPerformance = &minPerf
-	} else {
-		pfail, err := queryFloat(r, "pfail", 0.001)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "%s", err)
-			return
-		}
-		req.Pfail = &pfail
-	}
-	t, err := tasks.NewOperatingPointTask(req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	s.runTask(w, r, t)
-}
-
 func (s *Server) handleOverhead(w http.ResponseWriter, r *http.Request) {
-	s.runTask(w, r, tasks.OverheadTask{})
+	s.serveTask(w, r, tasks.OverheadTask{}, nil)
 }
 
 func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
@@ -710,11 +607,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t, err := tasks.NewSimTask(req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	s.runTask(w, r, t)
+	s.serveTask(w, r, t, err)
 }
 
 // ---- Batch endpoint ----
@@ -756,34 +649,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}, "batch tier saturated (%d queued >= watermark %d); retry later", backlog, s.cfg.ShedWatermark)
 		return
 	}
-	// Gate grid- and scale-shaped tasks before any simulation runs,
-	// mirroring the sync endpoints' limits; a rejected item's error
-	// lands in its own slot, so one oversized request cannot fail its
-	// siblings.
+	// Each item passes the same admit gate as its sync endpoint before
+	// any simulation runs; a rejected item's error lands in its own
+	// slot, so one oversized request cannot fail its siblings.
 	var results []engine.BatchResult
 	serr := s.submitWait(r.Context(), engine.TierBatch, func(ctx context.Context) {
-		results = engine.RunBatchFiltered(ctx, s.eng, req.Requests, 0, func(t engine.Task) error {
-			switch tt := t.(type) {
-			case tasks.DVFSExploreTask:
-				if n := tt.GridCells(); n > maxDVFSCells {
-					return fmt.Errorf("grid has %d cells, limit %d", n, maxDVFSCells)
-				}
-				if tt.Spec.Scale > maxDVFSScale {
-					return fmt.Errorf("scale %d out of [0,%d]", tt.Spec.Scale, maxDVFSScale)
-				}
-			case tasks.DVFSRunTask:
-				if tt.Req.Scale > maxDVFSScale {
-					return fmt.Errorf("scale %d out of [0,%d]", tt.Req.Scale, maxDVFSScale)
-				}
-			default:
-				if g, ok := t.(interface{ GridCells() int }); ok {
-					if n := g.GridCells(); n > s.cfg.MaxGridCells {
-						return fmt.Errorf("grid has %d cells, limit %d", n, s.cfg.MaxGridCells)
-					}
-				}
-			}
-			return nil
-		})
+		results = engine.RunBatchFiltered(ctx, s.eng, req.Requests, 0, s.admit)
 	})
 	switch {
 	case errors.Is(serr, engine.ErrPoolFull):
@@ -813,20 +684,15 @@ func (s *Server) handleSweepPost(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%s", err)
 		return
 	}
-	spec, err := req.Spec()
+	t, err := tasks.NewSweepRunTask(req)
+	if err == nil {
+		err = s.admit(t)
+	}
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%s", err)
 		return
 	}
-	spec = spec.WithDefaults()
-	if err := spec.Check(); err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	if n := len(spec.Cells()); n > s.cfg.MaxGridCells {
-		writeErr(w, http.StatusBadRequest, "grid has %d cells, limit %d", n, s.cfg.MaxGridCells)
-		return
-	}
+	spec := t.Spec
 	// Admission control: shed NEW work once the batch backlog crosses
 	// the watermark. A spec the manager already knows still answers —
 	// the dedup hit costs nothing and may well be the client retrying
@@ -868,32 +734,16 @@ type SweepList struct {
 }
 
 func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
-	offset, err := queryInt(r, "offset", 0)
-	if err != nil || offset < 0 {
-		writeErr(w, http.StatusBadRequest, "bad offset")
-		return
-	}
-	limit, err := queryInt(r, "limit", 0)
-	if err != nil || limit < 0 {
-		writeErr(w, http.StatusBadRequest, "bad limit (0 = unlimited)")
+	p, err := bindPage(r.URL.Query())
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%s", err)
 		return
 	}
 	all := s.jobs.List()
-	total := len(all)
-	page := all
-	if offset >= len(page) {
-		page = nil
-	} else {
-		page = page[offset:]
-	}
-	if limit > 0 && len(page) > limit {
-		page = page[:limit]
-	}
-	if page == nil {
-		page = []JobSnapshot{} // an empty page is [], never null
-	}
-	w.Header().Set("X-Total-Count", strconv.Itoa(total))
-	writeJSON(w, http.StatusOK, SweepList{Jobs: page, Total: total, Offset: offset, Limit: limit})
+	lo, hi := p.window(len(all))
+	jobs := append([]JobSnapshot{}, all[lo:hi]...) // an empty page is [], never null
+	w.Header().Set("X-Total-Count", strconv.Itoa(len(all)))
+	writeJSON(w, http.StatusOK, SweepList{Jobs: jobs, Total: len(all), Offset: p.Offset, Limit: p.Limit})
 }
 
 func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {

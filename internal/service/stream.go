@@ -30,6 +30,13 @@ import (
 //     until the job finishes — for curl and pipeline consumers; resume
 //     via ?offset=N (rows to skip).
 
+// streamQuery is the stream route's query: the wire format and the
+// number of rows to skip.
+type streamQuery struct {
+	Format string `json:"format"` // sse (default) or jsonl
+	Offset int    `json:"offset"`
+}
+
 // streamPollInterval bounds how stale a stream can get if a wake-up is
 // ever missed, and doubles as the SSE keep-alive cadence.
 const streamPollInterval = 500 * time.Millisecond
@@ -40,18 +47,22 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
-	format := r.URL.Query().Get("format")
-	if format != "" && format != "sse" && format != "jsonl" {
-		writeErr(w, http.StatusBadRequest, "bad format %q (want sse or jsonl)", format)
-		return
-	}
-	jsonl := format == "jsonl"
-
 	// Resume point: ?offset= wins, else the SSE Last-Event-ID header
 	// (the id of the last row received, so delivery restarts after it).
-	start, err := queryInt(r, "offset", -1)
-	if err != nil || (start < 0 && start != -1) {
-		writeErr(w, http.StatusBadRequest, "bad offset")
+	// Offset starts at the -1 sentinel so "absent" is distinguishable.
+	q := streamQuery{Offset: -1}
+	if err := bindQuery(r.URL.Query(), &q); err != nil {
+		writeErr(w, http.StatusBadRequest, "%s", err)
+		return
+	}
+	if q.Format != "" && q.Format != "sse" && q.Format != "jsonl" {
+		writeErr(w, http.StatusBadRequest, "bad format %q (want sse or jsonl)", q.Format)
+		return
+	}
+	jsonl := q.Format == "jsonl"
+	start := q.Offset
+	if start < -1 {
+		writeErr(w, http.StatusBadRequest, "offset %d negative", start)
 		return
 	}
 	if start == -1 {
@@ -230,14 +241,9 @@ func (s *Server) handleSweepRows(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
-	offset, err := queryInt(r, "offset", 0)
-	if err != nil || offset < 0 {
-		writeErr(w, http.StatusBadRequest, "bad offset")
-		return
-	}
-	limit, err := queryInt(r, "limit", 0)
-	if err != nil || limit < 0 {
-		writeErr(w, http.StatusBadRequest, "bad limit (0 = unlimited)")
+	p, err := bindPage(r.URL.Query())
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%s", err)
 		return
 	}
 
@@ -261,13 +267,8 @@ func (s *Server) handleSweepRows(w http.ResponseWriter, r *http.Request) {
 	defer f.Close()
 	// Emit at most the rows counted above: rows flushed between the two
 	// passes would otherwise make the body disagree with X-Total-Count.
-	emit := total - offset
-	if emit < 0 {
-		emit = 0
-	}
-	if limit > 0 && emit > limit {
-		emit = limit
-	}
+	offset, hi := p.window(total)
+	emit := hi - offset
 	br := bufio.NewReader(f)
 	bw := bufio.NewWriter(w)
 	defer bw.Flush()

@@ -69,6 +69,10 @@ type CapacityTask struct {
 
 // NewCapacityTask validates the request into a runnable task.
 func NewCapacityTask(req CapacityRequest) (CapacityTask, error) {
+	if err := nonNegative(field{"trials", int64(req.Trials)}, field{"seed", req.Seed},
+		field{"workers", int64(req.Workers)}); err != nil {
+		return CapacityTask{}, err
+	}
 	n := req.normalized()
 	if p := *n.Pfail; p < 0 || p >= 1 {
 		return CapacityTask{}, fmt.Errorf("pfail %v out of [0,1)", p)

@@ -74,12 +74,12 @@ func (r DVFSExploreRequest) ExploreSpec() (dvfs.ExploreSpec, error) {
 		return spec, fmt.Errorf("pfail %v out of [0,1)", pfail)
 	}
 	spec.Pfail = pfail
+	if err := nonNegative(field{"seed", r.Seed}, field{"scale", int64(r.Scale)}); err != nil {
+		return spec, err
+	}
 	spec.Seed = r.Seed
 	if spec.Seed == 0 {
 		spec.Seed = 1
-	}
-	if r.Scale < 0 {
-		return spec, fmt.Errorf("scale %d negative", r.Scale)
 	}
 	spec.Scale = r.Scale
 	spec.SwitchPenalty = r.SwitchPenalty
@@ -235,6 +235,9 @@ func (r DVFSRunRequest) config() (dvfs.Config, error) {
 		return cfg, fmt.Errorf("pfail %v out of [0,1)", *r.Pfail)
 	}
 	cfg.Pfail = *r.Pfail
+	if err := nonNegative(field{"seed", r.Seed}); err != nil {
+		return cfg, err
+	}
 	pk, err := dvfs.ParsePolicy(r.Policy)
 	if err != nil {
 		return cfg, err

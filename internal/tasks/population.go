@@ -73,6 +73,10 @@ func defaultPtr(p *float64, def float64) *float64 {
 // FleetSpec converts the request into the population layer's spec,
 // validating every field.
 func (r FleetRequest) FleetSpec() (population.FleetSpec, error) {
+	if err := nonNegative(field{"dies", int64(r.Dies)}, field{"dies_per_wafer", int64(r.DiesPerWafer)},
+		field{"vsteps", int64(r.VSteps)}, field{"seed", r.Seed}, field{"workers", int64(r.Workers)}); err != nil {
+		return population.FleetSpec{}, err
+	}
 	n := r.normalized()
 	spec := population.FleetSpec{
 		Dies:          n.Dies,

@@ -94,6 +94,25 @@ func decodeInto[R any](build func(R) (engine.Task, error)) engine.Decoder {
 	}
 }
 
+// field is one named integer request field, for nonNegative.
+type field struct {
+	name string
+	v    int64
+}
+
+// nonNegative rejects the first negative count, seed or worker knob,
+// named by its JSON spelling. The constructors call it, so the service,
+// POST /v1/batch and the CLIs report the same message for the same
+// input.
+func nonNegative(fields ...field) error {
+	for _, f := range fields {
+		if f.v < 0 {
+			return fmt.Errorf("%s %d negative", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // hashJSON digests a kind-prefixed canonical (defaulted, scheduling
 // knobs zeroed) request into the content address its results live
 // under. Requests that normalize equal share bytes in every tier.

@@ -74,6 +74,32 @@ func TestCapacityTaskValidation(t *testing.T) {
 	}
 }
 
+// TestConstructorsRejectNegatives pins the negative-value checks every
+// entry point inherits from the constructors, message included.
+func TestConstructorsRejectNegatives(t *testing.T) {
+	for want, build := range map[string]func() error{
+		"trials -1 negative":  func() error { _, err := NewCapacityTask(CapacityRequest{Trials: -1}); return err },
+		"seed -4 negative":    func() error { _, err := NewCapacityTask(CapacityRequest{Seed: -4}); return err },
+		"workers -2 negative": func() error { _, err := NewCapacityTask(CapacityRequest{Workers: -2}); return err },
+		"seed -1 negative":    func() error { _, err := NewDVFSExploreTask(DVFSExploreRequest{Seed: -1}); return err },
+		"scale -5 negative":   func() error { _, err := NewDVFSExploreTask(DVFSExploreRequest{Scale: -5}); return err },
+		"seed -3 negative": func() error {
+			_, err := NewDVFSRunTask(DVFSRunRequest{Workload: "bursty-server", Policy: "oracle", Seed: -3})
+			return err
+		},
+		"dies -10 negative":          func() error { _, err := NewFleetTask(FleetRequest{Dies: -10}); return err },
+		"dies_per_wafer -1 negative": func() error { _, err := NewFleetTask(FleetRequest{DiesPerWafer: -1}); return err },
+		"vsteps -3 negative":         func() error { _, err := NewFleetTask(FleetRequest{VSteps: -3}); return err },
+		"workers -1 negative":        func() error { _, err := NewFleetTask(FleetRequest{Workers: -1}); return err },
+		"seed -7 negative":           func() error { _, err := NewPredictTask(PredictRequest{Seed: -7}); return err },
+		"dies -2 negative":           func() error { _, err := NewPredictTask(PredictRequest{Dies: -2}); return err },
+	} {
+		if err := build(); err == nil || err.Error() != want {
+			t.Errorf("got %v, want %q", err, want)
+		}
+	}
+}
+
 func TestOperatingPointTaskModes(t *testing.T) {
 	minPerf := 0.5
 	perf, err := NewOperatingPointTask(OperatingPointRequest{MinPerformance: &minPerf})
