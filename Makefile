@@ -34,10 +34,11 @@ bench-gate:
 # The differential equivalence suites under the race detector: the frozen
 # pre-optimization reference implementations (dense fault-map generation,
 # oracle DP, probe measurement, frontier marking, the naive row-wise
-# query evaluator, the rebuild-per-probe fleet prober) held byte-identical
-# to the optimized hot paths.
+# query evaluator, the rebuild-per-probe fleet prober, the per-run sweep
+# cell evaluation, the live instruction stream) held byte-identical to the
+# optimized hot paths.
 diff-race:
-	$(GO) test -race -run 'Differential|ProbeCacheHit|MarkFrontierMatchesRebuild|FrontierSet' ./internal/faults ./internal/dvfs ./internal/colstore ./internal/population
+	$(GO) test -race -run 'Differential|ProbeCacheHit|MarkFrontierMatchesRebuild|FrontierSet|RecordingReplayMatchesLive' ./internal/faults ./internal/dvfs ./internal/colstore ./internal/population ./internal/workload ./internal/sweep
 
 fmt:
 	@out="$$(gofmt -l .)"; \

@@ -38,7 +38,7 @@ import (
 // count, so gating it against a baseline from a different machine would
 // measure the runner, not the code — run it via `-bench . -pkg ./...`
 // when recording full snapshots).
-const smokeBench = "^(BenchmarkFaultMapGeneration|BenchmarkGenerateDense|BenchmarkGenerateMapSparse|BenchmarkGenerateMapSparseReuse|BenchmarkMeasuredCapacityDenseSerial|BenchmarkCacheAccess|BenchmarkWorkloadGeneration|BenchmarkPipelineThroughput|BenchmarkEq1UrnModel|BenchmarkFig1VoltageScaling|BenchmarkDVFSOracleSchedule|BenchmarkDVFSReactiveSchedule|BenchmarkEngineColdCompute|BenchmarkEngineWarmMemory|BenchmarkEngineDiskHit|BenchmarkFleetDieVccmin|BenchmarkFleetSweepSmall|BenchmarkPredictDie|BenchmarkShardEncode|BenchmarkShardDecode|BenchmarkQueryGroupBy1M)$"
+const smokeBench = "^(BenchmarkFaultMapGeneration|BenchmarkGenerateDense|BenchmarkGenerateMapSparse|BenchmarkGenerateMapSparseReuse|BenchmarkMeasuredCapacityDenseSerial|BenchmarkCacheAccess|BenchmarkWorkloadGeneration|BenchmarkPipelineThroughput|BenchmarkEq1UrnModel|BenchmarkFig1VoltageScaling|BenchmarkDVFSOracleSchedule|BenchmarkDVFSReactiveSchedule|BenchmarkEngineColdCompute|BenchmarkEngineWarmMemory|BenchmarkEngineDiskHit|BenchmarkFleetDieVccmin|BenchmarkFleetSweepSmall|BenchmarkPredictDie|BenchmarkShardEncode|BenchmarkShardDecode|BenchmarkQueryGroupBy1M|BenchmarkSweepCell)$"
 
 // config carries the parsed flag set; one field per flag.
 type config struct {
@@ -58,7 +58,7 @@ type config struct {
 
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.pkgs, "pkg", ".,./internal/faults,./internal/dvfs,./internal/engine,./internal/population,./internal/colstore", "comma-separated packages to benchmark")
+	flag.StringVar(&cfg.pkgs, "pkg", ".,./internal/faults,./internal/dvfs,./internal/engine,./internal/population,./internal/colstore,./internal/sweep", "comma-separated packages to benchmark")
 	flag.StringVar(&cfg.bench, "bench", smokeBench, "benchmark regex passed to go test -bench")
 	flag.StringVar(&cfg.benchtime, "benchtime", "100ms", "per-benchmark budget passed to go test -benchtime")
 	flag.IntVar(&cfg.count, "count", 1, "go test -count (repeats are averaged per benchmark)")

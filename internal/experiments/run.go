@@ -9,7 +9,7 @@ import (
 
 // RunIPC executes one simulation and returns its IPC, wrapping any error
 // with the run's identifying coordinates. This is the single-run helper
-// shared by the figure drivers here and by the sweep engine.
+// shared by the figure drivers here.
 func RunIPC(opts sim.Options) (float64, error) {
 	r, err := sim.Run(opts)
 	if err != nil {

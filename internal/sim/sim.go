@@ -207,7 +207,13 @@ func (s *System) Reset() {
 }
 
 // Build assembles the system for opts without running it.
-func Build(opts Options) (*System, error) {
+func Build(opts Options) (*System, error) { return assemble(opts, nil) }
+
+// assemble builds the system for opts. A non-nil prev donates its L2 —
+// most of a system's memory — when the new L2 has the same shape: the
+// cache is reset to its just-built state instead of reallocated. prev
+// must not be used afterwards.
+func assemble(opts Options, prev *System) (*System, error) {
 	machine := Reference(opts.Mode)
 	if opts.Machine != nil {
 		machine = *opts.Machine
@@ -222,8 +228,12 @@ func Build(opts Options) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: l2 geometry: %w", err)
 	}
-	l2, err := cache.New("L2", l2Geom, machine.L2Latency, mem)
-	if err != nil {
+	var l2 *cache.Cache
+	if prev != nil && prev.L2.Geom == l2Geom && prev.L2.HitLatency == machine.L2Latency {
+		l2 = prev.L2
+		l2.Reset()
+		l2.Next, l2.Enable = mem, nil
+	} else if l2, err = cache.New("L2", l2Geom, machine.L2Latency, mem); err != nil {
 		return nil, err
 	}
 	if opts.L2Map != nil && opts.Mode == LowVoltage {
@@ -352,17 +362,26 @@ func classifyPair(m *faults.Map, cfg core.WordDisableConfig, set, w0, w1, subPer
 	return core.PairHalfCapacity
 }
 
-// Run builds the system for opts and simulates the benchmark.
+// withDefaults fills in the run length: 200k measured instructions
+// unless set, a warm-up of half the measured length unless set, and no
+// warm-up when Warmup is negative.
+func (o Options) withDefaults() Options {
+	if o.Instructions <= 0 {
+		o.Instructions = 200_000
+	}
+	if o.Warmup == 0 {
+		o.Warmup = o.Instructions / 2
+	}
+	if o.Warmup < 0 {
+		o.Warmup = 0
+	}
+	return o
+}
+
+// Run builds the system for opts and simulates the benchmark, drawing
+// its instruction stream live.
 func Run(opts Options) (Result, error) {
-	if opts.Instructions <= 0 {
-		opts.Instructions = 200_000
-	}
-	if opts.Warmup == 0 {
-		opts.Warmup = opts.Instructions / 2
-	}
-	if opts.Warmup < 0 {
-		opts.Warmup = 0
-	}
+	opts = opts.withDefaults()
 	prof, err := workload.ByName(opts.Benchmark)
 	if err != nil {
 		return Result{}, err
@@ -376,6 +395,94 @@ func Run(opts Options) (Result, error) {
 		return Result{}, err
 	}
 	return sys.run(opts, gen), nil
+}
+
+// Recording is the instruction stream of one run — the warm-up and
+// measured instructions of a benchmark under a seed — drawn once, so
+// that runs differing only in the machine (a sweep cell's fault-free
+// baseline and every fault trial) replay it instead of regenerating it.
+// Replaying is bit-identical to Run's live stream: the pipeline consumes
+// exactly Warmup+Instructions instructions and never fetches a wrong
+// path.
+type Recording struct {
+	warmup, instructions int
+	prof                 workload.Profile // last profile looked up
+	stream               workload.Recording
+}
+
+// Record draws the stream Run(opts) would simulate.
+func Record(opts Options) (*Recording, error) {
+	rec := new(Recording)
+	if err := rec.Record(opts); err != nil {
+		return nil, err
+	}
+	return rec, nil
+}
+
+// Record redraws r as the stream of opts, reusing r's buffers: once r
+// has held a stream at least as long, re-recording the same benchmark
+// allocates nothing. On error r is left empty and replays nothing.
+func (r *Recording) Record(opts Options) error {
+	opts = opts.withDefaults()
+	if r.prof.Name == "" || r.prof.Name != opts.Benchmark {
+		prof, err := workload.ByName(opts.Benchmark)
+		if err != nil {
+			r.stream.Reset()
+			return err
+		}
+		r.prof = prof
+	}
+	if err := r.stream.Record(r.prof, opts.Seed, opts.Warmup+opts.Instructions); err != nil {
+		return err
+	}
+	r.warmup, r.instructions = opts.Warmup, opts.Instructions
+	return nil
+}
+
+// check reports whether r holds exactly the stream of the defaulted
+// opts: a mismatched recording is refused, never simulated.
+func (r *Recording) check(opts Options) error {
+	switch {
+	case r.stream.Benchmark() != opts.Benchmark:
+		return fmt.Errorf("sim: recording is of benchmark %q, run wants %q", r.stream.Benchmark(), opts.Benchmark)
+	case r.stream.Seed() != opts.Seed:
+		return fmt.Errorf("sim: recording has seed %d, run wants %d", r.stream.Seed(), opts.Seed)
+	case r.warmup != opts.Warmup || r.instructions != opts.Instructions:
+		return fmt.Errorf("sim: recording holds %d warm-up + %d instructions, run wants %d + %d",
+			r.warmup, r.instructions, opts.Warmup, opts.Instructions)
+	}
+	return nil
+}
+
+// RunTrace builds the system for opts and replays rec on it. The result
+// equals Run(opts); rec must have been recorded for the same benchmark,
+// seed, warm-up and length, or RunTrace returns an error.
+func RunTrace(opts Options, rec *Recording) (Result, error) {
+	var p Replayer
+	return p.Run(opts, rec)
+}
+
+// Replayer runs a succession of machines — a sweep cell's baseline and
+// fault trials — holding one system at a time: each Run assembles its
+// machine from the previous one, reusing the L2 (reset, not
+// reallocated) whenever its shape is unchanged. Every result equals
+// RunTrace's for the same arguments. The zero value is ready to use; a
+// Replayer is not safe for concurrent use.
+type Replayer struct{ sys *System }
+
+// Run assembles the system for opts and replays rec on it, with
+// RunTrace's checks.
+func (p *Replayer) Run(opts Options, rec *Recording) (Result, error) {
+	opts = opts.withDefaults()
+	if err := rec.check(opts); err != nil {
+		return Result{}, err
+	}
+	sys, err := assemble(opts, p.sys)
+	p.sys = sys // nil after a failed assemble, which may have taken the L2
+	if err != nil {
+		return Result{}, err
+	}
+	return sys.run(opts, rec.stream.Replay()), nil
 }
 
 func (s *System) run(opts Options, gen trace.Generator) Result {

@@ -1,9 +1,10 @@
 package sweep
 
 import (
+	"fmt"
+
 	"vccmin/internal/core"
 	"vccmin/internal/dvfs"
-	"vccmin/internal/experiments"
 	"vccmin/internal/faults"
 	"vccmin/internal/power"
 	"vccmin/internal/prob"
@@ -166,7 +167,15 @@ func (s Spec) evaluate(c Cell) (Row, error) {
 		}
 	}
 
-	var ipcs, baseIPCs, caps []float64
+	// Every run of a benchmark — the baseline and each trial — simulates
+	// the same instruction stream, so it is drawn once into rec and
+	// replayed to each run. The runs share one system's memory through
+	// runs: only one machine is alive at a time.
+	var (
+		rec                  sim.Recording
+		runs                 sim.Replayer
+		ipcs, baseIPCs, caps []float64
+	)
 	for _, bench := range s.Benchmarks {
 		workSeed := faults.DeriveSeed(seed, "workload", bench)
 		base := sim.Options{
@@ -176,11 +185,14 @@ func (s Spec) evaluate(c Cell) (Row, error) {
 			Seed:         workSeed,
 			Machine:      &machine,
 		}
-		baseIPC, err := experiments.RunIPC(base)
-		if err != nil {
-			return Row{}, err
+		if err := rec.Record(base); err != nil {
+			return Row{}, fmt.Errorf("%s %s/%s: %w", bench, base.Scheme, base.Victim, err)
 		}
-		baseIPCs = append(baseIPCs, baseIPC)
+		r, err := runs.Run(base, &rec)
+		if err != nil {
+			return Row{}, fmt.Errorf("%s %s/%s: %w", bench, base.Scheme, base.Victim, err)
+		}
+		baseIPCs = append(baseIPCs, r.IPC)
 
 		for t := 0; t < simTrials; t++ {
 			opts := base
@@ -189,7 +201,7 @@ func (s Spec) evaluate(c Cell) (Row, error) {
 			if faultDependent(c.Scheme) {
 				opts.Pair = &pairs[t]
 			}
-			r, err := sim.Run(opts)
+			r, err := runs.Run(opts, &rec)
 			if err != nil {
 				return Row{}, wrapCellErr(key, err)
 			}

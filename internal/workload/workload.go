@@ -141,53 +141,64 @@ type Generator struct {
 	logQdep   float64   // ln(1-depP), hoisted out of depDist
 	footBytes uint64
 	sinceLoad int         // instructions since the last load (for load chains)
-	sites     []siteState // indexed by site id; period 0 = not yet visited
+	sites     []siteState // indexed by site id
 }
 
-// siteState tracks a static branch's position in its outcome pattern.
-// Biased sites emit deterministic periodic patterns (a loop that runs L
-// iterations then exits, or a guard that fires every L-th time), which is
-// what real control flow looks like and what history-based predictors
-// learn; random sites flip a fair coin every visit.
+// siteState is a static branch's fixed character, derived on its first
+// visit: its kind and its target. Every visit then draws the outcome
+// afresh — a fair coin for random sites, a 99%/1% biased coin for loop
+// and guard sites. The per-site bias is what a global-history predictor
+// learns.
 type siteState struct {
-	kind   siteKind
-	period uint32
-	pos    uint32
+	target  uint64
+	kind    siteKind
+	visited bool
 }
 
 type siteKind uint8
 
 const (
 	siteRandom siteKind = iota
-	siteLoop            // taken except once per period
-	siteGuard           // not taken except once per period
+	siteLoop            // taken with probability 0.99
+	siteGuard           // taken with probability 0.01
 )
 
 // NewGenerator builds a generator for prof seeded with seed.
 func NewGenerator(prof Profile, seed int64) (*Generator, error) {
-	if err := prof.Check(); err != nil {
+	g := new(Generator)
+	if err := g.init(prof, seed); err != nil {
 		return nil, err
 	}
-	g := &Generator{
-		prof:      prof,
-		pc:        codeBase,
-		coldNext:  coldBase,
-		depP:      1 / prof.MeanDepDist,
-		footBytes: uint64(prof.IFootprintBlocks) * blockSize,
-		sites:     make([]siteState, prof.StaticBranches),
+	return g, nil
+}
+
+// init points g at prof and rewinds it to seed, reusing g's buffers when
+// they are large enough: re-initializing a generator for a profile no
+// larger than one it has held allocates nothing.
+func (g *Generator) init(prof Profile, seed int64) error {
+	if err := prof.Check(); err != nil {
+		return err
 	}
-	g.rng.Seed(seed ^ int64(hash64(prof.Name)))
+	g.prof = prof
+	g.depP = 1 / prof.MeanDepDist
 	g.logQdep = math.Log(1 - g.depP)
+	g.footBytes = uint64(prof.IFootprintBlocks) * blockSize
+	if cap(g.sites) < prof.StaticBranches {
+		g.sites = make([]siteState, prof.StaticBranches)
+	}
+	g.sites = g.sites[:prof.StaticBranches]
 	total := 0.0
 	for _, c := range prof.Reuse {
 		total += c.Weight
 	}
 	cum := 0.0
+	g.cumReuse = g.cumReuse[:0]
 	for _, c := range prof.Reuse {
 		cum += c.Weight / total
 		g.cumReuse = append(g.cumReuse, cum)
 	}
-	return g, nil
+	g.Reset(seed)
+	return nil
 }
 
 // Reset rewinds the generator to the state NewGenerator(prof, seed)
@@ -283,26 +294,14 @@ func (g *Generator) aluClass(pc uint64) trace.Class {
 }
 
 // genBranch resolves the branch at the current PC: its site identity,
-// outcome and target. Sites have fixed targets (BTB-friendly) and
-// deterministic periodic outcome patterns (which gshare learns), except
-// for the RandomBranchFrac of sites that are data-dependent coin flips.
+// outcome and target. Sites have fixed targets (BTB-friendly) and a
+// fixed outcome bias (which gshare learns), except for the
+// RandomBranchFrac of sites that are data-dependent coin flips.
 func (g *Generator) genBranch(out *trace.Instr) {
 	site := hash64Mix(out.PC) % uint64(g.prof.StaticBranches)
 	st := &g.sites[site]
-	if st.period == 0 {
-		// First visit: derive the site's fixed character. Everything here
-		// comes from hash mixes, never the rng, so lazily initializing a
-		// site does not perturb the draw stream (Reset relies on this).
-		siteRand := float64(hash64Mix(site+0x9E3779B9)) / float64(math.MaxUint64)
-		st.period = 3 + uint32(hash64Mix(site+0xABCD)%29)
-		switch {
-		case siteRand < g.prof.RandomBranchFrac:
-			st.kind = siteRandom
-		case siteRand < g.prof.RandomBranchFrac+(1-g.prof.RandomBranchFrac)*0.7:
-			st.kind = siteLoop
-		default:
-			st.kind = siteGuard
-		}
+	if !st.visited {
+		g.initSite(st, site)
 	}
 	switch st.kind {
 	case siteRandom:
@@ -317,9 +316,25 @@ func (g *Generator) genBranch(out *trace.Instr) {
 		// Error/guard test: strongly not taken.
 		out.Taken = g.rng.Float64() < 0.01
 	}
-	st.pos++
-	// Fixed per-site target: a block start inside the footprint, biased
-	// toward the hot front of the code when TargetBias > 1.
+	out.Target = st.target
+}
+
+// initSite derives a site's fixed character on its first visit.
+// Everything here comes from hash mixes, never the rng, so lazily
+// initializing a site does not perturb the draw stream (Reset relies on
+// this).
+func (g *Generator) initSite(st *siteState, site uint64) {
+	siteRand := float64(hash64Mix(site+0x9E3779B9)) / float64(math.MaxUint64)
+	switch {
+	case siteRand < g.prof.RandomBranchFrac:
+		st.kind = siteRandom
+	case siteRand < g.prof.RandomBranchFrac+(1-g.prof.RandomBranchFrac)*0.7:
+		st.kind = siteLoop
+	default:
+		st.kind = siteGuard
+	}
+	// Fixed target: a block start inside the footprint, biased toward the
+	// hot front of the code when TargetBias > 1.
 	u := float64(hash64Mix(site+0x5151_5151)) / float64(math.MaxUint64)
 	if g.prof.TargetBias > 1 {
 		u = math.Pow(u, g.prof.TargetBias)
@@ -328,7 +343,8 @@ func (g *Generator) genBranch(out *trace.Instr) {
 	if tgtBlock >= uint64(g.prof.IFootprintBlocks) {
 		tgtBlock = uint64(g.prof.IFootprintBlocks) - 1
 	}
-	out.Target = codeBase + tgtBlock*blockSize
+	st.target = codeBase + tgtBlock*blockSize
+	st.visited = true
 }
 
 // dataAddr draws the effective address of a load or store.
