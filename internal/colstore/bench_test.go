@@ -62,3 +62,19 @@ func BenchmarkQueryGroupBy1M(b *testing.B) {
 		benchSink = res.Matched
 	}
 }
+
+// BenchmarkShardFold measures the fold's write path for one full
+// default-size shard: rows to columns (NewShard, with its per-row
+// canonical-key check) and columns to canonical colv1 bytes.
+func BenchmarkShardFold(b *testing.B) {
+	rows := genRows(DefaultShardRows, 7, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := NewShard(rows)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = len(s.EncodeBytes())
+	}
+}

@@ -130,108 +130,157 @@ type Shard struct {
 // NumRows returns the shard's row count.
 func (s *Shard) NumRows() int { return s.rows }
 
-// cellKey reconstructs the canonical cell key from axis values — the
-// exact sweep.Cell.Key spelling, which is part of the on-disk contract
-// there and therefore here too.
-func cellKey(pfail float64, size, ways, block int64, scheme, victim, gran, policy string) string {
-	key := fmt.Sprintf("pfail=%s;geom=%dx%dx%d;scheme=%s;victim=%s;gran=%s",
-		strconv.FormatFloat(pfail, 'g', -1, 64),
-		size, ways, block, scheme, victim, gran)
-	if policy != "" {
-		key += ";policy=" + policy
+// appendCellKey appends r's canonical cell key, reconstructed from its
+// axis fields, to b — the exact sweep.Cell.Key spelling, which is part
+// of the on-disk contract there and therefore here too. Appending into
+// one reused buffer keeps the per-row key check allocation-free.
+func appendCellKey(b []byte, r *sweep.Row) []byte {
+	b = append(b, "pfail="...)
+	b = strconv.AppendFloat(b, r.Pfail, 'g', -1, 64)
+	b = append(b, ";geom="...)
+	b = strconv.AppendInt(b, int64(r.GeomSize), 10)
+	b = append(b, 'x')
+	b = strconv.AppendInt(b, int64(r.GeomWays), 10)
+	b = append(b, 'x')
+	b = strconv.AppendInt(b, int64(r.GeomBlock), 10)
+	b = append(b, ";scheme="...)
+	b = append(b, r.Scheme...)
+	b = append(b, ";victim="...)
+	b = append(b, r.Victim...)
+	b = append(b, ";gran="...)
+	b = append(b, r.Granularity...)
+	if r.Policy != "" {
+		b = append(b, ";policy="...)
+		b = append(b, r.Policy...)
 	}
-	return key
+	return b
+}
+
+// strBuilder fills one dictionary column: values in first-appearance
+// order, one index per row. Axis columns come in long runs of one
+// value, so the last value is checked before the map.
+type strBuilder struct {
+	col    strCol
+	ids    map[string]uint32
+	last   string
+	lastID uint32
+}
+
+func newStrBuilder(n int) *strBuilder {
+	return &strBuilder{col: strCol{idx: make([]uint32, n)}, ids: make(map[string]uint32)}
+}
+
+func (b *strBuilder) set(i int, v string) {
+	if i == 0 || v != b.last {
+		id, ok := b.ids[v]
+		if !ok {
+			id = uint32(len(b.col.dict))
+			b.ids[v] = id
+			b.col.dict = append(b.col.dict, v)
+		}
+		b.last, b.lastID = v, id
+	}
+	b.col.idx[i] = b.lastID
+}
+
+func newOptCol(n int) optCol {
+	return optCol{present: make([]bool, n), vals: make([]float64, n)}
+}
+
+func (c optCol) set(i int, p *float64) {
+	if p != nil {
+		c.present[i] = true
+		c.vals[i] = *p
+	}
+}
+
+// get returns a fresh pointer to row i's value, or nil when absent.
+func (c optCol) get(i int) *float64 {
+	if !c.present[i] {
+		return nil
+	}
+	v := c.vals[i]
+	return &v
 }
 
 // NewShard builds a shard from rows, preserving their order. It errors
 // if any row's Key is not the canonical spelling of its coordinates:
 // the format does not store keys, so a non-canonical key is the one
 // thing a shard could not round-trip.
+//
+// It walks the rows once, by pointer, filling every column in the same
+// pass; the only allocations are the columns and their dictionaries,
+// never one per row.
 func NewShard(rows []sweep.Row) (*Shard, error) {
-	s := &Shard{
-		rows:   len(rows),
-		ints:   make(map[string][]int64),
-		strs:   make(map[string]strCol),
-		floats: make(map[string][]float64),
-		opts:   make(map[string]optCol),
-	}
 	n := len(rows)
-	intVals := func(get func(sweep.Row) int64) []int64 {
-		out := make([]int64, n)
-		for i, r := range rows {
-			out[i] = get(r)
-		}
-		return out
-	}
-	floatVals := func(get func(sweep.Row) float64) []float64 {
-		out := make([]float64, n)
-		for i, r := range rows {
-			out[i] = get(r)
-		}
-		return out
-	}
-	strVals := func(get func(sweep.Row) string) strCol {
-		c := strCol{idx: make([]uint32, n)}
-		ids := make(map[string]uint32)
-		for i, r := range rows {
-			v := get(r)
-			id, ok := ids[v]
-			if !ok {
-				id = uint32(len(c.dict))
-				ids[v] = id
-				c.dict = append(c.dict, v)
-			}
-			c.idx[i] = id
-		}
-		return c
-	}
-	optVals := func(get func(sweep.Row) *float64) optCol {
-		c := optCol{present: make([]bool, n), vals: make([]float64, n)}
-		for i, r := range rows {
-			if p := get(r); p != nil {
-				c.present[i] = true
-				c.vals[i] = *p
-			}
-		}
-		return c
-	}
+	ints := func() []int64 { return make([]int64, n) }
+	floats := func() []float64 { return make([]float64, n) }
+	var (
+		index, geomSize, geomWays, geomBlock = ints(), ints(), ints(), ints()
+		seed, unfit, trials, benchmarks      = ints(), ints(), ints(), ints()
 
-	for i, r := range rows {
-		want := cellKey(r.Pfail, int64(r.GeomSize), int64(r.GeomWays), int64(r.GeomBlock),
-			r.Scheme, r.Victim, r.Granularity, r.Policy)
-		if r.Key != want {
-			return nil, fmt.Errorf("colstore: row %d key %q is not the canonical cell key %q", i, r.Key, want)
-		}
-	}
+		stream, scheme, victim = newStrBuilder(n), newStrBuilder(n), newStrBuilder(n)
+		gran, policy           = newStrBuilder(n), newStrBuilder(n)
 
-	s.ints["index"] = intVals(func(r sweep.Row) int64 { return int64(r.Index) })
-	s.strs["stream"] = strVals(func(r sweep.Row) string { return r.Stream })
-	s.floats["pfail"] = floatVals(func(r sweep.Row) float64 { return r.Pfail })
-	s.ints["geom_size"] = intVals(func(r sweep.Row) int64 { return int64(r.GeomSize) })
-	s.ints["geom_ways"] = intVals(func(r sweep.Row) int64 { return int64(r.GeomWays) })
-	s.ints["geom_block"] = intVals(func(r sweep.Row) int64 { return int64(r.GeomBlock) })
-	s.strs["scheme"] = strVals(func(r sweep.Row) string { return r.Scheme })
-	s.strs["victim"] = strVals(func(r sweep.Row) string { return r.Victim })
-	s.strs["granularity"] = strVals(func(r sweep.Row) string { return r.Granularity })
-	s.ints["seed"] = intVals(func(r sweep.Row) int64 { return r.Seed })
-	s.floats["expected_capacity"] = floatVals(func(r sweep.Row) float64 { return r.ExpectedCapacity })
-	s.floats["whole_cache_fail_prob"] = floatVals(func(r sweep.Row) float64 { return r.WholeCacheFailProb })
-	s.floats["mean_ipc"] = floatVals(func(r sweep.Row) float64 { return r.MeanIPC })
-	s.floats["baseline_ipc"] = floatVals(func(r sweep.Row) float64 { return r.BaselineIPC })
-	s.floats["ipc_degradation"] = floatVals(func(r sweep.Row) float64 { return r.IPCDegradation })
-	s.floats["measured_capacity"] = floatVals(func(r sweep.Row) float64 { return r.MeasuredCapacity })
-	s.ints["unfit_trials"] = intVals(func(r sweep.Row) int64 { return int64(r.UnfitTrials) })
-	s.floats["voltage"] = floatVals(func(r sweep.Row) float64 { return r.Voltage })
-	s.floats["frequency"] = floatVals(func(r sweep.Row) float64 { return r.Frequency })
-	s.floats["energy_per_instruction"] = floatVals(func(r sweep.Row) float64 { return r.EnergyPerInstruction })
-	s.ints["trials"] = intVals(func(r sweep.Row) int64 { return int64(r.Trials) })
-	s.ints["benchmarks"] = intVals(func(r sweep.Row) int64 { return int64(r.Benchmarks) })
-	s.strs["policy"] = strVals(func(r sweep.Row) string { return r.Policy })
-	s.floats["dvfs_performance"] = floatVals(func(r sweep.Row) float64 { return r.DVFSPerformance })
-	s.floats["dvfs_energy_per_instruction"] = floatVals(func(r sweep.Row) float64 { return r.DVFSEnergyPerInst })
-	s.opts["dvfs_switches"] = optVals(func(r sweep.Row) *float64 { return r.DVFSSwitches })
-	s.opts["dvfs_low_share"] = optVals(func(r sweep.Row) *float64 { return r.DVFSLowShare })
-	return s, nil
+		pfail, expCap, wholeFail, meanIPC  = floats(), floats(), floats(), floats()
+		baseIPC, ipcDeg, measCap, voltage  = floats(), floats(), floats(), floats()
+		freq, energy, dvfsPerf, dvfsEnergy = floats(), floats(), floats(), floats()
+
+		switches, lowShare = newOptCol(n), newOptCol(n)
+
+		key []byte
+	)
+	for i := range rows {
+		r := &rows[i]
+		key = appendCellKey(key[:0], r)
+		if string(key) != r.Key {
+			return nil, fmt.Errorf("colstore: row %d key %q is not the canonical cell key %q", i, r.Key, string(key))
+		}
+		index[i] = int64(r.Index)
+		stream.set(i, r.Stream)
+		pfail[i] = r.Pfail
+		geomSize[i], geomWays[i], geomBlock[i] = int64(r.GeomSize), int64(r.GeomWays), int64(r.GeomBlock)
+		scheme.set(i, r.Scheme)
+		victim.set(i, r.Victim)
+		gran.set(i, r.Granularity)
+		seed[i] = r.Seed
+		expCap[i] = r.ExpectedCapacity
+		wholeFail[i] = r.WholeCacheFailProb
+		meanIPC[i] = r.MeanIPC
+		baseIPC[i] = r.BaselineIPC
+		ipcDeg[i] = r.IPCDegradation
+		measCap[i] = r.MeasuredCapacity
+		unfit[i] = int64(r.UnfitTrials)
+		voltage[i] = r.Voltage
+		freq[i] = r.Frequency
+		energy[i] = r.EnergyPerInstruction
+		trials[i] = int64(r.Trials)
+		benchmarks[i] = int64(r.Benchmarks)
+		policy.set(i, r.Policy)
+		dvfsPerf[i] = r.DVFSPerformance
+		dvfsEnergy[i] = r.DVFSEnergyPerInst
+		switches.set(i, r.DVFSSwitches)
+		lowShare.set(i, r.DVFSLowShare)
+	}
+	return &Shard{
+		rows: n,
+		ints: map[string][]int64{
+			"index": index, "geom_size": geomSize, "geom_ways": geomWays, "geom_block": geomBlock,
+			"seed": seed, "unfit_trials": unfit, "trials": trials, "benchmarks": benchmarks,
+		},
+		strs: map[string]strCol{
+			"stream": stream.col, "scheme": scheme.col, "victim": victim.col,
+			"granularity": gran.col, "policy": policy.col,
+		},
+		floats: map[string][]float64{
+			"pfail": pfail, "expected_capacity": expCap, "whole_cache_fail_prob": wholeFail,
+			"mean_ipc": meanIPC, "baseline_ipc": baseIPC, "ipc_degradation": ipcDeg,
+			"measured_capacity": measCap, "voltage": voltage, "frequency": freq,
+			"energy_per_instruction": energy, "dvfs_performance": dvfsPerf,
+			"dvfs_energy_per_instruction": dvfsEnergy,
+		},
+		opts: map[string]optCol{"dvfs_switches": switches, "dvfs_low_share": lowShare},
+	}, nil
 }
 
 // Rows materializes the shard back into sweep rows, in stored order,
@@ -239,44 +288,53 @@ func NewShard(rows []sweep.Row) (*Shard, error) {
 // by NewShard (directly or through a fold) the result is deep-equal to
 // the input rows.
 func (s *Shard) Rows() []sweep.Row {
+	var (
+		index, geomSize, geomWays, geomBlock = s.ints["index"], s.ints["geom_size"], s.ints["geom_ways"], s.ints["geom_block"]
+		seed, unfit, trials, benchmarks      = s.ints["seed"], s.ints["unfit_trials"], s.ints["trials"], s.ints["benchmarks"]
+
+		stream, scheme, victim = s.strs["stream"], s.strs["scheme"], s.strs["victim"]
+		gran, policy           = s.strs["granularity"], s.strs["policy"]
+
+		pfail, expCap, wholeFail = s.floats["pfail"], s.floats["expected_capacity"], s.floats["whole_cache_fail_prob"]
+		meanIPC, baseIPC, ipcDeg = s.floats["mean_ipc"], s.floats["baseline_ipc"], s.floats["ipc_degradation"]
+		measCap, voltage, freq   = s.floats["measured_capacity"], s.floats["voltage"], s.floats["frequency"]
+		energy, dvfsPerf         = s.floats["energy_per_instruction"], s.floats["dvfs_performance"]
+		dvfsEnergy               = s.floats["dvfs_energy_per_instruction"]
+
+		switches, lowShare = s.opts["dvfs_switches"], s.opts["dvfs_low_share"]
+
+		key []byte
+	)
 	out := make([]sweep.Row, s.rows)
 	for i := range out {
 		r := &out[i]
-		r.Index = int(s.ints["index"][i])
-		r.Stream = s.strs["stream"].value(i)
-		r.Pfail = s.floats["pfail"][i]
-		r.GeomSize = int(s.ints["geom_size"][i])
-		r.GeomWays = int(s.ints["geom_ways"][i])
-		r.GeomBlock = int(s.ints["geom_block"][i])
-		r.Scheme = s.strs["scheme"].value(i)
-		r.Victim = s.strs["victim"].value(i)
-		r.Granularity = s.strs["granularity"].value(i)
-		r.Seed = s.ints["seed"][i]
-		r.ExpectedCapacity = s.floats["expected_capacity"][i]
-		r.WholeCacheFailProb = s.floats["whole_cache_fail_prob"][i]
-		r.MeanIPC = s.floats["mean_ipc"][i]
-		r.BaselineIPC = s.floats["baseline_ipc"][i]
-		r.IPCDegradation = s.floats["ipc_degradation"][i]
-		r.MeasuredCapacity = s.floats["measured_capacity"][i]
-		r.UnfitTrials = int(s.ints["unfit_trials"][i])
-		r.Voltage = s.floats["voltage"][i]
-		r.Frequency = s.floats["frequency"][i]
-		r.EnergyPerInstruction = s.floats["energy_per_instruction"][i]
-		r.Trials = int(s.ints["trials"][i])
-		r.Benchmarks = int(s.ints["benchmarks"][i])
-		r.Policy = s.strs["policy"].value(i)
-		r.DVFSPerformance = s.floats["dvfs_performance"][i]
-		r.DVFSEnergyPerInst = s.floats["dvfs_energy_per_instruction"][i]
-		if c := s.opts["dvfs_switches"]; c.present[i] {
-			v := c.vals[i]
-			r.DVFSSwitches = &v
-		}
-		if c := s.opts["dvfs_low_share"]; c.present[i] {
-			v := c.vals[i]
-			r.DVFSLowShare = &v
-		}
-		r.Key = cellKey(r.Pfail, int64(r.GeomSize), int64(r.GeomWays), int64(r.GeomBlock),
-			r.Scheme, r.Victim, r.Granularity, r.Policy)
+		r.Index = int(index[i])
+		r.Stream = stream.value(i)
+		r.Pfail = pfail[i]
+		r.GeomSize, r.GeomWays, r.GeomBlock = int(geomSize[i]), int(geomWays[i]), int(geomBlock[i])
+		r.Scheme = scheme.value(i)
+		r.Victim = victim.value(i)
+		r.Granularity = gran.value(i)
+		r.Seed = seed[i]
+		r.ExpectedCapacity = expCap[i]
+		r.WholeCacheFailProb = wholeFail[i]
+		r.MeanIPC = meanIPC[i]
+		r.BaselineIPC = baseIPC[i]
+		r.IPCDegradation = ipcDeg[i]
+		r.MeasuredCapacity = measCap[i]
+		r.UnfitTrials = int(unfit[i])
+		r.Voltage = voltage[i]
+		r.Frequency = freq[i]
+		r.EnergyPerInstruction = energy[i]
+		r.Trials = int(trials[i])
+		r.Benchmarks = int(benchmarks[i])
+		r.Policy = policy.value(i)
+		r.DVFSPerformance = dvfsPerf[i]
+		r.DVFSEnergyPerInst = dvfsEnergy[i]
+		r.DVFSSwitches = switches.get(i)
+		r.DVFSLowShare = lowShare.get(i)
+		key = appendCellKey(key[:0], r)
+		r.Key = string(key)
 	}
 	return out
 }

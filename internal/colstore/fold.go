@@ -42,24 +42,37 @@ func (m Mem) Shards(fn func(*Shard) error) error {
 	return nil
 }
 
-// ShardsOf chunks rows into shards of shardRows each (0 =
-// DefaultShardRows), preserving order.
-func ShardsOf(rows []sweep.Row, shardRows int) (Mem, error) {
+// eachShard builds the shards of rows, shardRows each (0 =
+// DefaultShardRows), in order, handing each to fn before building the
+// next, so only one shard's columns need be alive at a time.
+func eachShard(rows []sweep.Row, shardRows int, fn func(i int, s *Shard) error) error {
 	if shardRows <= 0 {
 		shardRows = DefaultShardRows
 	}
-	var out Mem
-	for len(rows) > 0 {
-		n := shardRows
-		if n > len(rows) {
-			n = len(rows)
-		}
+	for i := 0; len(rows) > 0; i++ {
+		n := min(shardRows, len(rows))
 		s, err := NewShard(rows[:n])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out = append(out, s)
+		if err := fn(i, s); err != nil {
+			return err
+		}
 		rows = rows[n:]
+	}
+	return nil
+}
+
+// ShardsOf chunks rows into shards of shardRows each (0 =
+// DefaultShardRows), preserving order.
+func ShardsOf(rows []sweep.Row, shardRows int) (Mem, error) {
+	var out Mem
+	err := eachShard(rows, shardRows, func(_ int, s *Shard) error {
+		out = append(out, s)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -72,14 +85,13 @@ func shardFileName(i int) string { return fmt.Sprintf("%06d.colv1", i) }
 // written into a temp directory that is renamed into place, so a
 // concurrent reader never sees a half-folded directory. If dir already
 // exists the fold is a no-op — shard bytes are a deterministic function
-// of the rows, so whoever got there first wrote the same bytes.
+// of the rows, so whoever got there first wrote the same bytes. Shards
+// are built, encoded and written one at a time, so the fold holds one
+// shard's columns, not the whole result set's; a row that fails
+// NewShard's checks leaves neither dir nor the temp directory behind.
 func WriteDir(dir string, rows []sweep.Row, shardRows int) error {
 	if _, err := os.Stat(dir); err == nil {
 		return nil
-	}
-	shards, err := ShardsOf(rows, shardRows)
-	if err != nil {
-		return err
 	}
 	parent := filepath.Dir(dir)
 	if err := os.MkdirAll(parent, 0o755); err != nil {
@@ -90,10 +102,11 @@ func WriteDir(dir string, rows []sweep.Row, shardRows int) error {
 		return err
 	}
 	defer os.RemoveAll(tmp)
-	for i, s := range shards {
-		if err := os.WriteFile(filepath.Join(tmp, shardFileName(i)), s.EncodeBytes(), 0o644); err != nil {
-			return err
-		}
+	err = eachShard(rows, shardRows, func(i int, s *Shard) error {
+		return os.WriteFile(filepath.Join(tmp, shardFileName(i)), s.EncodeBytes(), 0o644)
+	})
+	if err != nil {
+		return err
 	}
 	if err := os.Rename(tmp, dir); err != nil {
 		// A concurrent fold won the rename; its bytes are ours.
