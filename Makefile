@@ -36,9 +36,12 @@ bench-gate:
 # oracle DP, probe measurement, frontier marking, the naive row-wise
 # query evaluator, the rebuild-per-probe fleet prober, the per-run sweep
 # cell evaluation, the live instruction stream) held byte-identical to the
-# optimized hot paths.
+# optimized hot paths, plus the worker-invariance tests of every caller of
+# internal/par (results identical at workers 1 and up) and par's own
+# ordering and error contract.
 diff-race:
-	$(GO) test -race -run 'Differential|ProbeCacheHit|MarkFrontierMatchesRebuild|FrontierSet|RecordingReplayMatchesLive' ./internal/faults ./internal/dvfs ./internal/colstore ./internal/population ./internal/workload ./internal/sweep
+	$(GO) test -race -run 'Differential|ProbeCacheHit|MarkFrontierMatchesRebuild|FrontierSet|RecordingReplayMatchesLive|MeasuredCapacityWorkerInvariance|PairsParallelismInvariance|FleetWorkerInvariance|PredictWorkerInvariance|WorkersByteIdentical|ExploreDeterministicAcrossWorkers|RegistryAndBatch' ./internal/faults ./internal/dvfs ./internal/colstore ./internal/population ./internal/workload ./internal/sweep ./internal/experiments ./internal/engine
+	$(GO) test -race ./internal/par
 
 fmt:
 	@out="$$(gofmt -l .)"; \

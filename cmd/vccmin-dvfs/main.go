@@ -31,7 +31,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"vccmin/internal/cliflag"
@@ -108,9 +107,6 @@ func main() {
 	// Workers only changes scheduling — it lives on the spec, outside
 	// the request, and outside the canonical hash.
 	task.Spec.Workers = *workers
-	if task.Spec.Workers <= 0 {
-		task.Spec.Workers = runtime.GOMAXPROCS(0)
-	}
 	eng, err := clirun.NewEngine(*cacheDir)
 	if err != nil {
 		clirun.Fatal("vccmin-dvfs", err)

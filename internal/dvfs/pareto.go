@@ -4,10 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"runtime"
 	"sort"
 
-	"vccmin/internal/experiments"
+	"vccmin/internal/par"
 	"vccmin/internal/sim"
 	"vccmin/internal/workload"
 )
@@ -186,9 +185,6 @@ func (s ExploreSpec) withDefaults() ExploreSpec {
 	if s.Seed == 0 {
 		s.Seed = 1
 	}
-	if s.Workers <= 0 {
-		s.Workers = runtime.GOMAXPROCS(0)
-	}
 	// Resolve the switch economics to the Config defaults here, so a
 	// spec spelling them out hashes (and caches) identically to one
 	// leaving them zero.
@@ -264,40 +260,37 @@ func Explore(spec ExploreSpec) (*ExploreResult, error) {
 	}
 
 	runs := make([]Result, len(cells))
-	jobs := make([]func() error, len(cells))
-	for i, c := range cells {
-		i, c := i, c
-		jobs[i] = func() error {
-			mp, err := workload.MultiPhaseByName(c.workload)
-			if err != nil {
-				return err
-			}
-			if spec.Scale > 0 {
-				mp = mp.Scaled(spec.Scale)
-			}
-			cfg := Config{
-				Workload:      mp,
-				Scheme:        c.scheme,
-				Victim:        spec.Victim,
-				Pfail:         spec.Pfail,
-				Policy:        c.policy,
-				Seed:          spec.Seed,
-				SwitchPenalty: spec.SwitchPenalty,
-				Interval:      spec.Interval,
-				IPCThreshold:  spec.IPCThreshold,
-			}
-			if spec.Config != nil {
-				spec.Config(&cfg)
-			}
-			r, err := Run(cfg)
-			if err != nil {
-				return fmt.Errorf("dvfs: %s/%s/%s: %w", c.workload, c.scheme, c.policy, err)
-			}
-			runs[i] = r
-			return nil
+	err := par.Do(len(cells), spec.Workers, nil, func(_ struct{}, i int) error {
+		c := cells[i]
+		mp, err := workload.MultiPhaseByName(c.workload)
+		if err != nil {
+			return err
 		}
-	}
-	if err := experiments.RunJobs(spec.Workers, jobs); err != nil {
+		if spec.Scale > 0 {
+			mp = mp.Scaled(spec.Scale)
+		}
+		cfg := Config{
+			Workload:      mp,
+			Scheme:        c.scheme,
+			Victim:        spec.Victim,
+			Pfail:         spec.Pfail,
+			Policy:        c.policy,
+			Seed:          spec.Seed,
+			SwitchPenalty: spec.SwitchPenalty,
+			Interval:      spec.Interval,
+			IPCThreshold:  spec.IPCThreshold,
+		}
+		if spec.Config != nil {
+			spec.Config(&cfg)
+		}
+		r, err := Run(cfg)
+		if err != nil {
+			return fmt.Errorf("dvfs: %s/%s/%s: %w", c.workload, c.scheme, c.policy, err)
+		}
+		runs[i] = r
+		return nil
+	}, nil)
+	if err != nil {
 		return nil, err
 	}
 

@@ -3,8 +3,8 @@ package engine
 import (
 	"context"
 	"encoding/json"
-	"runtime"
-	"sync"
+
+	"vccmin/internal/par"
 )
 
 // BatchItem is one request of a heterogeneous batch: a registered task
@@ -41,25 +41,12 @@ func RunBatch(ctx context.Context, e *Engine, items []BatchItem, workers int) []
 // siblings. Callers use it to apply surface-specific limits, e.g. the
 // service's grid-size caps.
 func RunBatchFiltered(ctx context.Context, e *Engine, items []BatchItem, workers int, gate func(Task) error) []BatchResult {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(items) {
-		workers = len(items)
-	}
 	out := make([]BatchResult, len(items))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, item := range items {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, item BatchItem) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out[i] = runOne(ctx, e, item, gate)
-		}(i, item)
-	}
-	wg.Wait()
+	// Per-item failures land in the item's slot, so Do never fails.
+	_ = par.Do(len(items), workers, nil, func(_ struct{}, i int) error {
+		out[i] = runOne(ctx, e, items[i], gate)
+		return nil
+	}, nil)
 	return out
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -287,7 +288,6 @@ func TestRegistryAndBatch(t *testing.T) {
 		t.Fatal("unknown kind must error")
 	}
 
-	e := newTestEngine(t, "")
 	items := []BatchItem{
 		{Kind: kind, Params: json.RawMessage(`{"hash":"a"}`)},
 		{Kind: kind, Params: json.RawMessage(`{"hash":"a"}`)}, // dedups onto the first
@@ -295,21 +295,40 @@ func TestRegistryAndBatch(t *testing.T) {
 		{Kind: "no-such-kind"},
 		{Kind: kind, Params: json.RawMessage(`{"bogus":1}`)}, // unknown field
 	}
-	out := RunBatch(context.Background(), e, items, 2)
-	if len(out) != len(items) {
-		t.Fatalf("got %d results, want %d", len(out), len(items))
-	}
-	if out[0].Error != "" || out[1].Error != "" || out[2].Error != "" {
-		t.Fatalf("unexpected errors: %+v", out[:3])
-	}
-	if out[0].Hash != out[1].Hash || string(out[0].Value) != string(out[1].Value) {
-		t.Fatal("identical batch items must share hash and bytes")
-	}
-	if out[3].Error == "" || out[4].Error == "" {
-		t.Fatalf("bad items must carry per-item errors: %+v", out[3:])
-	}
-	st := e.Stats()[kind]
-	if st.Misses != 2 { // "a" once, "default" once
-		t.Fatalf("batch stats %+v, want 2 misses", st)
+	var first []BatchResult
+	for _, workers := range []int{2, 1, 8} {
+		e := newTestEngine(t, "")
+		out := RunBatch(context.Background(), e, items, workers)
+		if len(out) != len(items) {
+			t.Fatalf("workers=%d: got %d results, want %d", workers, len(out), len(items))
+		}
+		if out[0].Error != "" || out[1].Error != "" || out[2].Error != "" {
+			t.Fatalf("workers=%d: unexpected errors: %+v", workers, out[:3])
+		}
+		if out[0].Hash != out[1].Hash || string(out[0].Value) != string(out[1].Value) {
+			t.Fatalf("workers=%d: identical batch items must share hash and bytes", workers)
+		}
+		if out[3].Error == "" || out[4].Error == "" {
+			t.Fatalf("workers=%d: bad items must carry per-item errors: %+v", workers, out[3:])
+		}
+		st := e.Stats()[kind]
+		if st.Misses != 2 { // "a" once, "default" once
+			t.Fatalf("workers=%d: batch stats %+v, want 2 misses", workers, st)
+		}
+		// Which tier answered a duplicate depends on scheduling; the
+		// answers themselves, in request order, must not.
+		for i := range out {
+			out[i].Source = ""
+		}
+		for i, r := range out {
+			if r.Kind != items[i].Kind {
+				t.Fatalf("workers=%d: result %d is for kind %q, want %q", workers, i, r.Kind, items[i].Kind)
+			}
+		}
+		if first == nil {
+			first = out
+		} else if !reflect.DeepEqual(out, first) {
+			t.Fatalf("workers=%d: answers differ from workers=2:\n%+v\n%+v", workers, out, first)
+		}
 	}
 }

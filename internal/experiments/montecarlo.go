@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"runtime"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"vccmin/internal/faults"
 	"vccmin/internal/geom"
+	"vccmin/internal/par"
 	"vccmin/internal/prob"
 )
 
@@ -33,35 +31,17 @@ func MeasuredBlockDisableCapacityWorkers(g geom.Geometry, pfail float64, trials 
 	if trials <= 0 {
 		trials = 1
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > trials {
-		workers = trials
-	}
 	caps := make([]float64, trials)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var sampler faults.Sampler
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= trials {
-					return
-				}
-				m := sampler.Draw(g, 32, pfail, faults.DeriveSeed(seed, "capacity-trial", strconv.Itoa(t)))
-				// Identical to core.BuildBlockDisable(m).CapacityFraction()
-				// — enabled blocks over total blocks, the same division —
-				// without materializing the per-trial way-mask structure.
-				blocks := len(m.Blocks)
-				caps[t] = float64(blocks-m.FaultyBlocks()) / float64(blocks)
-			}
-		}()
-	}
-	wg.Wait()
+	// fn never fails, so neither does Do.
+	_ = par.Do(trials, workers, func() *faults.Sampler { return new(faults.Sampler) }, func(sampler *faults.Sampler, t int) error {
+		m := sampler.Draw(g, 32, pfail, faults.DeriveSeed(seed, "capacity-trial", strconv.Itoa(t)))
+		// Identical to core.BuildBlockDisable(m).CapacityFraction()
+		// — enabled blocks over total blocks, the same division —
+		// without materializing the per-trial way-mask structure.
+		blocks := len(m.Blocks)
+		caps[t] = float64(blocks-m.FaultyBlocks()) / float64(blocks)
+		return nil
+	}, nil)
 	sum := 0.0
 	for _, c := range caps {
 		sum += c

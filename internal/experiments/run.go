@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
+	"vccmin/internal/par"
 	"vccmin/internal/sim"
 )
 
@@ -18,28 +18,28 @@ func RunIPC(opts sim.Options) (float64, error) {
 	return r.IPC, nil
 }
 
-// RunJobs executes the closures with bounded parallelism; each closure
-// writes to its own result slot, so no synchronization beyond the wait is
-// needed. The first error (if any) is returned.
-func RunJobs(workers int, jobs []func() error) error {
-	if workers <= 0 {
-		workers = 1
-	}
-	sem := make(chan struct{}, workers)
-	errCh := make(chan error, len(jobs))
-	var wg sync.WaitGroup
-	for _, run := range jobs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(run func() error) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := run(); err != nil {
-				errCh <- err
-			}
-		}(run)
-	}
-	wg.Wait()
-	close(errCh)
-	return <-errCh
+// ipcJob is one simulation of a figure experiment: its options and the
+// result slot its IPC lands in.
+type ipcJob struct {
+	dst  *float64
+	opts sim.Options
+}
+
+type ipcJobs []ipcJob
+
+func (js *ipcJobs) add(dst *float64, opts sim.Options) {
+	*js = append(*js, ipcJob{dst, opts})
+}
+
+// run executes the jobs on up to workers goroutines, each writing only
+// its own slot, and returns the lowest failing job's error.
+func (js ipcJobs) run(workers int) error {
+	return par.Do(len(js), workers, nil, func(_ struct{}, i int) error {
+		ipc, err := RunIPC(js[i].opts)
+		if err != nil {
+			return err
+		}
+		*js[i].dst = ipc
+		return nil
+	}, nil)
 }

@@ -1,11 +1,10 @@
 package experiments
 
 import (
-	"runtime"
-
 	"vccmin/internal/core"
 	"vccmin/internal/faults"
 	"vccmin/internal/geom"
+	"vccmin/internal/par"
 	"vccmin/internal/sim"
 	"vccmin/internal/stats"
 	"vccmin/internal/workload"
@@ -48,29 +47,22 @@ func (p SimParams) withDefaults() SimParams {
 	if p.Instructions <= 0 {
 		p.Instructions = 200_000
 	}
-	if p.Parallelism <= 0 {
-		p.Parallelism = runtime.GOMAXPROCS(0)
-	}
 	return p
 }
 
 // pairs draws the experiment's fault-map pairs on the sparse fast path,
-// one worker job per pair: pair i uses seed BaseSeed+i, shared across
-// benchmarks and configurations so comparisons see identical fault
-// patterns. Each job writes only its own slot, so the slice is identical
-// for every parallelism level.
+// fanned out over Parallelism workers: pair i uses seed BaseSeed+i,
+// shared across benchmarks and configurations so comparisons see
+// identical fault patterns. Each pair lands in its own slot, so the
+// slice is identical for every parallelism level.
 func (p SimParams) pairs() []faults.Pair {
 	g := geom.MustNew(32*1024, 8, 64)
 	out := make([]faults.Pair, p.FaultPairs)
-	jobs := make([]func() error, len(out))
-	for i := range out {
-		i := i
-		jobs[i] = func() error {
-			out[i] = faults.GeneratePairSparse(g, g, 32, p.Pfail, p.BaseSeed+int64(i))
-			return nil
-		}
-	}
-	RunJobs(p.Parallelism, jobs)
+	// fn never fails, so neither does Do.
+	_ = par.Do(len(out), p.Parallelism, nil, func(_ struct{}, i int) error {
+		out[i] = faults.GeneratePairSparse(g, g, 32, p.Pfail, p.BaseSeed+int64(i))
+		return nil
+	}, nil)
 	return out
 }
 
@@ -116,7 +108,7 @@ func RunLowVoltage(p SimParams) (*LowVoltageResults, error) {
 		}
 	}
 
-	var jobs []func() error
+	var jobs ipcJobs
 	for bi, name := range p.Benchmarks {
 		name := name
 		b := &res.Benchmarks[bi]
@@ -125,44 +117,34 @@ func RunLowVoltage(p SimParams) (*LowVoltageResults, error) {
 		b.BlockDisableVC = make([]float64, len(pairs))
 		b.BlockDisableVC6T = make([]float64, len(pairs))
 
-		add := func(dst *float64, opts sim.Options) {
-			jobs = append(jobs, func() error {
-				ipc, err := RunIPC(opts)
-				if err != nil {
-					return err
-				}
-				*dst = ipc
-				return nil
-			})
-		}
 		base := sim.Options{Benchmark: name, Mode: sim.LowVoltage, Instructions: p.Instructions, Seed: p.BaseSeed}
 
 		o := base
-		add(&b.BaselineIPC, o)
+		jobs.add(&b.BaselineIPC, o)
 		o = base
 		o.Victim = sim.Victim10T
-		add(&b.BaselineVCIPC, o)
+		jobs.add(&b.BaselineVCIPC, o)
 		o = base
 		o.Scheme = sim.WordDisable
-		add(&b.WordDisableIPC, o)
+		jobs.add(&b.WordDisableIPC, o)
 		o = base
 		o.Scheme = sim.WordDisable
 		o.Victim = sim.Victim10T
-		add(&b.WordDisableVCIPC, o)
+		jobs.add(&b.WordDisableVCIPC, o)
 		for pi := range pairs {
 			pair := pairs[pi]
 			o = base
 			o.Scheme = sim.BlockDisable
 			o.Pair = &pair
-			add(&b.BlockDisable[pi], o)
+			jobs.add(&b.BlockDisable[pi], o)
 			o.Victim = sim.Victim10T
-			add(&b.BlockDisableVC[pi], o)
+			jobs.add(&b.BlockDisableVC[pi], o)
 			o.Victim = sim.Victim6T
-			add(&b.BlockDisableVC6T[pi], o)
+			jobs.add(&b.BlockDisableVC6T[pi], o)
 		}
 	}
 
-	if err := RunJobs(p.Parallelism, jobs); err != nil {
+	if err := jobs.run(p.Parallelism); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -310,43 +292,33 @@ func RunHighVoltage(p SimParams) (*HighVoltageResults, error) {
 	p = p.withDefaults()
 	res := &HighVoltageResults{Params: p, Benchmarks: make([]BenchHighVoltage, len(p.Benchmarks))}
 
-	var jobs []func() error
+	var jobs ipcJobs
 	for bi, name := range p.Benchmarks {
 		name := name
 		b := &res.Benchmarks[bi]
 		b.Name = name
-		add := func(dst *float64, opts sim.Options) {
-			jobs = append(jobs, func() error {
-				ipc, err := RunIPC(opts)
-				if err != nil {
-					return err
-				}
-				*dst = ipc
-				return nil
-			})
-		}
 		base := sim.Options{Benchmark: name, Mode: sim.HighVoltage, Instructions: p.Instructions, Seed: p.BaseSeed}
 		o := base
-		add(&b.BaselineIPC, o)
+		jobs.add(&b.BaselineIPC, o)
 		o = base
 		o.Victim = sim.Victim10T
-		add(&b.BaselineVCIPC, o)
+		jobs.add(&b.BaselineVCIPC, o)
 		o = base
 		o.Scheme = sim.WordDisable
-		add(&b.WordDisableIPC, o)
+		jobs.add(&b.WordDisableIPC, o)
 		o = base
 		o.Scheme = sim.WordDisable
 		o.Victim = sim.Victim10T
-		add(&b.WordDisableVCIPC, o)
+		jobs.add(&b.WordDisableVCIPC, o)
 		o = base
 		o.Scheme = sim.BlockDisable
-		add(&b.BlockDisableIPC, o)
+		jobs.add(&b.BlockDisableIPC, o)
 		o = base
 		o.Scheme = sim.BlockDisable
 		o.Victim = sim.Victim10T
-		add(&b.BlockDisableVCIPC, o)
+		jobs.add(&b.BlockDisableVCIPC, o)
 	}
-	if err := RunJobs(p.Parallelism, jobs); err != nil {
+	if err := jobs.run(p.Parallelism); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -2,8 +2,8 @@ package population
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
+
+	"vccmin/internal/par"
 )
 
 // DieResult is one die's fleet row: identity, wafer position, the
@@ -74,18 +74,13 @@ type FleetResult struct {
 	Schemes []SchemeYield `json:"schemes"`
 }
 
-// fleetChunk sizes the unit of work the fan-out hands to a worker; big
-// enough to amortize the atomic counter, small enough to balance tail
-// latency.
-const fleetChunk = 64
-
 // RunFleet measures every die of the fleet: each die draws its latent
 // fault population from its own derived seed and resolves its Vcc-min
-// grid step under every spec scheme in one incremental grid walk. Dies fan out over spec.Workers
-// goroutines into die-indexed slots and are reduced serially, so the
-// result is bit-identical at every worker count (the PR 3 Monte Carlo
-// executor's contract). The spec is defaulted and validated here, so
-// callers may pass a sparse one.
+// grid step under every spec scheme in one incremental grid walk. Dies
+// fan out over spec.Workers goroutines (par.Do) into die-indexed slots
+// and are reduced serially, so the result is bit-identical at every
+// worker count. The spec is defaulted and validated here, so callers may
+// pass a sparse one.
 func RunFleet(spec FleetSpec) (*FleetResult, error) {
 	spec = spec.WithDefaults()
 	if err := spec.Check(); err != nil {
@@ -98,44 +93,22 @@ func RunFleet(spec FleetSpec) (*FleetResult, error) {
 	// race-free and the per-die allocation disappears.
 	nS := len(spec.Schemes)
 	stepsBacking := make([]int, spec.Dies*nS)
-	workers := defaultWorkers(spec.Workers)
-	if workers > spec.Dies {
-		workers = spec.Dies
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p := newProber(spec)
-			for {
-				start := int(next.Add(fleetChunk)) - fleetChunk
-				if start >= spec.Dies {
-					return
-				}
-				end := start + fleetChunk
-				if end > spec.Dies {
-					end = spec.Dies
-				}
-				for d := start; d < end; d++ {
-					p.draw(d)
-					x, y := spec.DiePosition(d % spec.DiesPerWafer)
-					steps := stepsBacking[d*nS : (d+1)*nS : (d+1)*nS]
-					p.gridSteps(grid, steps)
-					dies[d] = DieResult{
-						Die:        d,
-						Wafer:      d / spec.DiesPerWafer,
-						X:          x,
-						Y:          y,
-						Multiplier: p.mult,
-						Steps:      steps,
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	// Each worker owns one prober; the fan-out never fails.
+	_ = par.Do(spec.Dies, spec.Workers, func() *prober { return newProber(spec) }, func(p *prober, d int) error {
+		p.draw(d)
+		x, y := spec.DiePosition(d % spec.DiesPerWafer)
+		steps := stepsBacking[d*nS : (d+1)*nS : (d+1)*nS]
+		p.gridSteps(grid, steps)
+		dies[d] = DieResult{
+			Die:        d,
+			Wafer:      d / spec.DiesPerWafer,
+			X:          x,
+			Y:          y,
+			Multiplier: p.mult,
+			Steps:      steps,
+		}
+		return nil
+	}, nil)
 
 	res := &FleetResult{Spec: spec, Grid: grid, Dies: dies}
 	for k, scheme := range spec.Schemes {

@@ -31,7 +31,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"runtime"
 	"slices"
 	"strconv"
 
@@ -684,11 +683,4 @@ func (p *prober) thresholdVoltage(scheme sim.Scheme, iters int) float64 {
 		}
 	}
 	return (lo + hi) / 2
-}
-
-func defaultWorkers(w int) int {
-	if w <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return w
 }

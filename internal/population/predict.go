@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
+	"vccmin/internal/par"
 	"vccmin/internal/sim"
 	"vccmin/internal/stats"
 )
@@ -101,32 +100,16 @@ func RunPredict(spec PredictSpec) (*PredictResult, error) {
 		return nil, err
 	}
 	errs := make([]float64, spec.Sample)
-	workers := defaultWorkers(spec.Fleet.Workers)
-	if workers > spec.Sample {
-		workers = spec.Sample
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p := newProber(spec.Fleet)
-			for {
-				j := int(next.Add(1)) - 1
-				if j >= spec.Sample {
-					return
-				}
-				// Evenly strided sample across the fleet, so the study
-				// sees every wafer region, not just the first wafer.
-				d := j * spec.Fleet.Dies / spec.Sample
-				p.draw(d)
-				est, truth := p.estimateAndTruth(spec.Scheme, spec.K)
-				errs[j] = math.Abs(est - truth)
-			}
-		}()
-	}
-	wg.Wait()
+	// Each worker owns one prober; the fan-out never fails.
+	_ = par.Do(spec.Sample, spec.Fleet.Workers, func() *prober { return newProber(spec.Fleet) }, func(p *prober, j int) error {
+		// Evenly strided sample across the fleet, so the study sees
+		// every wafer region, not just the first wafer.
+		d := j * spec.Fleet.Dies / spec.Sample
+		p.draw(d)
+		est, truth := p.estimateAndTruth(spec.Scheme, spec.K)
+		errs[j] = math.Abs(est - truth)
+		return nil
+	}, nil)
 
 	res := &PredictResult{
 		Spec:         spec,

@@ -145,3 +145,37 @@ func TestCancellationMidPool(t *testing.T) {
 		t.Fatal("resume after cancellation diverges from the uninterrupted stream")
 	}
 }
+
+// failAfter accepts its first n writes into buf and fails every later
+// one.
+type failAfter struct {
+	n   int
+	buf bytes.Buffer
+}
+
+var errDiskFull = errors.New("disk full")
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if w.n == 0 {
+		return 0, errDiskFull
+	}
+	w.n--
+	return w.buf.Write(p)
+}
+
+// TestWriteErrorStopsAtRow: a checkpoint write that fails on row 3
+// aborts the run with that error at every worker count, and the output
+// holds exactly the rows before it, a valid prefix of the full stream.
+func TestWriteErrorStopsAtRow(t *testing.T) {
+	spec := testSpec()
+	full, _ := runWithWorkers(t, spec, 1)
+	for _, workers := range []int{1, 2, 8} {
+		out := &failAfter{n: 3}
+		if _, err := Run(spec, RunOptions{Out: out, Workers: workers}); !errors.Is(err, errDiskFull) {
+			t.Fatalf("workers=%d: err %v, want %v", workers, err, errDiskFull)
+		}
+		if n := bytes.Count(out.buf.Bytes(), []byte("\n")); n != 3 || !bytes.HasPrefix(full, out.buf.Bytes()) {
+			t.Fatalf("workers=%d: %d rows written, want the first 3 rows of the full stream", workers, n)
+		}
+	}
+}

@@ -9,8 +9,8 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"sync"
-	"sync/atomic"
+
+	"vccmin/internal/par"
 )
 
 // RunOptions configures a sweep execution.
@@ -30,8 +30,9 @@ type RunOptions struct {
 	Context context.Context
 
 	// OnProgress, if set, observes the run after each flushed row. It is
-	// called synchronously under the flush lock — it must be fast and must
-	// not call back into the run.
+	// called serially, in row order, on the goroutine that flushes — it
+	// must be fast (the next row waits for it) and must not call back
+	// into the run.
 	OnProgress func(Progress)
 
 	// Workers bounds concurrent cell evaluations for this execution,
@@ -70,8 +71,10 @@ type Result struct {
 
 // Run evaluates the spec's grid cells owned by its shard, skipping cells
 // already in opt.Completed, with opt.Workers (or Spec.Workers) concurrent
-// evaluations. Rows stream to opt.Out in cell order. The first cell error
-// aborts the run (already-flushed rows remain valid for resume).
+// evaluations. Rows stream to opt.Out in cell order. A cell error aborts
+// the run and Run returns the error of the lowest failing cell, whatever
+// the worker count; every row before that cell is flushed and remains a
+// valid checkpoint for resume.
 func Run(spec Spec, opt RunOptions) (*Result, error) {
 	spec = spec.withDefaults()
 	if err := spec.Check(); err != nil {
@@ -101,94 +104,47 @@ func Run(spec Spec, opt RunOptions) (*Result, error) {
 		todo = append(todo, c)
 	}
 
-	rows := make([]*Row, len(todo))
-	var (
-		failed   atomic.Bool
-		firstErr error
-		errOnce  sync.Once
-		wg       sync.WaitGroup
-		sem      = make(chan struct{}, workers)
-
-		mu      sync.Mutex
-		next    int // first not-yet-flushed slot
-		flushed []Row
-	)
-	out := opt.Out
-	var bw *bufio.Writer
-	if out != nil {
-		bw = bufio.NewWriter(out)
-		out = bw
+	rows := make([]Row, len(todo))
+	evaluate := func(_ struct{}, i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		var err error
+		rows[i], err = spec.evaluate(todo[i])
+		return err
 	}
-
-	// flush writes the completed prefix of rows, keeping the output a
-	// valid in-order checkpoint at all times.
-	flush := func(i int, r *Row) error {
-		mu.Lock()
-		defer mu.Unlock()
-		rows[i] = r
-		for next < len(rows) && rows[next] != nil {
-			flushed = append(flushed, *rows[next])
-			if out != nil {
-				b, err := json.Marshal(rows[next])
-				if err != nil {
-					return err
-				}
-				if _, err := out.Write(append(b, '\n')); err != nil {
-					return err
-				}
-				if err := bw.Flush(); err != nil {
-					return err
-				}
+	// flush writes row i once every earlier row is out, keeping the
+	// output a valid in-order checkpoint at all times.
+	flush := func(i int) error {
+		if opt.Out != nil {
+			b, err := json.Marshal(&rows[i])
+			if err != nil {
+				return err
 			}
-			next++
-			if opt.OnProgress != nil {
-				opt.OnProgress(Progress{
-					TotalCells: res.TotalCells,
-					ShardCells: res.ShardCells,
-					Skipped:    res.Skipped,
-					Flushed:    next,
-				})
-			}
-			// A cancellation must abort even when every cell already
-			// slipped past the pre-evaluation check (tiny grids): stop
-			// between rows, leaving the flushed prefix a valid checkpoint.
-			if err := ctx.Err(); err != nil {
+			if _, err := opt.Out.Write(append(b, '\n')); err != nil {
 				return err
 			}
 		}
-		return nil
+		if opt.OnProgress != nil {
+			opt.OnProgress(Progress{
+				TotalCells: res.TotalCells,
+				ShardCells: res.ShardCells,
+				Skipped:    res.Skipped,
+				Flushed:    i + 1,
+			})
+		}
+		// A cancellation must abort even when every cell already slipped
+		// past the pre-evaluation check (tiny grids): stop between rows,
+		// leaving the flushed prefix a valid checkpoint.
+		return ctx.Err()
+	}
+	if err := par.Do(len(todo), workers, nil, evaluate, flush); err != nil {
+		return nil, err
 	}
 
-	for i, c := range todo {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, c Cell) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if failed.Load() {
-				return
-			}
-			if err := ctx.Err(); err != nil {
-				errOnce.Do(func() { firstErr = err; failed.Store(true) })
-				return
-			}
-			row, err := spec.evaluate(c)
-			if err == nil {
-				err = flush(i, &row)
-			}
-			if err != nil {
-				errOnce.Do(func() { firstErr = err; failed.Store(true) })
-			}
-		}(i, c)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	res.Rows = flushed
-	res.Computed = len(flushed)
-	res.Summary = Summarize(flushed)
+	res.Rows = rows
+	res.Computed = len(rows)
+	res.Summary = Summarize(rows)
 	return res, nil
 }
 
