@@ -32,16 +32,19 @@ bench-gate:
 	$(GO) run ./cmd/vccmin-bench -out BENCH_ci.json
 
 # The differential equivalence suites under the race detector: the frozen
-# pre-optimization reference implementations (dense fault-map generation,
-# oracle DP, probe measurement, frontier marking, the naive row-wise
-# query evaluator, the rebuild-per-probe fleet prober, the per-run sweep
-# cell evaluation, the live instruction stream) held byte-identical to the
-# optimized hot paths, plus the worker-invariance tests of every caller of
-# internal/par (results identical at workers 1 and up) and par's own
-# ordering and error contract.
+# pre-optimization reference implementations (the one-at-a-time sparse
+# fault-map stream, oracle DP, probe measurement, frontier marking, the
+# naive row-wise query evaluator, the rebuild-per-probe fleet prober, the
+# per-run sweep cell evaluation, the live instruction stream) held
+# byte-identical to the optimized hot paths, plus the worker-invariance
+# tests of every caller of internal/par (results identical at workers 1
+# and up) and par's own ordering and error contract. The engine registry
+# test runs three times in one process: the task registry is
+# process-wide, so a repeat must not register its kind twice.
 diff-race:
-	$(GO) test -race -run 'Differential|ProbeCacheHit|MarkFrontierMatchesRebuild|FrontierSet|RecordingReplayMatchesLive|MeasuredCapacityWorkerInvariance|PairsParallelismInvariance|FleetWorkerInvariance|PredictWorkerInvariance|WorkersByteIdentical|ExploreDeterministicAcrossWorkers|RegistryAndBatch' ./internal/faults ./internal/dvfs ./internal/colstore ./internal/population ./internal/workload ./internal/sweep ./internal/experiments ./internal/engine
+	$(GO) test -race -run 'Differential|SamplerBatched|ProbeCacheHit|MarkFrontierMatchesRebuild|FrontierSet|RecordingReplayMatchesLive|MeasuredCapacityWorkerInvariance|PairsParallelismInvariance|FleetWorkerInvariance|PredictWorkerInvariance|WorkersByteIdentical|ExploreDeterministicAcrossWorkers|RegistryAndBatch' ./internal/faults ./internal/dvfs ./internal/colstore ./internal/population ./internal/workload ./internal/sweep ./internal/experiments ./internal/engine
 	$(GO) test -race ./internal/par
+	$(GO) test -race -count=3 -run RegistryAndBatch ./internal/engine
 
 fmt:
 	@out="$$(gofmt -l .)"; \

@@ -167,7 +167,7 @@ func BenchmarkFig12HighVoltageVC(b *testing.B) {
 // near the paper's 16 entries.
 func BenchmarkAblationVictimEntries(b *testing.B) {
 	g := geom.MustNew(32*1024, 8, 64)
-	pair := faults.GeneratePair(g, g, 32, 0.001, 9)
+	pair := faults.GeneratePairSparse(g, g, 32, 0.001, 9)
 	for _, entries := range []int{0, 4, 8, 16, 32} {
 		b.Run(map[bool]string{true: "entries=0"}[entries == 0]+name(entries), func(b *testing.B) {
 			machine := sim.Reference(sim.LowVoltage)
@@ -217,7 +217,7 @@ func BenchmarkAblationBlockSizePrefetch(b *testing.B) {
 			machine := sim.Reference(sim.LowVoltage)
 			machine.L1BlockBytes = cfg.block
 			g := geom.MustNew(machine.L1Size, machine.L1Ways, cfg.block)
-			pair := faults.GeneratePair(g, g, 32, 0.001, 11)
+			pair := faults.GeneratePairSparse(g, g, 32, 0.001, 11)
 			var ipc, cap float64
 			for i := 0; i < b.N; i++ {
 				r, err := sim.Run(sim.Options{
@@ -242,8 +242,8 @@ func BenchmarkAblationBlockSizePrefetch(b *testing.B) {
 func BenchmarkAblationL2BlockDisable(b *testing.B) {
 	g1 := geom.MustNew(32*1024, 8, 64)
 	g2 := geom.MustNew(2*1024*1024, 8, 64)
-	pair := faults.GeneratePair(g1, g1, 32, 0.001, 13)
-	l2map := faults.GeneratePair(g2, g2, 32, 0.001, 13).I
+	pair := faults.GeneratePairSparse(g1, g1, 32, 0.001, 13)
+	l2map := faults.GeneratePairSparse(g2, g2, 32, 0.001, 13).I
 	for _, cfg := range []struct {
 		label string
 		l2    *faults.Map
@@ -305,22 +305,6 @@ func BenchmarkFaultMapGeneration(b *testing.B) {
 // benchCapacityTrials sizes the estimator benches: enough draws to
 // amortize pool start-up, small enough for a smoke-scale gate run.
 const benchCapacityTrials = 32
-
-// BenchmarkMeasuredCapacityDenseSerial is the dense-stream serial
-// estimator: one fault map per trial on the committed math/rand value
-// stream, drawn through a reused DenseSampler buffer and reduced over
-// the word-packed faulty-block bitset. Per-trial maps (and the capacity
-// estimate) are byte-identical to the historical per-seed GenerateMap +
-// BuildBlockDisable loop this bench used to spell out.
-func BenchmarkMeasuredCapacityDenseSerial(b *testing.B) {
-	g := geom.MustNew(32*1024, 8, 64)
-	b.ReportAllocs()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink = MeasuredBlockDisableCapacityDenseSerial(g, 0.001, benchCapacityTrials, 1)
-	}
-	b.ReportMetric(sink, "capacity")
-}
 
 // BenchmarkMeasuredCapacitySparseParallel is the shipped estimator:
 // sparse sampling, per-worker map reuse, all CPUs.

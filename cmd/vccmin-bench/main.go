@@ -38,7 +38,7 @@ import (
 // count, so gating it against a baseline from a different machine would
 // measure the runner, not the code — run it via `-bench . -pkg ./...`
 // when recording full snapshots).
-const smokeBench = "^(BenchmarkFaultMapGeneration|BenchmarkGenerateDense|BenchmarkGenerateMapSparse|BenchmarkGenerateMapSparseReuse|BenchmarkMeasuredCapacityDenseSerial|BenchmarkCacheAccess|BenchmarkWorkloadGeneration|BenchmarkPipelineThroughput|BenchmarkEq1UrnModel|BenchmarkFig1VoltageScaling|BenchmarkDVFSOracleSchedule|BenchmarkDVFSReactiveSchedule|BenchmarkEngineColdCompute|BenchmarkEngineWarmMemory|BenchmarkEngineDiskHit|BenchmarkFleetDieVccmin|BenchmarkFleetSweepSmall|BenchmarkPredictDie|BenchmarkShardEncode|BenchmarkShardDecode|BenchmarkShardFold|BenchmarkQueryGroupBy1M|BenchmarkSweepCell)$"
+const smokeBench = "^(BenchmarkFaultMapGeneration|BenchmarkGenerateMapSparse|BenchmarkGenerateMapSparseReuse|BenchmarkCacheAccess|BenchmarkWorkloadGeneration|BenchmarkPipelineThroughput|BenchmarkEq1UrnModel|BenchmarkFig1VoltageScaling|BenchmarkDVFSOracleSchedule|BenchmarkDVFSReactiveSchedule|BenchmarkEngineColdCompute|BenchmarkEngineWarmMemory|BenchmarkEngineDiskHit|BenchmarkFleetDieVccmin|BenchmarkFleetSweepSmall|BenchmarkPredictDie|BenchmarkShardEncode|BenchmarkShardDecode|BenchmarkShardFold|BenchmarkQueryGroupBy1M|BenchmarkSweepCell)$"
 
 // config carries the parsed flag set; one field per flag.
 type config struct {

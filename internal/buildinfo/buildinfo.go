@@ -1,6 +1,6 @@
 // Package buildinfo reports what build of the module is running: the
 // module version and the VCS stamp Go embeds via
-// runtime/debug.ReadBuildInfo. The seven CLIs print it under -version
+// runtime/debug.ReadBuildInfo. The ten CLIs print it under -version
 // and the service reports it in /v1/stats, so an operator can always
 // tell which build produced a result or is serving traffic.
 package buildinfo

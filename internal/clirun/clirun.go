@@ -1,4 +1,4 @@
-// Package clirun holds the scaffolding the seven CLIs share so each
+// Package clirun holds the scaffolding the ten CLIs share so each
 // main stays a thin adapter over the engine task layer: the -version
 // flag, engine construction with an optional persistent result cache,
 // and JSON emission of engine result bytes.

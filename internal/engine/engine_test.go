@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -267,21 +266,29 @@ func TestPoolQueueFull(t *testing.T) {
 	}
 }
 
+// registerBatchKind registers TestRegistryAndBatch's task kind. The
+// registry is process-wide and RegisterKind panics on a duplicate, so the
+// kind is registered once per process, not once per run of the test
+// (go test -count=N runs it N times).
+var registerBatchKind sync.Once
+
 func TestRegistryAndBatch(t *testing.T) {
-	kind := fmt.Sprintf("test-batch-%d", os.Getpid())
-	RegisterKind(kind, func(params json.RawMessage) (Task, error) {
-		var p struct {
-			Hash string `json:"hash"`
-		}
-		dec := json.NewDecoder(bytes.NewReader(params))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&p); err != nil {
-			return nil, err
-		}
-		if p.Hash == "" {
-			p.Hash = "default"
-		}
-		return testTask{kind: kind, hash: p.Hash}, nil
+	const kind = "test-batch"
+	registerBatchKind.Do(func() {
+		RegisterKind(kind, func(params json.RawMessage) (Task, error) {
+			var p struct {
+				Hash string `json:"hash"`
+			}
+			dec := json.NewDecoder(bytes.NewReader(params))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&p); err != nil {
+				return nil, err
+			}
+			if p.Hash == "" {
+				p.Hash = "default"
+			}
+			return testTask{kind: kind, hash: p.Hash}, nil
+		})
 	})
 
 	if _, err := DecodeTask("no-such-kind", nil); err == nil {

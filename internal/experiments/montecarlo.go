@@ -49,28 +49,6 @@ func MeasuredBlockDisableCapacityWorkers(g geom.Geometry, pfail float64, trials 
 	return sum / float64(trials)
 }
 
-// MeasuredBlockDisableCapacityDenseSerial is the dense-stream analogue of
-// MeasuredBlockDisableCapacity: the same per-trial seed derivation and the
-// same capacity reduction, but each trial draws on the dense (math/rand
-// value stream) path through one reused faults.DenseSampler, serially.
-// Trial t's map is byte-identical to
-// faults.GenerateMap(g, 32, pfail, faults.DeriveSeed(seed, "capacity-trial", t)),
-// so the estimate matches the historical dense per-seed experiment exactly
-// while allocating nothing in steady state.
-func MeasuredBlockDisableCapacityDenseSerial(g geom.Geometry, pfail float64, trials int, seed int64) float64 {
-	if trials <= 0 {
-		trials = 1
-	}
-	var sampler faults.DenseSampler
-	sum := 0.0
-	for t := 0; t < trials; t++ {
-		m := sampler.Draw(g, 32, pfail, faults.DeriveSeed(seed, "capacity-trial", strconv.Itoa(t)))
-		blocks := len(m.Blocks)
-		sum += float64(blocks-m.FaultyBlocks()) / float64(blocks)
-	}
-	return sum / float64(trials)
-}
-
 // AnalyticBlockDisableCapacity is Eq. 2 for g at pfail — the closed form
 // MeasuredBlockDisableCapacity converges to.
 func AnalyticBlockDisableCapacity(g geom.Geometry, pfail float64) float64 {

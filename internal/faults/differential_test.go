@@ -1,165 +1,19 @@
 package faults
 
-// Differential equivalence suite for the dense fault-map fast path.
-//
-// The dense generators (GenerateMap, GeneratePair) were rewritten from
-// math/rand onto internal/lfrand plus the bitset block index, with the
-// contract that the rewrite is observationally invisible: every map is
-// byte-identical to what the historical implementation drew at the same
-// (geometry, wordBits, pfail, seed). The historical implementation is
-// frozen below — refDense* is the pre-optimization code, verbatim, on
-// math/rand — and the tests hold old and new to identical structs
-// (reflect.DeepEqual, which also covers the new bitset via ReindexBlocks)
-// and identical serialized JSON bytes across a seed × geometry × pfail
-// matrix. CI runs this suite under -race (make diff-race).
+// Differential check for the sparse fault-map fast path: injectSparse
+// batches its raw SplitMix64 draws ahead of the float math, and the
+// contract is that batching is observationally invisible. The
+// one-at-a-time form is frozen below as the reference, and
+// FuzzSamplerBatched holds the batched production path to identical
+// maps. CI runs it under -race (make diff-race).
 
 import (
-	"bytes"
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 
 	"vccmin/internal/geom"
 )
-
-// refDenseInject is the historical Generate body: math/rand geometric
-// skipping, one Float64 per fault, math.Log division. Frozen as the
-// differential reference — do not "optimize" it.
-func refDenseInject(m *Map, pfail float64, rng *rand.Rand) {
-	if pfail <= 0 {
-		return
-	}
-	total := m.Geom.TotalCells()
-	if pfail >= 1 {
-		for i := 0; i < total; i++ {
-			m.addFault(i)
-		}
-		return
-	}
-	logQ := math.Log1p(-pfail)
-	cell := -1
-	for {
-		u := rng.Float64()
-		if u == 0 {
-			u = math.SmallestNonzeroFloat64
-		}
-		cell += 1 + int(math.Log(u)/logQ)
-		if cell >= total || cell < 0 {
-			return
-		}
-		m.addFault(cell)
-	}
-}
-
-// refDenseMap is the historical GenerateMap.
-func refDenseMap(g geom.Geometry, wordBits int, pfail float64, seed int64) *Map {
-	m := NewEmpty(g, wordBits)
-	refDenseInject(m, pfail, rand.New(rand.NewSource(seed)))
-	return m
-}
-
-// refDensePair is the historical GeneratePair: the I map consumes the
-// stream prefix, the D map the suffix of one math/rand stream.
-func refDensePair(ig, dg geom.Geometry, wordBits int, pfail float64, seed int64) Pair {
-	rng := rand.New(rand.NewSource(seed))
-	i := NewEmpty(ig, wordBits)
-	refDenseInject(i, pfail, rng)
-	d := NewEmpty(dg, wordBits)
-	refDenseInject(d, pfail, rng)
-	return Pair{I: i, D: d}
-}
-
-// diffCases is the geometry/word-size/pfail matrix the differential
-// tests sweep: the reference L1 at both word sizes, an L2-shaped array,
-// a tiny direct-mapped corner, and pfail from sparse to saturating.
-var diffCases = []struct {
-	name     string
-	g        geom.Geometry
-	wordBits int
-	pfail    float64
-}{
-	{"L1-32K/w32/1e-3", geom.MustNew(32<<10, 8, 64), 32, 1e-3},
-	{"L1-32K/w64/1e-3", geom.MustNew(32<<10, 8, 64), 64, 1e-3},
-	{"L1-32K/w32/1e-4", geom.MustNew(32<<10, 8, 64), 32, 1e-4},
-	{"L1-32K/w32/1e-2", geom.MustNew(32<<10, 8, 64), 32, 1e-2},
-	{"L2-256K/w32/1e-3", geom.MustNew(256<<10, 16, 64), 32, 1e-3},
-	{"tiny-4K/w32/0.2", geom.MustNew(4<<10, 1, 32), 32, 0.2},
-	{"L1-32K/w32/0", geom.MustNew(32<<10, 8, 64), 32, 0},
-	{"L1-32K/w32/1", geom.MustNew(32<<10, 8, 64), 32, 1},
-}
-
-// diffSeeds spans the matrix: 60 seeds including negatives and the
-// lagged-Fibonacci seeding edge cases.
-func diffSeeds() []int64 {
-	seeds := []int64{0, 1, -1, 1 << 40, -(1 << 40), int64(^uint64(0) >> 1)}
-	for s := int64(2); len(seeds) < 60; s++ {
-		seeds = append(seeds, s*7919+3)
-	}
-	return seeds
-}
-
-// mapJSON serializes the map in its canonical Write form.
-func mapJSON(t *testing.T, m *Map) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := m.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// requireSameMap holds a new-path map to its reference: identical
-// structs (including the block-index bitset) and identical JSON bytes.
-func requireSameMap(t *testing.T, label string, got, want *Map) {
-	t.Helper()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: new map differs from historical reference (total %d vs %d)",
-			label, got.Total, want.Total)
-	}
-	if g, w := mapJSON(t, got), mapJSON(t, want); !bytes.Equal(g, w) {
-		t.Fatalf("%s: serialized JSON differs from historical reference", label)
-	}
-}
-
-func TestDifferentialDenseGenerateMap(t *testing.T) {
-	for _, tc := range diffCases {
-		for _, seed := range diffSeeds() {
-			got := GenerateMap(tc.g, tc.wordBits, tc.pfail, seed)
-			want := refDenseMap(tc.g, tc.wordBits, tc.pfail, seed)
-			requireSameMap(t, tc.name, got, want)
-		}
-	}
-}
-
-func TestDifferentialDenseGeneratePair(t *testing.T) {
-	// Unequal I/D geometries make the D map consume the exact stream
-	// suffix the I map left — the invariant that forbids batching the
-	// dense path's draws.
-	ig, dg := geom.MustNew(32<<10, 8, 64), geom.MustNew(64<<10, 4, 64)
-	for _, tc := range diffCases {
-		for _, seed := range diffSeeds()[:20] {
-			got := GeneratePair(ig, dg, tc.wordBits, tc.pfail, seed)
-			want := refDensePair(ig, dg, tc.wordBits, tc.pfail, seed)
-			requireSameMap(t, tc.name+"/I", got.I, want.I)
-			requireSameMap(t, tc.name+"/D", got.D, want.D)
-		}
-	}
-}
-
-func TestDifferentialDenseSampler(t *testing.T) {
-	// One sampler reused across the whole matrix: every Draw must equal
-	// the freshly allocated GenerateMap, including after geometry
-	// switches and saturated maps.
-	var s DenseSampler
-	for _, tc := range diffCases {
-		for _, seed := range diffSeeds()[:25] {
-			got := s.Draw(tc.g, tc.wordBits, tc.pfail, seed)
-			want := refDenseMap(tc.g, tc.wordBits, tc.pfail, seed)
-			requireSameMap(t, tc.name, got, want)
-		}
-	}
-}
 
 // refSparseOneAtATime recomputes a sparse map drawing one SplitMix64
 // value per geometric gap — no raw-draw batching — with the exact float
@@ -209,23 +63,4 @@ func FuzzSamplerBatched(f *testing.F) {
 			t.Fatalf("pfail=%v seed=%d: batched sparse draw differs from one-at-a-time reference", pfail, seed)
 		}
 	})
-}
-
-func TestDenseSamplerDrawAllocs(t *testing.T) {
-	// A warm DenseSampler's Draw — the dense capacity trial's inner loop
-	// — is allocation-free at steady state.
-	g := geom.MustNew(32<<10, 8, 64)
-	var s DenseSampler
-	s.Draw(g, 32, 1e-3, 1) // warm the buffers
-	seed := int64(2)
-	allocs := testing.AllocsPerRun(50, func() {
-		m := s.Draw(g, 32, 1e-3, seed)
-		if m.FaultyBlocks() < 0 {
-			t.Fatal("impossible")
-		}
-		seed++
-	})
-	if allocs != 0 {
-		t.Fatalf("warm DenseSampler.Draw allocates %v objects/op, want 0", allocs)
-	}
 }

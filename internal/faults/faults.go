@@ -19,7 +19,6 @@ import (
 	"math/rand"
 
 	"vccmin/internal/geom"
-	"vccmin/internal/lfrand"
 )
 
 // BlockFaults records the faulty cells of one block frame.
@@ -67,12 +66,12 @@ type Map struct {
 	Total    int // total faulty cells
 
 	// faulty is a word-packed bitset with bit b set iff Blocks[b] contains
-	// at least one faulty cell. It is the dense-path index: FaultyBlocks is
+	// at least one faulty cell. It is the block index: FaultyBlocks is
 	// a popcount over it and core.BuildBlockDisable reads whole sets from
 	// it 64 blocks at a time, instead of either walking the ~80-byte
 	// BlockFaults records block by block. Every in-package generator keeps
-	// it in sync (addFault, the sparse and dense inject kernels, the
-	// sampler clears, serialization); code that mutates Blocks directly
+	// it in sync (addFault, the sparse inject kernel, the Sampler's
+	// clears, serialization); code that mutates Blocks directly
 	// must call ReindexBlocks afterwards. It is nil only for a Map literal
 	// assembled outside the package, for which the accessors fall back to
 	// scanning Blocks.
@@ -320,29 +319,4 @@ func (m *Map) String() string {
 // one for the instruction cache and another for the data cache").
 type Pair struct {
 	I, D *Map
-}
-
-// GeneratePair draws an I/D map pair from a single seed. The draw runs on
-// the dense fast path (see dense.go) and is byte-identical to seeding a
-// math/rand source and calling Generate for I then D.
-func GeneratePair(ig, dg geom.Geometry, wordBits int, pfail float64, seed int64) Pair {
-	var rng lfrand.Source
-	rng.Seed(seed)
-	i := NewEmpty(ig, wordBits)
-	denseInject(i, pfail, &rng, nil, false)
-	d := NewEmpty(dg, wordBits)
-	denseInject(d, pfail, &rng, nil, false)
-	return Pair{I: i, D: d}
-}
-
-// GenerateMap draws a single uniform fault map from one seed — the
-// one-array analogue of GeneratePair. The map equals the I side of
-// GeneratePair at the same seed (both consume the same rng prefix), so
-// existing seeded results are unchanged.
-func GenerateMap(g geom.Geometry, wordBits int, pfail float64, seed int64) *Map {
-	m := NewEmpty(g, wordBits)
-	var rng lfrand.Source
-	rng.Seed(seed)
-	denseInject(m, pfail, &rng, nil, false)
-	return m
 }

@@ -182,8 +182,8 @@ func TestSubblockFaultyWords(t *testing.T) {
 
 func TestGeneratePairDeterministic(t *testing.T) {
 	ig := geom.MustNew(32*1024, 8, 64)
-	a := GeneratePair(ig, refGeom, 32, 0.001, 99)
-	b := GeneratePair(ig, refGeom, 32, 0.001, 99)
+	a := GeneratePairSparse(ig, refGeom, 32, 0.001, 99)
+	b := GeneratePairSparse(ig, refGeom, 32, 0.001, 99)
 	if a.I.Total != b.I.Total || a.D.Total != b.D.Total {
 		t.Error("same seed produced different pairs")
 	}

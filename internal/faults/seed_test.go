@@ -1,10 +1,6 @@
 package faults
 
-import (
-	"testing"
-
-	"vccmin/internal/geom"
-)
+import "testing"
 
 func TestDeriveSeedDeterministic(t *testing.T) {
 	a := DeriveSeed(1, "pfail=0.001", "trial=3")
@@ -37,20 +33,6 @@ func TestDeriveSeedSpreads(t *testing.T) {
 				t.Fatalf("collision at base=%d trial=%d", base, trial)
 			}
 			seen[s] = true
-		}
-	}
-}
-
-func TestGenerateMapMatchesPairISide(t *testing.T) {
-	g := geom.MustNew(32*1024, 8, 64)
-	m := GenerateMap(g, 32, 0.001, 42)
-	p := GeneratePair(g, g, 32, 0.001, 42)
-	if m.Total != p.I.Total {
-		t.Fatalf("GenerateMap diverges from pair I side: %d vs %d faults", m.Total, p.I.Total)
-	}
-	for i := range m.Blocks {
-		if m.Blocks[i] != p.I.Blocks[i] {
-			t.Fatalf("block %d differs", i)
 		}
 	}
 }

@@ -28,9 +28,9 @@ package faults
 // The sparse generators produce the exact same *Map / BlockFaults shape as
 // Generate and the same per-cell Bernoulli(pfail) marginal distribution,
 // but a DIFFERENT random stream: a map drawn sparse at some seed is not
-// byte-identical to the dense map at that seed. Within the sparse family
-// the streams are deterministic, and GenerateMapSparse equals the I side
-// of GeneratePairSparse at the same seed, mirroring the dense invariant.
+// byte-identical to Generate on rand.NewSource(seed). Within the sparse
+// family the streams are deterministic, and GenerateMapSparse equals the
+// I side of GeneratePairSparse at the same seed.
 
 import (
 	"math"
@@ -186,7 +186,7 @@ func injectSparse(m *Map, pfail float64, st *sparseStream, dirty []int32, track 
 }
 
 // GenerateMapSparse draws a uniform fault map from one seed on the sparse
-// fast path. Same output shape and marginal distribution as GenerateMap,
+// fast path. Same output shape and marginal distribution as Generate,
 // different (sparse-family) random stream; the map equals the I side of
 // GeneratePairSparse at the same seed.
 func GenerateMapSparse(g geom.Geometry, wordBits int, pfail float64, seed int64) *Map {
@@ -197,8 +197,8 @@ func GenerateMapSparse(g geom.Geometry, wordBits int, pfail float64, seed int64)
 }
 
 // GeneratePairSparse draws an I/D map pair from a single seed on the
-// sparse fast path — the sparse analogue of GeneratePair (the I map
-// consumes the stream prefix, the D map the suffix).
+// sparse fast path: the I map consumes the stream prefix, the D map the
+// suffix.
 func GeneratePairSparse(ig, dg geom.Geometry, wordBits int, pfail float64, seed int64) Pair {
 	st := sparseStream{state: uint64(seed)}
 	i := NewEmpty(ig, wordBits)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -46,8 +47,8 @@ func TestSparseSeedsDecorrelate(t *testing.T) {
 	}
 }
 
-// TestSparseMapMatchesPairISide mirrors the dense invariant: the one-map
-// generator equals the I side of the pair generator at the same seed.
+// TestSparseMapMatchesPairISide: the one-map generator equals the I side
+// of the pair generator at the same seed.
 func TestSparseMapMatchesPairISide(t *testing.T) {
 	ig := geom.MustNew(32*1024, 8, 64)
 	dg := geom.MustNew(16*1024, 4, 64)
@@ -62,7 +63,7 @@ func TestSparseMapMatchesPairISide(t *testing.T) {
 }
 
 // TestSparseEdgeProbabilities: pfail <= 0 draws nothing, pfail >= 1
-// everything — exactly as the dense generator.
+// everything — exactly as Generate.
 func TestSparseEdgeProbabilities(t *testing.T) {
 	g := geom.MustNew(8*1024, 4, 64)
 	if m := GenerateMapSparse(g, 32, 0, 1); m.Total != 0 {
@@ -180,8 +181,8 @@ func checkBinomial(t *testing.T, label string, observed int64, n int64, p float6
 
 // TestSparseMatchesBernoulliStatistics: over many seeds the sparse
 // generator's faulty-cell, faulty-word and faulty-block counts match the
-// per-cell Bernoulli model's closed forms — the same marginals the dense
-// generator samples. Tolerances are 5σ of the corresponding binomial, so
+// per-cell Bernoulli model's closed forms — the same marginals Generate
+// samples. Tolerances are 5σ of the corresponding binomial, so
 // a correct implementation fails with probability < 1e-6.
 func TestSparseMatchesBernoulliStatistics(t *testing.T) {
 	g := geom.MustNew(8*1024, 4, 64)
@@ -205,9 +206,9 @@ func TestSparseMatchesBernoulliStatistics(t *testing.T) {
 	checkBinomial(t, "faulty data words", c.faultyWords, totalWords, pWord, sigmas)
 }
 
-// TestSparseAgreesWithDense: the sparse and dense generators estimate the
-// same distribution — their mean faulty-cell counts over disjoint seed
-// sets agree within joint sampling noise.
+// TestSparseAgreesWithDense: the sparse generator and Generate on math/rand
+// estimate the same distribution — their mean faulty-cell counts over
+// disjoint seed sets agree within joint sampling noise.
 func TestSparseAgreesWithDense(t *testing.T) {
 	g := geom.MustNew(8*1024, 4, 64)
 	const (
@@ -216,7 +217,8 @@ func TestSparseAgreesWithDense(t *testing.T) {
 	)
 	var dense int64
 	for s := 0; s < seeds; s++ {
-		dense += int64(GenerateMap(g, 32, pfail, DeriveSeed(int64(s), "dense-stat")).Total)
+		rng := rand.New(rand.NewSource(DeriveSeed(int64(s), "dense-stat")))
+		dense += int64(Generate(g, 32, pfail, rng).Total)
 	}
 	sparse := collectSparse(g, 32, pfail, seeds).cells
 	n := float64(g.TotalCells()) * seeds
@@ -237,18 +239,6 @@ var benchGeoms = []struct {
 }{
 	{"L1-32K", geom.MustNew(32*1024, 8, 64)},
 	{"L2-2M", geom.MustNew(2*1024*1024, 8, 64)},
-}
-
-func BenchmarkGenerateDense(b *testing.B) {
-	for _, bg := range benchGeoms {
-		for _, pfail := range []float64{1e-4, 1e-3} {
-			b.Run(fmt.Sprintf("%s/pfail=%g", bg.name, pfail), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					GenerateMap(bg.g, 32, pfail, int64(i))
-				}
-			})
-		}
-	}
 }
 
 func BenchmarkGenerateMapSparse(b *testing.B) {

@@ -3,10 +3,10 @@
 // exposing the exact draw methods the hot paths use — Int63, Float64,
 // Intn — as concrete, inlinable calls on a value type.
 //
-// Why it exists: the dense fault-map generators and the workload
-// generator pin byte-identical random streams (golden fixtures, sweep
-// row hashes and the dvfs frontier all depend on them), so they cannot
-// switch to a cheaper generator family. What they CAN shed is
+// Why it exists: the workload generator and the fleet population's
+// per-die draws pin byte-identical random streams (golden fixtures,
+// sweep row hashes and the dvfs frontier all depend on them), so they
+// cannot switch to a cheaper generator family. What they CAN shed is
 // math/rand's fixed overhead: the Source interface dispatch on every
 // draw, the heap allocation per rand.New, and most of the seeding cost
 // (Seed reduces 48271·x mod 2³¹−1 with two integer divisions per step,

@@ -166,12 +166,22 @@ func TestQueryShedWithoutCheckpoint(t *testing.T) {
 	if resp := postJSON(t, ts.URL+"/v1/sweeps", slowSpec(), &SweepAccepted{}); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("slow sweep POST: status %d", resp.StatusCode)
 	}
+	// The backlog counts only queued jobs: wait until the worker has
+	// taken the slow sweep, or the second POST itself would meet the
+	// watermark.
+	deadline := time.Now().Add(5 * time.Second)
+	for s.jobs.BatchBacklog() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("slow sweep never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	second := tinySpec()
 	second.BaseSeed = 2001
 	if resp := postJSON(t, ts.URL+"/v1/sweeps", second, &SweepAccepted{}); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("second sweep POST: status %d", resp.StatusCode)
 	}
-	deadline := time.Now().Add(5 * time.Second)
+	deadline = time.Now().Add(5 * time.Second)
 	for s.jobs.BatchBacklog() < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("second job never queued")

@@ -107,13 +107,22 @@ func TestAdmissionShed(t *testing.T) {
 	if resp := postJSON(t, ts.URL+"/v1/sweeps", slowSpec(), &run); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("first POST: status %d", resp.StatusCode)
 	}
+	// The backlog counts only queued jobs: wait until the worker has
+	// taken job 1, or the second POST itself would meet the watermark.
+	deadline := time.Now().Add(5 * time.Second)
+	for s.jobs.BatchBacklog() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("first job never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	// ...and park a second job in the queue to reach the watermark.
 	second := tinySpec()
 	second.BaseSeed = 1001
 	if resp := postJSON(t, ts.URL+"/v1/sweeps", second, &SweepAccepted{}); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("second POST: status %d", resp.StatusCode)
 	}
-	deadline := time.Now().Add(5 * time.Second)
+	deadline = time.Now().Add(5 * time.Second)
 	for s.jobs.BatchBacklog() < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("second job never queued")

@@ -11,7 +11,7 @@ const testInstrs = 60_000
 
 func refPair(seed int64) *faults.Pair {
 	g := geom.MustNew(32*1024, 8, 64)
-	p := faults.GeneratePair(g, g, 32, 0.001, seed)
+	p := faults.GeneratePairSparse(g, g, 32, 0.001, seed)
 	return &p
 }
 
@@ -204,7 +204,7 @@ func TestIncrementalWordDisableRuns(t *testing.T) {
 
 func TestL2BlockDisableExtension(t *testing.T) {
 	g2 := geom.MustNew(2*1024*1024, 8, 64)
-	l2map := faults.GeneratePair(g2, g2, 32, 0.001, 11).I
+	l2map := faults.GeneratePairSparse(g2, g2, 32, 0.001, 11).I
 	r := mustRun(t, Options{Benchmark: "mcf", Mode: LowVoltage, Scheme: Baseline, L2Map: l2map, Seed: 6})
 	rFull := mustRun(t, Options{Benchmark: "mcf", Mode: LowVoltage, Scheme: Baseline, Seed: 6})
 	if r.IPC > rFull.IPC {

@@ -37,8 +37,9 @@
 //	})
 //
 // See README.md for the quickstart, the CLI inventory (vccmin-analysis,
-// vccmin-faultmap, vccmin-sim, vccmin-sweep, vccmin-serve) and the
-// build/test entry points.
+// vccmin-bench, vccmin-dvfs, vccmin-faultmap, vccmin-fleet,
+// vccmin-loadgen, vccmin-query, vccmin-serve, vccmin-sim, vccmin-sweep)
+// and the build/test entry points.
 package vccmin
 
 import (
@@ -53,13 +54,10 @@ import (
 	"vccmin/internal/experiments"
 	"vccmin/internal/faults"
 	"vccmin/internal/geom"
-	"vccmin/internal/limit"
-	"vccmin/internal/loadgen"
 	"vccmin/internal/overhead"
 	"vccmin/internal/population"
 	"vccmin/internal/power"
 	"vccmin/internal/prob"
-	"vccmin/internal/service"
 	"vccmin/internal/sim"
 	"vccmin/internal/sweep"
 	"vccmin/internal/tasks"
@@ -251,10 +249,6 @@ type WorkloadPhase = workload.Phase
 // (compute/memory swings, bursty server rhythms, cache-pressure ramps).
 func MultiPhaseWorkloads() []MultiPhaseWorkload { return workload.MultiPhaseProfiles() }
 
-// MultiPhaseWorkloadNames returns the builtin workload names in
-// definition order.
-func MultiPhaseWorkloadNames() []string { return workload.MultiPhaseNames() }
-
 // MultiPhaseWorkloadByName returns the builtin workload with the given
 // name.
 func MultiPhaseWorkloadByName(name string) (MultiPhaseWorkload, error) {
@@ -277,9 +271,6 @@ const (
 
 // DVFSPolicies returns the schedulable policies in presentation order.
 func DVFSPolicies() []DVFSPolicy { return dvfs.Policies() }
-
-// ParseDVFSPolicy converts a CLI-style policy name to a DVFSPolicy.
-func ParseDVFSPolicy(s string) (DVFSPolicy, error) { return dvfs.ParsePolicy(s) }
 
 // DVFSConfig describes one scheduled dual-mode run: the multi-phase
 // workload, the low-voltage mitigation scheme, the policy and the switch
@@ -342,6 +333,22 @@ func RunLowVoltage(p SimParams) (*LowVoltageResults, error) {
 // RunHighVoltage executes the at-or-above-Vcc-min experiments (Figs. 11-12).
 func RunHighVoltage(p SimParams) (*HighVoltageResults, error) {
 	return experiments.RunHighVoltage(p)
+}
+
+// MeasuredBlockDisableCapacity estimates Eq. 2 by Monte Carlo: the mean
+// fault-free-block fraction over trials maps drawn at pfail — the
+// empirical counterpart of ExpectedBlockDisableCapacity. Trials draw on
+// the sparse fast path and run on all CPUs; the estimate is a pure
+// function of the arguments (worker scheduling never changes it).
+func MeasuredBlockDisableCapacity(g Geometry, pfail float64, trials int, seed int64) float64 {
+	return experiments.MeasuredBlockDisableCapacity(g, pfail, trials, seed)
+}
+
+// MeasuredBlockDisableCapacityWorkers is MeasuredBlockDisableCapacity
+// with the Monte Carlo worker pool bounded to workers goroutines (0 =
+// GOMAXPROCS); the estimate is identical at every setting.
+func MeasuredBlockDisableCapacityWorkers(g Geometry, pfail float64, trials int, seed int64, workers int) float64 {
+	return experiments.MeasuredBlockDisableCapacityWorkers(g, pfail, trials, seed, workers)
 }
 
 // ---- Parameter sweeps ----
@@ -459,93 +466,6 @@ func BatchRun(ctx context.Context, e *Engine, items []BatchItem) []BatchResult {
 	return engine.RunBatch(ctx, e, items, 0)
 }
 
-// ---- Serving ----
-
-// ServeConfig sizes the HTTP service (address, data directory, worker
-// pool, response cache, grid limit, drain budget).
-type ServeConfig = service.Config
-
-// Server is the routed HTTP service over the analysis, simulation and
-// sweep layers; obtain one with NewServer and mount Handler().
-type Server = service.Server
-
-// SweepJob is a point-in-time view of an async sweep job.
-type SweepJob = service.JobSnapshot
-
-// Sweep job lifecycle states.
-const (
-	SweepJobQueued  = service.JobQueued
-	SweepJobRunning = service.JobRunning
-	SweepJobDone    = service.JobDone
-	SweepJobFailed  = service.JobFailed
-)
-
-// NewServer builds the HTTP service, recovering any sweep jobs
-// checkpointed in the configured data directory.
-func NewServer(cfg ServeConfig) (*Server, error) { return service.New(cfg) }
-
-// Serve runs the HTTP service at cfg.Addr until ctx is cancelled, then
-// shuts down gracefully: the listener stops, in-flight sweep jobs drain up
-// to the configured timeout, and anything still running is checkpointed
-// for the next start.
-func Serve(ctx context.Context, cfg ServeConfig) error { return service.Serve(ctx, cfg) }
-
-// ---- Traffic (rate limiting, load generation) ----
-
-// RateLimiter is the per-client token-bucket limiter the service mounts
-// in front of every endpoint except /v1/healthz; usable standalone for
-// any keyed admission decision.
-type RateLimiter = limit.Limiter
-
-// NewRateLimiter builds a limiter refilling rate tokens per second per
-// key with the given bucket capacity (burst <= 0 defaults to 2*rate).
-func NewRateLimiter(rate, burst float64) *RateLimiter { return limit.New(rate, burst) }
-
-// LoadgenConfig configures a mixed-traffic open-loop replay against a
-// running service (see cmd/vccmin-loadgen for the CLI form).
-type LoadgenConfig = loadgen.Config
-
-// LoadgenEndpoint is one weighted entry of a loadgen traffic mix.
-type LoadgenEndpoint = loadgen.Endpoint
-
-// LoadgenReport is the replay digest: per-endpoint latency quantiles,
-// achieved throughput, and 429/503 accounting.
-type LoadgenReport = loadgen.Report
-
-// DefaultLoadgenMix is the standard six-endpoint traffic mix
-// (capacity, operating-point, overhead, sim, sweep, stats).
-func DefaultLoadgenMix() []LoadgenEndpoint { return loadgen.DefaultMix() }
-
-// RunLoadgen replays cfg's traffic mix at the configured open-loop rate
-// until the request budget is spent, then reports.
-func RunLoadgen(ctx context.Context, cfg LoadgenConfig) (*LoadgenReport, error) {
-	return loadgen.Run(ctx, cfg)
-}
-
-// MeasuredBlockDisableCapacity estimates Eq. 2 by Monte Carlo: the mean
-// fault-free-block fraction over trials maps drawn at pfail — the
-// empirical counterpart of ExpectedBlockDisableCapacity. Trials draw on
-// the sparse fast path and run on all CPUs; the estimate is a pure
-// function of the arguments (worker scheduling never changes it).
-func MeasuredBlockDisableCapacity(g Geometry, pfail float64, trials int, seed int64) float64 {
-	return experiments.MeasuredBlockDisableCapacity(g, pfail, trials, seed)
-}
-
-// MeasuredBlockDisableCapacityWorkers is MeasuredBlockDisableCapacity
-// with the Monte Carlo worker pool bounded to workers goroutines (0 =
-// GOMAXPROCS); the estimate is identical at every setting.
-func MeasuredBlockDisableCapacityWorkers(g Geometry, pfail float64, trials int, seed int64, workers int) float64 {
-	return experiments.MeasuredBlockDisableCapacityWorkers(g, pfail, trials, seed, workers)
-}
-
-// MeasuredBlockDisableCapacityDenseSerial is the dense-stream, serial
-// analogue of MeasuredBlockDisableCapacity: per-trial maps are
-// byte-identical to GenerateFaultMap at the derived trial seeds, drawn
-// through one reused buffer so steady-state trials allocate nothing.
-func MeasuredBlockDisableCapacityDenseSerial(g Geometry, pfail float64, trials int, seed int64) float64 {
-	return experiments.MeasuredBlockDisableCapacityDenseSerial(g, pfail, trials, seed)
-}
-
 // ---- Fleet-scale population modeling ----
 
 // FleetVariation parameterizes the die-to-die pfail multiplier model:
@@ -592,16 +512,6 @@ func RunVccminPredict(spec VccminPredictSpec) (*VccminPredictResult, error) {
 }
 
 // ---- Columnar result queries ----
-
-// QueryRequest is the aggregation-query task's request (the POST
-// /v1/query body): a sweep grid naming the result set plus the
-// question — group-by axes, metrics, equality filters and a pfail
-// range.
-type QueryRequest = tasks.QueryRequest
-
-// QueryResponse is the query task's answer: the resolved question and
-// the aggregated groups.
-type QueryResponse = tasks.QueryResponse
 
 // QuerySpec is the bare aggregation question, for querying rows already
 // in hand (see QuerySweepRows).
