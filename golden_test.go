@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,7 +13,13 @@ import (
 
 	"vccmin"
 	"vccmin/internal/benchreg"
+	"vccmin/internal/cache"
+	"vccmin/internal/faults"
+	"vccmin/internal/geom"
+	"vccmin/internal/pipeline"
+	"vccmin/internal/sim"
 	"vccmin/internal/tasks"
+	"vccmin/internal/workload"
 )
 
 // The golden-regression corpus pins byte-stable outputs under
@@ -473,4 +480,70 @@ func TestGoldenResumeStitch(t *testing.T) {
 	if !bytes.Equal(stitched, want) {
 		t.Fatal("resume-stitched stream differs from the golden corpus")
 	}
+}
+
+// goldenCoreRun is one line of the core-statistics corpus: the whole
+// pipeline.Stats and the three cache levels' counters of one run.
+type goldenCoreRun struct {
+	Benchmark string         `json:"benchmark"`
+	L1        string         `json:"l1"`
+	Config    string         `json:"config"`
+	Core      pipeline.Stats `json:"core"`
+	ICache    cache.Stats    `json:"icache"`
+	DCache    cache.Stats    `json:"dcache"`
+	L2        cache.Stats    `json:"l2"`
+}
+
+// TestGoldenCoreStats pins the out-of-order core and the cache hierarchy
+// counter by counter, for every benchmark profile at low voltage on the
+// paper's 32 KB 8-way L1 and on a 16 KB 4-way L1: the baseline,
+// block-disabling at pfail 1e-3, word-disabling, and block-disabling
+// with a victim cache, the next-line prefetcher and a block-disabled L2.
+// A change to the per-access cache path or the issue logic that moves
+// any event count shows up here, where a sweep row's averaged IPC could
+// hide it.
+func TestGoldenCoreStats(t *testing.T) {
+	const instructions = 20000
+	l2g := geom.MustNew(2*1024*1024, 8, 64)
+	l2map := faults.GenerateMapSparse(l2g, 32, 1e-3, faults.DeriveSeed(20, "core-stats", "l2"))
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, l1 := range []struct{ size, ways int }{{32 * 1024, 8}, {16 * 1024, 4}} {
+		machine := sim.Reference(sim.LowVoltage)
+		machine.L1Size, machine.L1Ways = l1.size, l1.ways
+		l1g := geom.MustNew(l1.size, l1.ways, machine.L1BlockBytes)
+		label := fmt.Sprintf("%dx%d", l1.size, l1.ways)
+		for _, prof := range workload.Profiles() {
+			pair := faults.GeneratePairSparse(l1g, l1g, 32, 1e-3, faults.DeriveSeed(20, "core-stats", label, prof.Name))
+			base := sim.Options{Benchmark: prof.Name, Mode: sim.LowVoltage, Instructions: instructions, Seed: 1, Machine: &machine}
+			configs := []struct {
+				name string
+				opts sim.Options
+			}{
+				{"baseline", base},
+				{"block-disable", withOpts(base, func(o *sim.Options) { o.Scheme, o.Pair = sim.BlockDisable, &pair })},
+				{"word-disable", withOpts(base, func(o *sim.Options) { o.Scheme = sim.WordDisable })},
+				{"block-disable+vc+pf+l2", withOpts(base, func(o *sim.Options) {
+					o.Scheme, o.Pair, o.Victim = sim.BlockDisable, &pair, sim.Victim10T
+					o.PrefetchNextLine, o.L2Map = true, l2map
+				})},
+			}
+			for _, c := range configs {
+				r, err := sim.Run(c.opts)
+				if err != nil {
+					t.Fatalf("%s %s %s: %v", prof.Name, label, c.name, err)
+				}
+				if err := enc.Encode(goldenCoreRun{prof.Name, label, c.name, r.Stats, r.ICache, r.DCache, r.L2}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	checkGolden(t, "core_stats.jsonl", buf.Bytes())
+}
+
+// withOpts returns a copy of o with set applied.
+func withOpts(o sim.Options, set func(*sim.Options)) sim.Options {
+	set(&o)
+	return o
 }

@@ -12,6 +12,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"vccmin/internal/core"
 	"vccmin/internal/geom"
@@ -79,23 +80,27 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
+// line is the state of one frame beyond its tag and valid bit.
 type line struct {
-	tag        uint64
-	valid      bool
+	stamp      uint64
 	dirty      bool
 	prefetched bool // filled by prefetch, not yet demanded
-	stamp      uint64
 }
 
 // Cache is one set-associative level.
 type Cache struct {
-	Name       string
+	Name string
+	// Geom is the array's shape. New splits addresses by it once; it
+	// must not change afterwards.
 	Geom       geom.Geometry
 	HitLatency int
 	Next       Level
 
 	// Enable is the per-set way mask from block-disabling; nil means all
-	// ways enabled (high voltage, or a fault-free array).
+	// ways enabled (high voltage, or a fault-free array). It may be
+	// assigned or replaced after New: every access reads it afresh. A
+	// non-nil map must have one mask per set of Geom; mask bits at or
+	// above Geom.Ways are ignored.
 	Enable *core.BlockDisableMap
 
 	// Victim, when non-nil, is probed on a miss and receives evictions.
@@ -107,8 +112,20 @@ type Cache struct {
 
 	Stats Stats
 
-	sets  [][]line
+	// Frame f = set*Geom.Ways + way. A probe reads only the set's valid
+	// mask and its tags, which sit together; the rest of a line is read
+	// on a hit or an insert.
+	valid []core.WayMask // per set: the ways holding a block
+	tags  []uint64
+	lines []line
 	clock uint64
+
+	// The address split and full mask of Geom, fixed at New.
+	ways        int
+	offsetShift uint         // block-offset bits
+	tagShift    uint         // block-offset plus set-index bits
+	setMask     uint64       // Sets()-1
+	allWays     core.WayMask // every way of a set
 }
 
 // New builds a cache level. next must not be nil.
@@ -116,19 +133,26 @@ func New(name string, g geom.Geometry, hitLatency int, next Level) (*Cache, erro
 	if err := g.Check(); err != nil {
 		return nil, fmt.Errorf("cache %s: %w", name, err)
 	}
+	if g.Ways > 64 {
+		return nil, fmt.Errorf("cache %s: %d ways exceed the 64 a way mask holds", name, g.Ways)
+	}
 	if hitLatency <= 0 {
 		return nil, fmt.Errorf("cache %s: hit latency %d must be positive", name, hitLatency)
 	}
 	if next == nil {
 		return nil, fmt.Errorf("cache %s: next level must not be nil", name)
 	}
-	c := &Cache{Name: name, Geom: g, HitLatency: hitLatency, Next: next}
-	c.sets = make([][]line, g.Sets())
-	store := make([]line, g.Sets()*g.Ways)
-	for i := range c.sets {
-		c.sets[i], store = store[:g.Ways], store[g.Ways:]
-	}
-	return c, nil
+	return &Cache{
+		Name: name, Geom: g, HitLatency: hitLatency, Next: next,
+		valid:       make([]core.WayMask, g.Sets()),
+		tags:        make([]uint64, g.Blocks()),
+		lines:       make([]line, g.Blocks()),
+		ways:        g.Ways,
+		offsetShift: uint(g.OffsetBits()),
+		tagShift:    uint(g.OffsetBits() + g.IndexBits()),
+		setMask:     uint64(g.Sets() - 1),
+		allWays:     core.AllWays(g.Ways),
+	}, nil
 }
 
 // MustNew is New but panics on error; for tests and fixed configurations.
@@ -140,17 +164,29 @@ func MustNew(name string, g geom.Geometry, hitLatency int, next Level) *Cache {
 	return c
 }
 
-// enabled reports whether (set, way) may hold data.
-func (c *Cache) enabled(set, way int) bool {
-	return c.Enable == nil || c.Enable.Enabled(set, way)
+// split returns the set index and the tag of a.
+func (c *Cache) split(a geom.Addr) (int, uint64) {
+	return int(uint64(a) >> c.offsetShift & c.setMask), uint64(a) >> c.tagShift
 }
 
-// enabledWays returns the number of allocatable ways in set.
-func (c *Cache) enabledWays(set int) int {
+// mask returns the ways of set that may hold data.
+func (c *Cache) mask(set int) core.WayMask {
 	if c.Enable == nil {
-		return c.Geom.Ways
+		return c.allWays
 	}
-	return c.Enable.Sets[set].Count()
+	return c.Enable.Sets[set] & c.allWays
+}
+
+// find returns the frame of set holding tag in an enabled way, or -1.
+func (c *Cache) find(set int, tag uint64) int {
+	live := c.valid[set] & c.mask(set)
+	base := set * c.ways
+	for w, t := range c.tags[base : base+c.ways] {
+		if t == tag && live.Enabled(w) {
+			return base + w
+		}
+	}
+	return -1
 }
 
 // Access implements Level: it returns the cycles until data for a is
@@ -158,25 +194,21 @@ func (c *Cache) enabledWays(set int) int {
 func (c *Cache) Access(a geom.Addr, k Kind) int {
 	c.Stats.Accesses++
 	c.clock++
-	set := c.Geom.SetOf(a)
-	tag := c.Geom.TagOf(a)
-	ways := c.sets[set]
+	set, tag := c.split(a)
 
 	// Probe the enabled ways.
-	for w := range ways {
-		l := &ways[w]
-		if l.valid && l.tag == tag && c.enabled(set, w) {
-			c.Stats.Hits++
-			if l.prefetched {
-				c.Stats.PrefetchHits++
-				l.prefetched = false
-			}
-			l.stamp = c.clock
-			if k == Write {
-				l.dirty = true
-			}
-			return c.HitLatency
+	if f := c.find(set, tag); f >= 0 {
+		l := &c.lines[f]
+		c.Stats.Hits++
+		if l.prefetched {
+			c.Stats.PrefetchHits++
+			l.prefetched = false
 		}
+		l.stamp = c.clock
+		if k == Write {
+			l.dirty = true
+		}
+		return c.HitLatency
 	}
 
 	// Miss in the main array: try the victim cache.
@@ -213,86 +245,70 @@ func missKind(k Kind) Kind {
 // prefetch brings addr's block into the cache without charging latency to
 // the triggering access. The downstream access is still counted there.
 func (c *Cache) prefetch(a geom.Addr) {
-	set := c.Geom.SetOf(a)
-	tag := c.Geom.TagOf(a)
-	for w := range c.sets[set] {
-		l := &c.sets[set][w]
-		if l.valid && l.tag == tag && c.enabled(set, w) {
-			return // already present
-		}
+	set, tag := c.split(a)
+	if c.find(set, tag) >= 0 {
+		return // already present
 	}
 	c.Stats.Prefetches++
 	c.Next.Access(a, Read)
 	c.insert(set, tag, false, true)
 }
 
-// insert places a block into set, evicting as needed. If the set has no
-// enabled ways, the block goes straight to the victim cache when present,
-// and is dropped otherwise (bypass).
+// insert places a block into set, evicting as needed: into the lowest
+// enabled free way if there is one, else over the least recently used
+// enabled way (the lowest on a tie). If the set has no enabled ways, the
+// block goes straight to the victim cache when present, and is dropped
+// otherwise (bypass).
 func (c *Cache) insert(set int, tag uint64, dirty, prefetched bool) {
-	if c.enabledWays(set) == 0 {
+	mask := c.mask(set)
+	if mask == 0 {
 		c.Stats.Bypasses++
 		if c.Victim != nil {
 			c.Victim.Insert(c.rebuildAddr(set, tag), dirty)
 		}
 		return
 	}
-	ways := c.sets[set]
-	victim := -1
-	var oldest uint64
-	for w := range ways {
-		if !c.enabled(set, w) {
-			continue
+	base := set * c.ways
+	var victim int
+	if free := mask &^ c.valid[set]; free != 0 {
+		victim = bits.TrailingZeros64(uint64(free))
+		c.valid[set] |= 1 << uint(victim)
+	} else {
+		victim = -1
+		var oldest uint64
+		for w, l := range c.lines[base : base+c.ways] {
+			if mask.Enabled(w) && (victim == -1 || l.stamp < oldest) {
+				victim, oldest = w, l.stamp
+			}
 		}
-		l := &ways[w]
-		if !l.valid {
-			victim = w
-			break
-		}
-		if victim == -1 || l.stamp < oldest {
-			victim, oldest = w, l.stamp
-		}
-	}
-	l := &ways[victim]
-	if l.valid {
+		l := &c.lines[base+victim]
 		c.Stats.Evictions++
 		if c.Victim != nil {
-			c.Victim.Insert(c.rebuildAddr(set, l.tag), l.dirty)
+			c.Victim.Insert(c.rebuildAddr(set, c.tags[base+victim]), l.dirty)
 		} else if l.dirty {
 			c.Stats.Writebacks++
 		}
 	}
-	*l = line{tag: tag, valid: true, dirty: dirty, prefetched: prefetched, stamp: c.clock}
+	c.tags[base+victim] = tag
+	c.lines[base+victim] = line{stamp: c.clock, dirty: dirty, prefetched: prefetched}
 }
 
 // rebuildAddr reconstructs a block address from its set and tag.
 func (c *Cache) rebuildAddr(set int, tag uint64) geom.Addr {
-	return geom.Addr(tag)<<uint(c.Geom.IndexBits()+c.Geom.OffsetBits()) |
-		geom.Addr(set)<<uint(c.Geom.OffsetBits())
+	return geom.Addr(tag)<<c.tagShift | geom.Addr(set)<<c.offsetShift
 }
 
 // Contains reports whether addr's block is present in an enabled way —
 // used by tests and invariant checks, not the access path.
 func (c *Cache) Contains(a geom.Addr) bool {
-	set := c.Geom.SetOf(a)
-	tag := c.Geom.TagOf(a)
-	for w, l := range c.sets[set] {
-		if l.valid && l.tag == tag && c.enabled(set, w) {
-			return true
-		}
-	}
-	return false
+	return c.find(c.split(a)) >= 0
 }
 
 // ValidLines returns the number of valid lines in enabled ways.
 func (c *Cache) ValidLines() int {
 	n := 0
-	for set := range c.sets {
-		for w, l := range c.sets[set] {
-			if l.valid && c.enabled(set, w) {
-				n++
-			}
-		}
+	for set, v := range c.valid {
+		n += (v & c.mask(set)).Count()
 	}
 	return n
 }
@@ -308,11 +324,9 @@ func (c *Cache) ResetStats() {
 
 // Reset invalidates all lines and clears statistics.
 func (c *Cache) Reset() {
-	for set := range c.sets {
-		for w := range c.sets[set] {
-			c.sets[set][w] = line{}
-		}
-	}
+	clear(c.valid)
+	clear(c.tags)
+	clear(c.lines)
 	c.Stats = Stats{}
 	c.clock = 0
 	if c.Victim != nil {
@@ -323,19 +337,21 @@ func (c *Cache) Reset() {
 // CheckInvariants verifies structural invariants: no duplicate tags within
 // a set's enabled ways, and no valid data in disabled ways. Tests call it.
 func (c *Cache) CheckInvariants() error {
-	for set := range c.sets {
+	for set, v := range c.valid {
 		seen := map[uint64]bool{}
-		for w, l := range c.sets[set] {
-			if !l.valid {
+		mask := c.mask(set)
+		for w := 0; w < c.ways; w++ {
+			if !v.Enabled(w) {
 				continue
 			}
-			if !c.enabled(set, w) {
+			if !mask.Enabled(w) {
 				return fmt.Errorf("cache %s: set %d way %d disabled but valid", c.Name, set, w)
 			}
-			if seen[l.tag] {
-				return fmt.Errorf("cache %s: set %d holds tag %#x twice", c.Name, set, l.tag)
+			tag := c.tags[set*c.ways+w]
+			if seen[tag] {
+				return fmt.Errorf("cache %s: set %d holds tag %#x twice", c.Name, set, tag)
 			}
-			seen[l.tag] = true
+			seen[tag] = true
 		}
 	}
 	return nil

@@ -151,6 +151,28 @@ func TestZeroWaySetBypass(t *testing.T) {
 	}
 }
 
+// TestMaskBitsBeyondWaysIgnored: a mask bit at or above the cache's
+// way count names no frame. A set enabling only such ways is a dead set
+// that bypasses, not a set whose insert finds no victim.
+func TestMaskBitsBeyondWaysIgnored(t *testing.T) {
+	mem := &Memory{Latency: 10}
+	c := newL1(t, tinyGeom, mem)
+	c.Enable = &core.BlockDisableMap{Geom: tinyGeom, Sets: []core.WayMask{0b1100, 0b0101}}
+	c.Access(0x0000, Read)
+	if lat := c.Access(0x0000, Read); lat != 3+10 || c.Stats.Bypasses != 2 {
+		t.Errorf("set 0 enables only ways 2-3 of 2: latency %d, bypasses %d, want 13 and 2", lat, c.Stats.Bypasses)
+	}
+	// Set 1 keeps way 0 only: a 1-way set.
+	c.Access(0x0040, Read)
+	c.Access(0x00c0, Read)
+	if c.Contains(0x0040) || !c.Contains(0x00c0) {
+		t.Error("set 1 should behave as a 1-way set")
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestVariableAssociativityLRU(t *testing.T) {
 	// With one way disabled the set behaves as a 1-way cache.
 	mem := &Memory{Latency: 10}
@@ -310,6 +332,12 @@ func TestConstructorValidation(t *testing.T) {
 	}
 	if _, err := New("x", tinyGeom, 3, nil); err == nil {
 		t.Error("accepted nil next level")
+	}
+	if _, err := New("x", geom.MustNew(128*64, 128, 64), 3, mem); err == nil {
+		t.Error("accepted more ways than a way mask holds")
+	}
+	if _, err := New("x", geom.MustNew(64*64, 64, 64), 3, mem); err != nil {
+		t.Errorf("rejected a 64-way cache: %v", err)
 	}
 	if _, err := NewVictim(-1, 1, 64); err == nil {
 		t.Error("accepted negative victim entries")

@@ -7,6 +7,7 @@ package cache
 // cache swap protocol.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -112,16 +113,31 @@ func (r *refCache) vinsert(block geom.Addr) {
 	r.victim[block] = r.stamp
 }
 
-// runModelComparison drives both implementations over n random accesses.
-func runModelComparison(t *testing.T, g geom.Geometry, enable *core.BlockDisableMap, victimEntries, n int, seed int64) {
+// runModelComparison drives both implementations over n random
+// accesses with every way enabled, then resets the cache and assigns each
+// of masks in turn, the way sim reuses one L2 across machines: the cache
+// must read Enable at access time, not at New. Every phase must match a
+// fresh reference holding that phase's mask.
+func runModelComparison(t *testing.T, g geom.Geometry, masks []*core.BlockDisableMap, victimEntries, n int, seed int64) {
 	t.Helper()
-	mem := &Memory{Latency: 10}
-	c := MustNew("L1", g, 3, mem)
-	c.Enable = enable
+	c := MustNew("L1", g, 3, &Memory{Latency: 10})
 	if victimEntries > 0 {
 		c.Victim = MustNewVictim(victimEntries, 1, g.BlockBytes)
 	}
-	ref := newRefCache(g, enable, victimEntries)
+	for i, enable := range append([]*core.BlockDisableMap{nil}, masks...) {
+		if i > 0 {
+			c.Reset()
+		}
+		c.Enable = enable
+		modelPhase(t, c, newRefCache(g, enable, victimEntries), n, seed+int64(i))
+	}
+}
+
+// modelPhase drives c and ref with the same n random accesses and
+// requires identical hit and victim-hit outcomes.
+func modelPhase(t *testing.T, c *Cache, ref *refCache, n int, seed int64) {
+	t.Helper()
+	g := c.Geom
 	rng := rand.New(rand.NewSource(seed))
 	addrSpace := uint64(g.SizeBytes * 8) // 8x the cache: plenty of conflict
 	for i := 0; i < n; i++ {
@@ -141,6 +157,25 @@ func runModelComparison(t *testing.T, g geom.Geometry, enable *core.BlockDisable
 	}
 }
 
+// randomMask enables a random subset of each set's ways, any subset
+// including none, and kills set dead outright.
+func randomMask(g geom.Geometry, seed int64, dead int) *core.BlockDisableMap {
+	d := &core.BlockDisableMap{Geom: g, Sets: make([]core.WayMask, g.Sets())}
+	rng := rand.New(rand.NewSource(seed))
+	for i := range d.Sets {
+		d.Sets[i] = core.WayMask(rng.Intn(1 << g.Ways))
+	}
+	d.Sets[dead] = 0
+	return d
+}
+
+// disabledWayGeometries are the shapes the disabled-way comparisons
+// cover: a small 4-way array with heavy conflict, the 16 KB 4-way L1
+// that word-disabling leaves, and the paper's 32 KB 8-way L1.
+func disabledWayGeometries() []geom.Geometry {
+	return []geom.Geometry{geom.MustNew(4*1024, 4, 64), geom.MustNew(16*1024, 4, 64), geom.MustNew(32*1024, 8, 64)}
+}
+
 func TestModelPlainCache(t *testing.T) {
 	runModelComparison(t, geom.MustNew(4*1024, 4, 64), nil, 0, 30000, 1)
 }
@@ -150,26 +185,20 @@ func TestModelVictimCache(t *testing.T) {
 }
 
 func TestModelDisabledWays(t *testing.T) {
-	g := geom.MustNew(4*1024, 4, 64)
-	// A mask with varied per-set associativity, including a dead set.
-	d := &core.BlockDisableMap{Geom: g, Sets: make([]core.WayMask, g.Sets())}
-	rng := rand.New(rand.NewSource(3))
-	for i := range d.Sets {
-		d.Sets[i] = core.WayMask(rng.Intn(1 << g.Ways)) // any subset, 0..15
+	for _, g := range disabledWayGeometries() {
+		t.Run(fmt.Sprintf("%dKB-%dway", g.SizeBytes/1024, g.Ways), func(t *testing.T) {
+			// Masks with varied per-set associativity, each with a dead set.
+			runModelComparison(t, g, []*core.BlockDisableMap{randomMask(g, 3, 0), randomMask(g, 33, 5)}, 0, 30000, 4)
+		})
 	}
-	d.Sets[0] = 0 // force one dead set
-	runModelComparison(t, g, d, 0, 30000, 4)
 }
 
 func TestModelDisabledWaysWithVictim(t *testing.T) {
-	g := geom.MustNew(4*1024, 4, 64)
-	d := &core.BlockDisableMap{Geom: g, Sets: make([]core.WayMask, g.Sets())}
-	rng := rand.New(rand.NewSource(5))
-	for i := range d.Sets {
-		d.Sets[i] = core.WayMask(rng.Intn(1 << g.Ways))
+	for _, g := range disabledWayGeometries() {
+		t.Run(fmt.Sprintf("%dKB-%dway", g.SizeBytes/1024, g.Ways), func(t *testing.T) {
+			runModelComparison(t, g, []*core.BlockDisableMap{randomMask(g, 5, 1), randomMask(g, 55, 7)}, 8, 30000, 6)
+		})
 	}
-	d.Sets[1] = 0
-	runModelComparison(t, g, d, 8, 30000, 6)
 }
 
 func TestModelReferenceGeometry(t *testing.T) {

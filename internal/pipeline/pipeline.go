@@ -105,30 +105,27 @@ const (
 	maxFU     = 8
 )
 
-// fuPool tracks when each unit of one functional-unit class is next free.
-// Units are fully pipelined (initiation interval one cycle).
+// fuPool tracks when the units of one functional-unit class are next
+// free. Units are interchangeable and fully pipelined (initiation
+// interval one cycle), so only the multiset of free times matters: free
+// keeps it in ascending order, and the earliest-free unit is free[0].
 type fuPool struct {
 	free [maxFU]uint64
 	n    int
 }
 
-// earliestAt returns the first cycle >= t at which a unit is free and the
-// index of that unit.
-func (p *fuPool) earliestAt(t uint64) (uint64, int) {
-	best, idx := p.free[0], 0
-	for i := 1; i < p.n; i++ {
-		if p.free[i] < best {
-			best, idx = p.free[i], i
-		}
-	}
-	if best < t {
-		best = t
-	}
-	return best, idx
-}
+// earliestAt returns the first cycle >= t at which a unit is free.
+func (p *fuPool) earliestAt(t uint64) uint64 { return max(p.free[0], t) }
 
-// claim occupies unit idx for the cycle t.
-func (p *fuPool) claim(idx int, t uint64) { p.free[idx] = t + 1 }
+// claim occupies the earliest-free unit for the cycle t: its free time
+// leaves the front and t+1 is inserted in order.
+func (p *fuPool) claim(t uint64) {
+	next, i := t+1, 1
+	for ; i < p.n && p.free[i] < next; i++ {
+		p.free[i-1] = p.free[i]
+	}
+	p.free[i-1] = next
+}
 
 // CPU is one simulated core bound to its caches and predictors.
 type CPU struct {
@@ -350,19 +347,9 @@ func (c *CPU) step(ins *trace.Instr) {
 
 	// ---- Issue: functional unit + issue bandwidth ----
 	pool := c.poolFor(ins.Class)
-	issue := ready
-	for {
-		t, unit := pool.earliestAt(issue)
-		t = c.nextIssueSlot(t)
-		if t2, _ := pool.earliestAt(t); t2 > t {
-			issue = t2
-			continue
-		}
-		pool.claim(unit, t)
-		c.claimIssueSlot(t)
-		issue = t
-		break
-	}
+	issue := c.nextIssueSlot(pool.earliestAt(ready))
+	pool.claim(issue)
+	c.claimIssueSlot(issue)
 	if isFP {
 		c.fpIssueAt[c.fpSeq&(iqRing-1)] = issue
 		c.fpSeq++

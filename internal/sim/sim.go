@@ -135,7 +135,8 @@ type Options struct {
 	Victim    VictimKind
 
 	// Pair supplies the I/D fault maps; required for BlockDisable and
-	// IncrementalWordDisable at low voltage, ignored otherwise.
+	// IncrementalWordDisable at low voltage, ignored otherwise. Each map
+	// must have the geometry of the L1 it gates.
 	Pair *faults.Pair
 
 	// Instructions to simulate (default 200k).
@@ -157,7 +158,8 @@ type Options struct {
 	// Core overrides; zero value means pipeline.TableII().
 	Core *pipeline.Config
 
-	// L2Pair applies block-disabling to the L2 as well (extension).
+	// L2Map applies block-disabling to the L2 as well at low voltage
+	// (extension). It must have the L2's geometry.
 	L2Map *faults.Map
 
 	// PrefetchNextLine enables the L1D next-line prefetcher (extension).
@@ -237,7 +239,9 @@ func assemble(opts Options, prev *System) (*System, error) {
 		return nil, err
 	}
 	if opts.L2Map != nil && opts.Mode == LowVoltage {
-		l2.Enable = core.BuildBlockDisable(opts.L2Map)
+		if l2.Enable, err = gate("L2", opts.L2Map, l2Geom, core.BuildBlockDisable); err != nil {
+			return nil, err
+		}
 	}
 
 	l1Size, l1Ways, l1Lat := machine.L1Size, machine.L1Ways, machine.L1Latency
@@ -279,16 +283,24 @@ func assemble(opts Options, prev *System) (*System, error) {
 			if opts.Pair == nil {
 				return nil, fmt.Errorf("sim: block-disable at low voltage needs a fault-map pair")
 			}
-			ic.Enable = core.BuildBlockDisable(opts.Pair.I)
-			dc.Enable = core.BuildBlockDisable(opts.Pair.D)
+			if ic.Enable, err = gate("I-cache", opts.Pair.I, l1Geom, core.BuildBlockDisable); err != nil {
+				return nil, err
+			}
+			if dc.Enable, err = gate("D-cache", opts.Pair.D, l1Geom, core.BuildBlockDisable); err != nil {
+				return nil, err
+			}
 			sys.iCap = ic.Enable.CapacityFraction()
 			sys.dCap = dc.Enable.CapacityFraction()
 		case IncrementalWordDisable:
 			if opts.Pair == nil {
 				return nil, fmt.Errorf("sim: incremental word-disable at low voltage needs a fault-map pair")
 			}
-			ic.Enable = buildIncrementalEnable(opts.Pair.I)
-			dc.Enable = buildIncrementalEnable(opts.Pair.D)
+			if ic.Enable, err = gate("I-cache", opts.Pair.I, l1Geom, buildIncrementalEnable); err != nil {
+				return nil, err
+			}
+			if dc.Enable, err = gate("D-cache", opts.Pair.D, l1Geom, buildIncrementalEnable); err != nil {
+				return nil, err
+			}
 			// The repairable pairs run merged at the alignment-network
 			// latency; we charge it on every access (conservative).
 			ic.HitLatency = machine.WordDisableLat
@@ -320,6 +332,19 @@ func assemble(opts Options, prev *System) (*System, error) {
 	}
 	sys.CPU = cpu
 	return sys, nil
+}
+
+// gate derives the way-enable map of the cache of geometry g from its
+// fault map m. A map drawn for another geometry is refused: its per-set
+// masks would not line up with the cache's sets and ways.
+func gate(cache string, m *faults.Map, g geom.Geometry, build func(*faults.Map) *core.BlockDisableMap) (*core.BlockDisableMap, error) {
+	switch {
+	case m == nil:
+		return nil, fmt.Errorf("sim: %s fault map is missing", cache)
+	case m.Geom != g:
+		return nil, fmt.Errorf("sim: %s fault map is for a %v, the cache is a %v", cache, m.Geom, g)
+	}
+	return build(m), nil
 }
 
 // buildIncrementalEnable derives a way-enable map for the incremental

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"vccmin/internal/faults"
@@ -257,5 +258,83 @@ func TestBitFixGeometryAndOrdering(t *testing.T) {
 	}
 	if bf.ICapacity != 0.75 || bf.DCapacity != 0.75 {
 		t.Errorf("bit-fix capacity = %v/%v, want 0.75", bf.ICapacity, bf.DCapacity)
+	}
+}
+
+// TestFaultMapGeometryMismatch: a fault map drawn for another geometry
+// than the cache it gates is refused by Run, RunTrace and Replayer.Run
+// alike, instead of gating the wrong sets and ways. The 32 KB 8-way pair
+// on a 16 KB 4-way L1 has the same 64 sets, so only the way count
+// differs: masks enabling only ways 4-7 once crashed the insert path.
+func TestFaultMapGeometryMismatch(t *testing.T) {
+	machine := Reference(LowVoltage)
+	machine.L1Size, machine.L1Ways = 16*1024, 4
+	g2 := geom.MustNew(1024*1024, 8, 64)
+	l2map := faults.GeneratePairSparse(g2, g2, 32, 0.001, 12).I
+	base := Options{Benchmark: "crafty", Mode: LowVoltage, Machine: &machine, Instructions: 5000, Seed: 3}
+	bd := base
+	bd.Scheme, bd.Pair = BlockDisable, refPair(13)
+	iwd := bd
+	iwd.Scheme = IncrementalWordDisable
+	dOnly := bd
+	dOnly.Pair = &faults.Pair{I: faults.GeneratePairSparse(geom.MustNew(16*1024, 4, 64), geom.MustNew(16*1024, 4, 64), 32, 0.001, 13).I, D: refPair(13).D}
+	l2 := base
+	l2.L2Map = l2map
+	cases := []struct {
+		name string
+		opts Options
+		want string
+	}{
+		{"block-disable", bd, "I-cache fault map is for a 32KB 8-way"},
+		{"incremental-word-disable", iwd, "I-cache fault map is for a 32KB 8-way"},
+		{"d-side", dOnly, "D-cache fault map is for a 32KB 8-way"},
+		{"l2", l2, "L2 fault map is for a 1024KB 8-way"},
+	}
+	rec, err := Record(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p Replayer
+	for _, c := range cases {
+		_, errRun := Run(c.opts)
+		_, errTrace := RunTrace(c.opts, rec)
+		_, errReplay := p.Run(c.opts, rec)
+		for via, err := range map[string]error{"Run": errRun, "RunTrace": errTrace, "Replayer.Run": errReplay} {
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s via %s: err = %v, want it to contain %q", c.name, via, err, c.want)
+			}
+		}
+		// The Replayer stays usable after the refusal.
+		got, err := p.Run(base, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Run(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: Replayer result after the refusal differs from Run", c.name)
+		}
+	}
+	// A missing side of the pair is refused too, not dereferenced.
+	half := bd
+	half.Pair = &faults.Pair{D: refPair(13).D}
+	if _, err := Run(half); err == nil || !strings.Contains(err.Error(), "I-cache fault map is missing") {
+		t.Errorf("pair without an I-side map: err = %v", err)
+	}
+	// The pair is ignored where it gates nothing: word-disabling and the
+	// baseline do not consult it, and neither does high voltage.
+	for _, s := range []Scheme{Baseline, WordDisable, BitFix} {
+		o := bd
+		o.Scheme = s
+		if _, err := Run(o); err != nil {
+			t.Errorf("%v ignores the pair, got %v", s, err)
+		}
+	}
+	hv := bd
+	hv.Mode, hv.L2Map = HighVoltage, l2map
+	if _, err := Run(hv); err != nil {
+		t.Errorf("high voltage ignores the maps, got %v", err)
 	}
 }

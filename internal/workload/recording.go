@@ -152,13 +152,11 @@ func (p *Replay) Next(out *trace.Instr) {
 	w := p.instrs[p.pos]
 	p.pos++
 	c := trace.Class(w & classMask)
-	*out = trace.Instr{
-		PC:    p.pc,
-		Class: c,
-		Taken: w&takenBit != 0,
-		Dep1:  int32(w >> dep1Shift & depMask),
-		Dep2:  int32(w >> dep2Shift & depMask),
-	}
+	// Field by field: assigning a composite literal through out measured
+	// about three times slower per instruction.
+	out.PC, out.Class, out.Taken = p.pc, c, w&takenBit != 0
+	out.Dep1, out.Dep2 = int32(w>>dep1Shift&depMask), int32(w>>dep2Shift&depMask)
+	out.Addr, out.Target = 0, 0
 	switch {
 	case c == trace.Branch:
 		out.Target = w >> addrShift

@@ -234,7 +234,7 @@ func (g *Generator) Next(out *trace.Instr) {
 	// makes the dynamic branch-history sequence repeat (so gshare can
 	// learn it).
 	r := float64(hash64Mix(g.pc^0xC1A55)) / float64(math.MaxUint64)
-	p := g.prof
+	p := &g.prof // a pointer: copying the Profile per instruction showed in profiles
 	switch {
 	case r < p.BranchFrac:
 		out.Class = trace.Branch
@@ -349,7 +349,7 @@ func (g *Generator) initSite(st *siteState, site uint64) {
 
 // dataAddr draws the effective address of a load or store.
 func (g *Generator) dataAddr() uint64 {
-	p := g.prof
+	p := &g.prof
 	if len(p.Reuse) == 0 || g.rng.Float64() < p.ColdFrac {
 		// Streaming: walk forward one word at a time through fresh memory.
 		a := g.coldNext
