@@ -293,6 +293,54 @@ func BenchmarkCacheAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheAccessMix drives the same L1/L2 pair as
+// BenchmarkCacheAccess with the data-side loads and stores of a
+// recorded gcc stream, in program order, so hits and misses come in the
+// mix a core issues; BenchmarkCacheAccess's 4 MB stride misses every
+// level on every access. The caches are warmed with one pass over the
+// stream before timing, and the metric reports the timed accesses' L1
+// hit ratio.
+func BenchmarkCacheAccessMix(b *testing.B) {
+	prof, err := workload.ByName("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var rec workload.Recording
+	if err := rec.Record(prof, 1, 1<<18); err != nil {
+		b.Fatal(err)
+	}
+	type access struct {
+		addr geom.Addr
+		kind cache.Kind
+	}
+	var stream []access
+	rp := rec.Replay()
+	var ins trace.Instr
+	for i := 0; i < rec.Len(); i++ {
+		rp.Next(&ins)
+		switch ins.Class {
+		case trace.Load:
+			stream = append(stream, access{geom.Addr(ins.Addr), cache.Read})
+		case trace.Store:
+			stream = append(stream, access{geom.Addr(ins.Addr), cache.Write})
+		}
+	}
+	mem := &cache.Memory{Latency: 51}
+	l2 := cache.MustNew("L2", geom.MustNew(2*1024*1024, 8, 64), 20, mem)
+	l1 := cache.MustNew("L1", geom.MustNew(32*1024, 8, 64), 3, l2)
+	for _, a := range stream {
+		l1.Access(a.addr, a.kind)
+	}
+	l1.ResetStats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := stream[i%len(stream)]
+		l1.Access(a.addr, a.kind)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(l1.Stats.Hits)/float64(l1.Stats.Accesses), "l1d_hit_ratio")
+}
+
 func BenchmarkFaultMapGeneration(b *testing.B) {
 	g := geom.MustNew(32*1024, 8, 64)
 	for i := 0; i < b.N; i++ {

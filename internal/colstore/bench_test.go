@@ -1,6 +1,8 @@
 package colstore
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -51,6 +53,45 @@ func BenchmarkQueryGroupBy1M(b *testing.B) {
 	q := Spec{
 		GroupBy: []string{"pfail", "scheme"},
 		Metrics: []string{"ipc_degradation", "energy_per_instruction"},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Query(src, q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = res.Matched
+	}
+}
+
+// BenchmarkQueryDir measures the read path a folded sweep's queries
+// take: 2^20 rows in 16 default-size shard files on disk, read through
+// OpenDir, grouped by two axes with two metrics under one Where filter
+// and a pfail range. Each shard's rows are drawn from their own seed,
+// so set-up holds one shard's rows at a time.
+func BenchmarkQueryDir(b *testing.B) {
+	dir := b.TempDir()
+	for i := 0; i < 16; i++ {
+		s, err := NewShard(genRows(DefaultShardRows, int64(7+i), true))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, shardFileName(i)), s.EncodeBytes(), 0o644); err != nil {
+			b.Fatal(err)
+		}
+	}
+	src, err := OpenDir(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lo, hi := 2.5e-4, 1e-3
+	q := Spec{
+		GroupBy:  []string{"pfail", "scheme"},
+		Metrics:  []string{"ipc_degradation", "energy_per_instruction"},
+		Where:    map[string]string{"victim": "none"},
+		PfailMin: &lo,
+		PfailMax: &hi,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

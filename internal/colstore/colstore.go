@@ -109,6 +109,15 @@ type strCol struct {
 
 func (c strCol) value(r int) string { return c.dict[c.idx[r]] }
 
+// floatDictCol keeps a dictionary-encoded float column's encoded shape
+// beside its values, as the decoder read it: the distinct values in
+// first-appearance order and one index per row. The query layer uses
+// the indices as shard-local ids without a per-row map probe.
+type floatDictCol struct {
+	dict []float64
+	idx  []uint32
+}
+
 // optCol is an optional float column: present[r] says whether row r
 // carries a value, vals[r] is meaningful only when it does.
 type optCol struct {
@@ -124,6 +133,9 @@ type Shard struct {
 	ints   map[string][]int64
 	strs   map[string]strCol
 	floats map[string][]float64
+	// fdicts holds the decoded dictionary-encoded float columns' shape;
+	// it is empty for shards built by NewShard and never encoded.
+	fdicts map[string]floatDictCol
 	opts   map[string]optCol
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -338,6 +339,7 @@ func TestDirRejectsCorruptShard(t *testing.T) {
 // TestSpecCheck pins the validation surface of the query spec.
 func TestSpecCheck(t *testing.T) {
 	lo, hi := 1e-3, 1e-4
+	nan, inf, ninf := math.NaN(), math.Inf(1), math.Inf(-1)
 	bad := []Spec{
 		{Metrics: nil},
 		{Metrics: []string{"no_such_metric"}},
@@ -347,6 +349,11 @@ func TestSpecCheck(t *testing.T) {
 		{GroupBy: []string{"pfail", "geometry", "scheme", "victim", "granularity"}, Metrics: []string{"mean_ipc"}},
 		{Where: map[string]string{"bogus": "x"}, Metrics: []string{"mean_ipc"}},
 		{PfailMin: &lo, PfailMax: &hi, Metrics: []string{"mean_ipc"}},
+		{PfailMin: &nan, Metrics: []string{"mean_ipc"}},
+		{PfailMax: &nan, Metrics: []string{"mean_ipc"}},
+		{PfailMin: &inf, Metrics: []string{"mean_ipc"}},
+		{PfailMax: &inf, Metrics: []string{"mean_ipc"}},
+		{PfailMin: &ninf, PfailMax: &hi, Metrics: []string{"mean_ipc"}},
 	}
 	for i, q := range bad {
 		if err := q.Check(); err == nil {

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"path/filepath"
 	"sort"
 	"strconv"
+	"sync"
 	"testing"
 
 	"vccmin/internal/sweep"
@@ -224,21 +226,27 @@ func oracleRowCount() int {
 	return 1 << 20
 }
 
-// TestDifferentialQueryOracle runs a battery of specs over a large
-// synthetic population through both implementations and requires
-// byte-identical JSON, including a pass where the columnar side reads
-// shuffled rows in a different shard layout — the oracle never sees the
-// shuffle, so agreement also re-proves order independence at scale.
-func TestDifferentialQueryOracle(t *testing.T) {
-	n := oracleRowCount()
+// oracleRows is the differential population: genRows, plus a pfail
+// value held only by the first n/50 rows and a scheme held only by the
+// last n/50, so that in any layout of more than one shard some Where
+// values appear in only some shards.
+func oracleRows(n int) []sweep.Row {
 	rows := genRows(n, 1234, true)
-	src, err := ShardsOf(rows, DefaultShardRows)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < n/50; i++ {
+		rows[i].Pfail = 7.5e-3
+		rows[i].Key = testKey(rows[i])
+		rows[n-1-i].Scheme = "bitfix"
+		rows[n-1-i].Key = testKey(rows[n-1-i])
 	}
+	return rows
+}
 
+// oracleSpecs is the battery every differential query test asks.
+func oracleSpecs() []Spec {
 	lo, hi := 2e-4, 2e-3
-	specs := []Spec{
+	at := 1e-3
+	absent := 3e-4
+	return []Spec{
 		{Metrics: Metrics}, // every metric, one "all" group
 		{GroupBy: []string{"scheme"}, Metrics: []string{"expected_capacity", "ipc_degradation", "energy_per_instruction"}},
 		{GroupBy: []string{"pfail", "scheme"}, Metrics: []string{"mean_ipc", "dvfs_switches"},
@@ -248,24 +256,92 @@ func TestDifferentialQueryOracle(t *testing.T) {
 		{GroupBy: []string{"pfail", "geometry", "scheme", "granularity"}, Metrics: []string{"voltage"},
 			Where: map[string]string{"policy": "oracle"}},
 		{Metrics: []string{"mean_ipc"}, Where: map[string]string{"scheme": "no-such-scheme"}}, // zero matches
+		{GroupBy: []string{"scheme"}, Metrics: []string{"mean_ipc", "trials"}, Where: map[string]string{"pfail": "0.001"}},
+		{GroupBy: []string{"pfail"}, Metrics: []string{"measured_capacity"}, Where: map[string]string{"geometry": "16384x4x64"}},
+		{GroupBy: []string{"geometry"}, Metrics: []string{"mean_ipc", "dvfs_switches"}, Where: map[string]string{"policy": "none"}},
+		{Metrics: []string{"mean_ipc"}, Where: map[string]string{"policy": ""}}, // "" renders as "none": zero matches
+		{GroupBy: []string{"victim"}, Metrics: []string{"frequency"}, Where: map[string]string{"stream": sweep.StreamVersion},
+			PfailMin: &lo},
+		{GroupBy: []string{"scheme", "granularity"}, Metrics: []string{"baseline_ipc"}, Where: map[string]string{"pfail": "0.0075"}},
+		{GroupBy: []string{"pfail"}, Metrics: []string{"dvfs_energy_per_instruction"}, Where: map[string]string{"scheme": "bitfix"}},
+		{GroupBy: []string{"policy"}, Metrics: []string{"whole_cache_fail_prob"},
+			Where: map[string]string{"pfail": "0.001", "victim": "10t"}, PfailMin: &at, PfailMax: &at},
+		{Metrics: []string{"benchmarks"}, PfailMin: &absent, PfailMax: &absent}, // a range holding no value
 	}
-	for i, q := range specs {
-		got, err := Query(src, q)
-		if err != nil {
-			t.Fatalf("spec %d: %v", i, err)
+}
+
+// oracleAnswers holds the oracle's JSON answer to each battery spec
+// (by index) over oracleRows(oracleRowCount()). The row-wise oracle is
+// most of a differential test's time, and TestDifferentialQueryOracle
+// and TestDifferentialQueryDir ask it the same questions of the same
+// population, so it answers each once per process.
+var oracleAnswers sync.Map
+
+// checkOracle asks every spec of the battery of each source and
+// requires each answer to byte-equal the oracle's over rows, which
+// must be oracleRows(oracleRowCount()).
+func checkOracle(t *testing.T, rows []sweep.Row, srcs map[string]Source) {
+	t.Helper()
+	for i, q := range oracleSpecs() {
+		want, ok := oracleAnswers.Load(i)
+		if !ok {
+			b, err := json.Marshal(oracleQuery(rows, q))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ = oracleAnswers.LoadOrStore(i, b)
 		}
-		gotB, err := json.Marshal(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantB, err := json.Marshal(oracleQuery(rows, q))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gotB, wantB) {
-			t.Errorf("spec %d: columnar and oracle answers differ\ncolumnar: %.400s\noracle:   %.400s", i, gotB, wantB)
+		wantB := want.([]byte)
+		for name, src := range srcs {
+			got, err := Query(src, q)
+			if err != nil {
+				t.Fatalf("%s spec %d: %v", name, i, err)
+			}
+			gotB, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotB, wantB) {
+				t.Errorf("%s spec %d: columnar and oracle answers differ\ncolumnar: %.400s\noracle:   %.400s", name, i, gotB, wantB)
+			}
 		}
 	}
+}
+
+// TestDifferentialQueryOracle runs the battery over a large synthetic
+// population in default-size in-memory shards and requires answers
+// byte-identical to the oracle's.
+func TestDifferentialQueryOracle(t *testing.T) {
+	rows := oracleRows(oracleRowCount())
+	src, err := ShardsOf(rows, DefaultShardRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkOracle(t, rows, map[string]Source{"mem": src})
+}
+
+// TestDifferentialQueryDir runs the battery over the same population
+// folded to shard files with WriteDir and read back through OpenDir —
+// the extent-read, reused-buffer path — and requires answers
+// byte-identical to the oracle's, as TestDifferentialQueryOracle does
+// for in-memory shards. The layout has at least eight shards, so the
+// first-shard pfail and the last-shard scheme are Where values absent
+// from most shards.
+func TestDifferentialQueryDir(t *testing.T) {
+	rows := oracleRows(oracleRowCount())
+	shardRows := min(DefaultShardRows, len(rows)/8)
+	dir := filepath.Join(t.TempDir(), "shards")
+	if err := WriteDir(dir, rows, shardRows); err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.files) < 8 {
+		t.Fatalf("%d shard files, want at least 8", len(d.files))
+	}
+	checkOracle(t, rows, map[string]Source{"dir": d})
 }
 
 // TestDifferentialQueryShuffledLayout re-asks one spec over the same

@@ -25,7 +25,9 @@ type Source interface {
 type ColumnSource interface {
 	Source
 	// ShardsColumns is Shards restricted to the named columns; nil
-	// means all (identical to Shards).
+	// means all (identical to Shards). A shard handed to fn is valid
+	// only until fn returns: the source may decode the next shard into
+	// the same buffers, so fn must not keep it or its columns.
 	ShardsColumns(need map[string]bool, fn func(*Shard) error) error
 }
 
@@ -163,21 +165,38 @@ func OpenDir(path string) (*Dir, error) {
 	return d, nil
 }
 
-// Shards implements Source, decoding each file in turn.
+// Shards implements Source, reading and decoding each whole file in
+// turn with every canonical-form check; each shard is freshly
+// allocated.
 func (d *Dir) Shards(fn func(*Shard) error) error {
-	return d.ShardsColumns(nil, fn)
-}
-
-// ShardsColumns implements ColumnSource: each file's footer and tiling
-// are validated in full, but only the needed columns' payloads are
-// decoded.
-func (d *Dir) ShardsColumns(need map[string]bool, fn func(*Shard) error) error {
 	for _, name := range d.files {
 		b, err := os.ReadFile(filepath.Join(d.path, name))
 		if err != nil {
 			return err
 		}
-		s, err := DecodeColumns(b, need)
+		s, err := Decode(b)
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		if err := fn(s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ShardsColumns implements ColumnSource. With need nil it is Shards.
+// Otherwise it reads only each file's header, trailer, footer and the
+// needed columns' payloads, validates the footer and tiling in full and
+// decodes the needed payloads into buffers reused across this call's
+// files; the buffers live for the call, not on d.
+func (d *Dir) ShardsColumns(need map[string]bool, fn func(*Shard) error) error {
+	if need == nil {
+		return d.Shards(fn)
+	}
+	var sr shardReader
+	for _, name := range d.files {
+		s, err := sr.readFile(filepath.Join(d.path, name), need)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}

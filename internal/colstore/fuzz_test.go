@@ -72,7 +72,7 @@ func FuzzVarintColumn(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, n uint16) {
 		// Decode direction: accepted payloads are canonical.
-		if col, err := decodeIntCol(data, int(n)); err == nil {
+		if col, err := decodeIntCol(data, int(n), nil); err == nil {
 			if re := encode(col); !bytes.Equal(re, data) {
 				t.Fatalf("decodeIntCol accepted a non-canonical payload (%d vs %d bytes)", len(re), len(data))
 			}
@@ -83,7 +83,7 @@ func FuzzVarintColumn(f *testing.F) {
 		for i := 0; i+8 <= len(data); i += 8 {
 			vals = append(vals, int64(binary.LittleEndian.Uint64(data[i:])))
 		}
-		back, err := decodeIntCol(encode(vals), len(vals))
+		back, err := decodeIntCol(encode(vals), len(vals), nil)
 		if err != nil {
 			t.Fatalf("canonical int column rejected: %v", err)
 		}

@@ -30,7 +30,7 @@ var Metrics = []string{
 
 // maxGroupBy bounds the group-by depth. Seven axes exist but grouping
 // by more than a few re-enumerates the grid; four covers every sensible
-// slice and keeps the per-row group signature a fixed-size array.
+// slice.
 const maxGroupBy = 4
 
 // Spec is one aggregation question over a result set: filter rows,
@@ -82,10 +82,20 @@ func (q Spec) Check() error {
 			return fmt.Errorf("colstore: unknown where axis %q (axes: %s)", a, strings.Join(Axes, ", "))
 		}
 	}
+	if nonFinite(q.PfailMin) {
+		return fmt.Errorf("colstore: pfail_min %v is not a finite number", *q.PfailMin)
+	}
+	if nonFinite(q.PfailMax) {
+		return fmt.Errorf("colstore: pfail_max %v is not a finite number", *q.PfailMax)
+	}
 	if q.PfailMin != nil && q.PfailMax != nil && *q.PfailMin > *q.PfailMax {
 		return fmt.Errorf("colstore: pfail range [%v,%v] is empty", *q.PfailMin, *q.PfailMax)
 	}
 	return nil
+}
+
+func nonFinite(p *float64) bool {
+	return p != nil && (math.IsNaN(*p) || math.IsInf(*p, 0))
 }
 
 func contains(list []string, v string) bool {
@@ -166,8 +176,9 @@ type Result struct {
 }
 
 // Query evaluates the spec over the source without materializing rows:
-// it scans columns shard by shard, collects each group×metric sample,
-// and aggregates over the sorted sample. Sorting before aggregating is
+// it scans the referenced columns shard by shard (over a ColumnSource,
+// only those columns are read and decoded), collects each group×metric
+// sample, and aggregates over the sorted sample. Sorting before aggregating is
 // what makes the answer independent of row order — a fresh run's
 // cell-order checkpoint and a resumed run's appended-tail checkpoint
 // hold the same rows in different orders and must produce byte-identical
@@ -177,7 +188,7 @@ func Query(src Source, q Spec) (*Result, error) {
 	if err := q.Check(); err != nil {
 		return nil, err
 	}
-	st := &queryState{spec: q, groups: map[string]*groupAcc{}}
+	st := &queryState{spec: q, groups: map[string]*groupAcc{}, buf: scanBuffers{axes: make([]*axisIDs, len(Axes))}}
 	scan := func(s *Shard) error { return st.scan(s) }
 	var err error
 	if cs, ok := src.(ColumnSource); ok {
@@ -188,6 +199,9 @@ func Query(src Source, q Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Drop the scan's buffers before finalize: its sample sort sets the
+	// query's peak heap, and they would only add to it.
+	st.buf = scanBuffers{}
 	return st.finalize(), nil
 }
 
@@ -214,63 +228,197 @@ type queryState struct {
 	groups  map[string]*groupAcc
 	rows    int
 	matched int
+	buf     scanBuffers
 }
 
-// scan processes one shard: per-row filter, group signature, metric
-// appends. Group identity within the shard is a fixed array of per-axis
-// dense ids, precomputed column-at-a-time; because checkpoints hold
-// long runs of rows sharing their group, a last-signature cache
-// resolves most rows without even the id→group map probe.
+// scanBuffers is scan's per-shard scratch, reused from one shard to the
+// next: the axes built for the current shard (indexed like Axes), the
+// id columns of the two axes not stored as dictionaries, the per-id
+// filter verdicts, the selected rows, their shard-local group ids and
+// the local-id-to-group table.
+type scanBuffers struct {
+	axes              []*axisIDs
+	pfailIDs, geomIDs []uint32
+	keep              []bool
+	sel               []int
+	gids              []uint32
+	local             []*groupAcc
+}
+
+// maxDenseGroups bounds the product of the group-by axes' distinct
+// counts that scan numbers directly (id of axis 1 × count of axis 2 +
+// id of axis 2, ...); past it, each step renumbers the pairs densely.
+const maxDenseGroups = 1 << 16
+
+// scan processes one shard column at a time: filter once per distinct
+// id into a selection, give each selected row a shard-local group id,
+// resolve each local group to its cross-shard group once, and append
+// each metric column with a typed loop — no per-row closure or string
+// rendering. Nothing scan keeps refers to the shard's buffers, which a
+// ColumnSource may reuse for the next shard: rendered values are fresh
+// strings and metric values are copied.
 func (st *queryState) scan(s *Shard) error {
 	st.rows += s.rows
-	match := st.rowFilter(s)
-	axes := make([]axisReader, len(st.spec.GroupBy))
-	for i, a := range st.spec.GroupBy {
-		axes[i] = newAxisReader(s, a)
+	clear(st.buf.axes)
+	sel := st.filter(s)
+	st.matched += len(sel)
+	if len(sel) == 0 {
+		return nil
 	}
-	metrics := make([]func(r int) (float64, bool), len(st.spec.Metrics))
-	for i, m := range st.spec.Metrics {
-		metrics[i] = metricReader(s, m)
-	}
-	local := map[[maxGroupBy]uint32]*groupAcc{}
-	var lastSig [maxGroupBy]uint32
-	var lastAcc *groupAcc
-	for r := 0; r < s.rows; r++ {
-		if match != nil && !match(r) {
-			continue
-		}
-		st.matched++
-		var sig [maxGroupBy]uint32
-		for i := range axes {
-			sig[i] = axes[i].ids[r]
-		}
-		acc := lastAcc
-		if acc == nil || sig != lastSig {
-			var ok bool
-			acc, ok = local[sig]
-			if !ok {
-				acc = st.globalGroup(axes, r)
-				local[sig] = acc
+
+	gids := resize(st.buf.gids, len(sel))
+	st.buf.gids = gids
+	clear(gids)
+	groupAxes := make([]*axisIDs, len(st.spec.GroupBy))
+	ng := 1
+	for k, name := range st.spec.GroupBy {
+		ax := st.axis(s, name)
+		groupAxes[k] = ax
+		switch {
+		case k == 0:
+			for i, r := range sel {
+				gids[i] = ax.ids[r]
 			}
-			lastSig, lastAcc = sig, acc
+			ng = ax.n
+		case ax.n <= maxDenseGroups/ng:
+			n := uint32(ax.n)
+			for i, r := range sel {
+				gids[i] = gids[i]*n + ax.ids[r]
+			}
+			ng *= ax.n
+		default:
+			ng = renumber(gids, ax.ids, sel)
+		}
+	}
+
+	local := resize(st.buf.local, ng)
+	st.buf.local = local
+	clear(local)
+	for i, r := range sel {
+		acc := local[gids[i]]
+		if acc == nil {
+			acc = st.globalGroup(groupAxes, r)
+			local[gids[i]] = acc
 		}
 		acc.cells++
-		for i, mr := range metrics {
-			if v, ok := mr(r); ok {
-				acc.vals[i] = append(acc.vals[i], v)
+	}
+
+	for m, name := range st.spec.Metrics {
+		if col, ok := s.floats[name]; ok {
+			for i, r := range sel {
+				acc := local[gids[i]]
+				acc.vals[m] = append(acc.vals[m], col[r])
+			}
+		} else if col, ok := s.ints[name]; ok {
+			for i, r := range sel {
+				acc := local[gids[i]]
+				acc.vals[m] = append(acc.vals[m], float64(col[r]))
+			}
+		} else {
+			// Optional DVFS column: only the rows that carry it.
+			col := s.opts[name]
+			for i, r := range sel {
+				if col.present[r] {
+					acc := local[gids[i]]
+					acc.vals[m] = append(acc.vals[m], col.vals[r])
+				}
 			}
 		}
 	}
 	return nil
 }
 
-// globalGroup resolves a shard-local signature to the cross-shard
-// group, creating it on first sight. Keyed by the canonical key string:
-// shard-local dictionary ids differ across shards, renderings do not.
-func (st *queryState) globalGroup(axes []axisReader, r int) *groupAcc {
+// filter returns the rows of s that pass every Where clause and the
+// pfail range. Each clause is evaluated once per distinct id of its
+// axis; the selection is then narrowed one axis column at a time.
+func (st *queryState) filter(s *Shard) []int {
+	min, max := st.spec.PfailMin, st.spec.PfailMax
+	sel, all := st.buf.sel[:0], true
+	for _, name := range Axes {
+		want, where := st.spec.Where[name]
+		ranged := name == "pfail" && (min != nil || max != nil)
+		if !where && !ranged {
+			continue
+		}
+		ax := st.axis(s, name)
+		keep := resize(st.buf.keep, ax.n)
+		st.buf.keep = keep
+		kept := 0
+		for id := range keep {
+			ok := true
+			if ranged {
+				p := ax.pfail[id]
+				ok = (min == nil || p >= *min) && (max == nil || p <= *max)
+			}
+			if ok && where {
+				ok = ax.value(uint32(id)).str == want
+			}
+			keep[id] = ok
+			if ok {
+				kept++
+			}
+		}
+		if kept == ax.n {
+			continue
+		}
+		j := 0
+		if all {
+			sel = resize(sel, s.rows)
+			for r, id := range ax.ids {
+				if keep[id] {
+					sel[j] = r
+					j++
+				}
+			}
+			all = false
+		} else {
+			for _, r := range sel {
+				if keep[ax.ids[r]] {
+					sel[j] = r
+					j++
+				}
+			}
+		}
+		sel = sel[:j]
+		if j == 0 {
+			break
+		}
+	}
+	if all {
+		sel = resize(sel, s.rows)
+		for r := range sel {
+			sel[r] = r
+		}
+	}
+	st.buf.sel = sel
+	return sel
+}
+
+// renumber replaces each selected row's group id with a dense id for
+// the pair (group id, ids[row]), in first-appearance order, and returns
+// the number of distinct pairs.
+func renumber(gids, ids []uint32, sel []int) int {
+	var a idAssigner[uint64]
+	var last uint64
+	var lastID uint32
+	for i, r := range sel {
+		k := uint64(gids[i])<<32 | uint64(ids[r])
+		if i == 0 || k != last {
+			last, lastID = k, a.id(k)
+		}
+		gids[i] = lastID
+	}
+	return len(a.keys)
+}
+
+// globalGroup resolves a shard-local group, given one of its rows, to
+// the cross-shard group, creating it on first sight. Keyed by the
+// canonical key string: shard-local ids differ across shards,
+// renderings do not.
+func (st *queryState) globalGroup(axes []*axisIDs, r int) *groupAcc {
 	parts := make([]axisValue, len(axes))
 	for i, ax := range axes {
-		parts[i] = ax.value(r)
+		parts[i] = ax.value(ax.ids[r])
 	}
 	key := "all"
 	if len(axes) > 0 {
@@ -293,139 +441,130 @@ func (st *queryState) globalGroup(axes []axisReader, r int) *groupAcc {
 	return acc
 }
 
-// rowFilter compiles the Where clauses and pfail range into one
-// predicate over the shard; nil means every row matches.
-func (st *queryState) rowFilter(s *Shard) func(r int) bool {
-	var preds []func(r int) bool
-	for _, a := range Axes {
-		want, ok := st.spec.Where[a]
-		if !ok {
-			continue
-		}
-		value := axisValueFn(s, a)
-		preds = append(preds, func(r int) bool { return value(r).str == want })
-	}
-	if st.spec.PfailMin != nil || st.spec.PfailMax != nil {
-		pf := s.floats["pfail"]
-		min, max := st.spec.PfailMin, st.spec.PfailMax
-		preds = append(preds, func(r int) bool {
-			return (min == nil || pf[r] >= *min) && (max == nil || pf[r] <= *max)
-		})
-	}
-	if len(preds) == 0 {
-		return nil
-	}
-	if len(preds) == 1 {
-		return preds[0]
-	}
-	return func(r int) bool {
-		for _, p := range preds {
-			if !p(r) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
-// axisReader reads one axis of one shard: a shard-local dense id per
-// row for group signatures and the rendered value for keys and
-// filters. The ids are materialized up front, column at a time — for
-// the dictionary axes they are the dictionary indices as stored, and
-// for the numeric axes a run cache makes the id assignment one map
-// probe per value run instead of one per row.
-type axisReader struct {
+// axisIDs is one axis of one shard in dense-id form: a shard-local id
+// per row, numbered in first-appearance order, the number of ids, and
+// the value behind each id. Each id is rendered at most once.
+type axisIDs struct {
+	name  string
 	ids   []uint32
-	value func(r int) axisValue
+	n     int
+	dict  []string   // dictionary axes: each id's stored value
+	pfail []float64  // pfail: each id's value
+	geom  [][3]int64 // geometry: each id's size, ways and block
+
+	rendered []axisValue
+	done     []bool
 }
 
-func newAxisReader(s *Shard, axis string) axisReader {
-	switch axis {
+// axis returns the named axis of s, building it on first use in this
+// shard. The dictionary axes use their stored indices as ids, and so
+// does pfail when the shard was decoded from a dictionary-encoded
+// column; otherwise pfail and geometry are numbered here, into buffers
+// reused across shards.
+func (st *queryState) axis(s *Shard, name string) *axisIDs {
+	slot := -1
+	for i, a := range Axes {
+		if a == name {
+			slot = i
+		}
+	}
+	if ax := st.buf.axes[slot]; ax != nil {
+		return ax
+	}
+	ax := &axisIDs{name: name}
+	switch name {
 	case "pfail":
+		if fd, ok := s.fdicts["pfail"]; ok {
+			ax.ids, ax.pfail = fd.idx, fd.dict
+			break
+		}
 		col := s.floats["pfail"]
-		ids := make([]uint32, len(col))
-		seen := map[uint64]uint32{}
-		var lastBits uint64
+		ids := resize(st.buf.pfailIDs, len(col))
+		st.buf.pfailIDs = ids
+		var a idAssigner[uint64]
+		var last uint64
 		var lastID uint32
 		for r, v := range col {
-			bits := math.Float64bits(v)
-			if r == 0 || bits != lastBits {
-				id, ok := seen[bits]
-				if !ok {
-					id = uint32(len(seen))
-					seen[bits] = id
-				}
-				lastBits, lastID = bits, id
+			if b := math.Float64bits(v); r == 0 || b != last {
+				last, lastID = b, a.id(b)
 			}
 			ids[r] = lastID
 		}
-		return axisReader{ids: ids, value: axisValueFn(s, axis)}
+		ax.ids, ax.pfail = ids, make([]float64, len(a.keys))
+		for i, b := range a.keys {
+			ax.pfail[i] = math.Float64frombits(b)
+		}
 	case "geometry":
 		size, ways, block := s.ints["geom_size"], s.ints["geom_ways"], s.ints["geom_block"]
-		ids := make([]uint32, len(size))
-		seen := map[[3]int64]uint32{}
-		var lastKey [3]int64
+		ids := resize(st.buf.geomIDs, len(size))
+		st.buf.geomIDs = ids
+		var a idAssigner[[3]int64]
+		var last [3]int64
 		var lastID uint32
 		for r := range ids {
-			k := [3]int64{size[r], ways[r], block[r]}
-			if r == 0 || k != lastKey {
-				id, ok := seen[k]
-				if !ok {
-					id = uint32(len(seen))
-					seen[k] = id
-				}
-				lastKey, lastID = k, id
+			if k := [3]int64{size[r], ways[r], block[r]}; r == 0 || k != last {
+				last, lastID = k, a.id(k)
 			}
 			ids[r] = lastID
 		}
-		return axisReader{ids: ids, value: axisValueFn(s, axis)}
+		ax.ids, ax.geom = ids, a.keys
 	default: // dictionary axes: scheme, victim, granularity, policy, stream
-		return axisReader{ids: s.strs[axis].idx, value: axisValueFn(s, axis)}
+		col := s.strs[name]
+		ax.ids, ax.dict = col.idx, col.dict
 	}
+	ax.n = max(len(ax.dict), len(ax.pfail), len(ax.geom))
+	st.buf.axes[slot] = ax
+	return ax
 }
 
-// axisValueFn renders one axis of one shard row — the slow path, hit
-// once per new group and per Where comparison, never per grouped row.
-func axisValueFn(s *Shard, axis string) func(r int) axisValue {
-	switch axis {
+// value renders id: its string plus, for the numeric axes, the sort
+// key (pfail sorts by value, geometry by size/ways/block).
+func (ax *axisIDs) value(id uint32) axisValue {
+	if ax.done == nil {
+		ax.rendered, ax.done = make([]axisValue, ax.n), make([]bool, ax.n)
+	}
+	if ax.done[id] {
+		return ax.rendered[id]
+	}
+	var v axisValue
+	switch ax.name {
 	case "pfail":
-		col := s.floats["pfail"]
-		return func(r int) axisValue {
-			v := col[r]
-			return axisValue{str: strconv.FormatFloat(v, 'g', -1, 64), nums: []float64{v}, numeric: true}
-		}
+		p := ax.pfail[id]
+		v = axisValue{str: strconv.FormatFloat(p, 'g', -1, 64), nums: []float64{p}, numeric: true}
 	case "geometry":
-		size, ways, block := s.ints["geom_size"], s.ints["geom_ways"], s.ints["geom_block"]
-		return func(r int) axisValue {
-			return axisValue{
-				str:     fmt.Sprintf("%dx%dx%d", size[r], ways[r], block[r]),
-				nums:    []float64{float64(size[r]), float64(ways[r]), float64(block[r])},
-				numeric: true,
-			}
+		g := ax.geom[id]
+		v = axisValue{
+			str:     fmt.Sprintf("%dx%dx%d", g[0], g[1], g[2]),
+			nums:    []float64{float64(g[0]), float64(g[1]), float64(g[2])},
+			numeric: true,
 		}
 	default:
-		col := s.strs[axis]
-		return func(r int) axisValue {
-			v := col.value(r)
-			if axis == "policy" && v == "" {
-				v = "none"
-			}
-			return axisValue{str: v}
+		v = axisValue{str: ax.dict[id]}
+		if ax.name == "policy" && v.str == "" {
+			v.str = "none"
 		}
 	}
+	ax.rendered[id], ax.done[id] = v, true
+	return v
 }
 
-// metricReader reads one metric column; ok=false means the row does not
-// carry the metric (optional DVFS columns on classic rows).
-func metricReader(s *Shard, metric string) func(r int) (float64, bool) {
-	if col, ok := s.floats[metric]; ok {
-		return func(r int) (float64, bool) { return col[r], true }
+// idAssigner numbers keys densely in first-appearance order.
+type idAssigner[K comparable] struct {
+	keys []K
+	m    map[K]uint32
+}
+
+func (a *idAssigner[K]) id(k K) uint32 {
+	if a.m == nil {
+		a.m = make(map[K]uint32)
 	}
-	if col, ok := s.ints[metric]; ok {
-		return func(r int) (float64, bool) { return float64(col[r]), true }
+	id, ok := a.m[k]
+	if !ok {
+		id = uint32(len(a.keys))
+		a.m[k] = id
+		a.keys = append(a.keys, k)
 	}
-	col := s.opts[metric]
-	return func(r int) (float64, bool) { return col.vals[r], col.present[r] }
+	return id
 }
 
 // finalize orders the groups canonically and aggregates each sorted

@@ -3,6 +3,8 @@ package tasks
 import (
 	"context"
 	"encoding/json"
+	"math"
+	"strings"
 	"testing"
 
 	"vccmin/internal/engine"
@@ -388,5 +390,31 @@ func TestFleetHashIgnoresWorkers(t *testing.T) {
 	}
 	if p1.CanonicalHash() == base.CanonicalHash() {
 		t.Error("distinct kinds must not collide")
+	}
+}
+
+// TestQueryTaskRejectsNonFinitePfail: a NaN or infinite pfail bound is
+// refused by NewQueryTask with an error, so the task never reaches
+// CanonicalHash, whose JSON encoding cannot represent the value.
+func TestQueryTaskRejectsNonFinitePfail(t *testing.T) {
+	sweepReq := SweepRequest{Pfails: []float64{1e-3}, Schemes: []string{"block"}, Benchmarks: []string{"crafty"}, Trials: 1}
+	ok := 1e-4
+	if _, err := NewQueryTask(QueryRequest{Sweep: sweepReq, PfailMin: &ok}); err != nil {
+		t.Fatalf("finite bound rejected: %v", err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		v := v
+		for _, req := range []QueryRequest{
+			{Sweep: sweepReq, PfailMin: &v},
+			{Sweep: sweepReq, PfailMax: &v},
+		} {
+			task, err := NewQueryTask(req)
+			if err == nil {
+				t.Fatalf("bound %v accepted (hash %s)", v, task.CanonicalHash())
+			}
+			if !strings.Contains(err.Error(), "not a finite number") {
+				t.Errorf("bound %v: got %v, want a non-finite error", v, err)
+			}
+		}
 	}
 }
