@@ -34,7 +34,8 @@ bench-gate:
 # The differential equivalence suites under the race detector: the frozen
 # pre-optimization reference implementations (the one-at-a-time sparse
 # fault-map stream, oracle DP, probe measurement, frontier marking, the
-# naive row-wise query evaluator, the rebuild-per-probe fleet prober, the
+# naive row-wise query evaluator, the concatenate-and-sort query
+# aggregate, the rebuild-per-probe fleet prober, the
 # per-run sweep cell evaluation, the live instruction stream, the
 # map-and-recency-list cache model, the scan-based functional-unit pool)
 # held identical to the optimized hot paths, plus the worker-invariance
@@ -96,14 +97,15 @@ clean-check:
 check: vet fmt doc-check link-check api-check clean-check
 
 # Short fuzz smoke over the checkpoint readers, the batched sparse
-# sampler and the colv1 shard codec (go test allows one fuzz target per
-# invocation, hence the separate runs).
+# sampler, the colv1 shard codec and the query aggregation paths (go
+# test allows one fuzz target per invocation, hence the separate runs).
 fuzz:
 	$(GO) test ./internal/sweep -run='^$$' -fuzz=FuzzReadRows -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sweep -run='^$$' -fuzz=FuzzLoadCompleted -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/faults -run='^$$' -fuzz=FuzzSamplerBatched -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/colstore -run='^$$' -fuzz=FuzzShardDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/colstore -run='^$$' -fuzz=FuzzVarintColumn -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/colstore -run='^$$' -fuzz=FuzzAggregate -fuzztime=$(FUZZTIME)
 
 # Coverage over the internal packages with a hard floor.
 cover:

@@ -3,6 +3,8 @@ package colstore
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
+	"math/rand"
 	"testing"
 
 	"vccmin/internal/sweep"
@@ -91,6 +93,61 @@ func FuzzVarintColumn(f *testing.F) {
 			if back[i] != vals[i] {
 				t.Fatalf("value %d: %d decoded as %d", i, vals[i], back[i])
 			}
+		}
+	})
+}
+
+// FuzzAggregate holds aggregate to the frozen reference
+// (referenceAggregate) on fuzzed samples. The palette bytes decode to
+// up to 256 float64 values, eight little-endian bytes each; each index
+// byte draws one sample value from the palette, so a short input can
+// spell a long sample with few distinct values (the count table) or
+// many (the radix sort); each cut byte is the length of the next
+// segment, zero included, and the rest of the sample forms the last.
+// The corpus seeds with every boundary shape of
+// TestAggregateDifferential small enough to spell this way.
+func FuzzAggregate(f *testing.F) {
+	for _, sh := range aggregateShapes(rand.New(rand.NewSource(5))) {
+		var palette, idx []byte
+		ids := map[uint64]byte{}
+		for _, v := range sh.vals {
+			b := math.Float64bits(v)
+			id, ok := ids[b]
+			if !ok {
+				if len(ids) == 256 {
+					break
+				}
+				id = byte(len(ids))
+				ids[b] = id
+				palette = binary.LittleEndian.AppendUint64(palette, b)
+			}
+			idx = append(idx, id)
+		}
+		if len(idx) == len(sh.vals) {
+			f.Add(palette, idx, []byte{})
+			f.Add(palette, idx, []byte{0, 40, 0, 0, 7, 200, 1})
+		}
+	}
+
+	var sc aggScratch
+	f.Fuzz(func(t *testing.T, palette, idx, cuts []byte) {
+		pal := make([]float64, 0, min(len(palette)/8, 256))
+		for i := 0; i+8 <= len(palette) && len(pal) < 256; i += 8 {
+			pal = append(pal, math.Float64frombits(binary.LittleEndian.Uint64(palette[i:])))
+		}
+		if len(pal) == 0 {
+			return
+		}
+		vals := make([]float64, len(idx))
+		for i, b := range idx {
+			vals[i] = pal[int(b)%len(pal)]
+		}
+		lens := make([]int, len(cuts))
+		for i, c := range cuts {
+			lens[i] = int(c)
+		}
+		if msg := aggregateMismatch(segment(vals, lens), &sc); msg != "" {
+			t.Fatalf("%d values in %d segments: %s", len(vals), len(lens)+1, msg)
 		}
 	})
 }

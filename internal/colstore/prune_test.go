@@ -1,18 +1,13 @@
 package colstore
 
-// Column pruning and the radix aggregation sort: a pruned decode must
-// reproduce the needed columns bit-for-bit and keep all structural
-// validation; a Dir-backed query must answer byte-identically whether
-// it decodes 27 columns or 3; and sortFloats must match sort.Float64s
-// exactly, including the NaN and negative-zero fallbacks.
+// Column pruning: a pruned decode must reproduce the needed columns
+// bit-for-bit and keep all structural validation, and a Dir-backed
+// query must answer byte-identically whether it decodes 27 columns or 3.
 
 import (
 	"bytes"
 	"encoding/json"
-	"math"
-	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 )
 
@@ -115,56 +110,6 @@ func TestDirQueryPruned(t *testing.T) {
 		mj, _ := json.Marshal(fromMem)
 		if !bytes.Equal(dj, mj) {
 			t.Errorf("spec %d: pruned Dir answer differs from the full Mem answer\ndir: %.300s\nmem: %.300s", i, dj, mj)
-		}
-	}
-}
-
-func TestSortFloatsMatchesSortFloat64s(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	cases := [][]float64{}
-	// Random large samples with duplicates, negatives and infinities —
-	// the radix path.
-	for trial := 0; trial < 4; trial++ {
-		n := 128 + rng.Intn(5000)
-		vals := make([]float64, n)
-		for i := range vals {
-			switch rng.Intn(10) {
-			case 0:
-				vals[i] = float64(rng.Intn(4)) // duplicates
-			case 1:
-				vals[i] = -rng.Float64() * 1e300
-			case 2:
-				vals[i] = math.Inf(1 - 2*rng.Intn(2))
-			default:
-				vals[i] = (rng.Float64() - 0.5) * math.Exp(float64(rng.Intn(600)-300))
-			}
-		}
-		cases = append(cases, vals)
-	}
-	// Fallback paths: tiny, NaN-bearing, negative-zero-bearing.
-	cases = append(cases, []float64{3, 1, 2})
-	nan := make([]float64, 300)
-	negz := make([]float64, 300)
-	for i := range nan {
-		nan[i] = rng.NormFloat64()
-		negz[i] = rng.NormFloat64()
-	}
-	nan[137] = math.NaN()
-	negz[59] = math.Copysign(0, -1)
-	negz[60] = 0
-	cases = append(cases, nan, negz)
-
-	var sc sortScratch
-	for ci, vals := range cases {
-		want := append([]float64{}, vals...)
-		sort.Float64s(want)
-		sc.sortFloats(vals)
-		for i := range vals {
-			w, g := want[i], vals[i]
-			if math.Float64bits(w) != math.Float64bits(g) && !(math.IsNaN(w) && math.IsNaN(g)) {
-				t.Fatalf("case %d index %d: sortFloats %v (%#x), sort.Float64s %v (%#x)",
-					ci, i, g, math.Float64bits(g), w, math.Float64bits(w))
-			}
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package colstore
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -178,12 +180,12 @@ type Result struct {
 // Query evaluates the spec over the source without materializing rows:
 // it scans the referenced columns shard by shard (over a ColumnSource,
 // only those columns are read and decoded), collects each group×metric
-// sample, and aggregates over the sorted sample. Sorting before aggregating is
-// what makes the answer independent of row order — a fresh run's
-// cell-order checkpoint and a resumed run's appended-tail checkpoint
-// hold the same rows in different orders and must produce byte-identical
-// aggregates, since the query's cache identity does not include the
-// source's history.
+// sample, and aggregates it in ascending value order. Aggregating in
+// value order is what makes the answer independent of row order — a
+// fresh run's cell-order checkpoint and a resumed run's appended-tail
+// checkpoint hold the same rows in different orders and must produce
+// byte-identical aggregates, since the query's cache identity does not
+// include the source's history.
 func Query(src Source, q Spec) (*Result, error) {
 	if err := q.Check(); err != nil {
 		return nil, err
@@ -199,8 +201,8 @@ func Query(src Source, q Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Drop the scan's buffers before finalize: its sample sort sets the
-	// query's peak heap, and they would only add to it.
+	// Drop the scan's buffers before finalize: the samples and its sort
+	// buffers set the query's peak heap, and they would only add to it.
 	st.buf = scanBuffers{}
 	return st.finalize(), nil
 }
@@ -210,7 +212,10 @@ type groupAcc struct {
 	key   string
 	parts []axisValue // one per GroupBy axis, for canonical ordering
 	cells int
-	vals  [][]float64 // per metric, scan order (sorted at finalize)
+	// vals holds each metric's sample as one exactly sized segment per
+	// shard that contributed values, in scan order; finalize aggregates
+	// and releases them.
+	vals [][][]float64
 }
 
 // axisValue is one axis coordinate of a group: its rendering plus a
@@ -234,8 +239,10 @@ type queryState struct {
 // scanBuffers is scan's per-shard scratch, reused from one shard to the
 // next: the axes built for the current shard (indexed like Axes), the
 // id columns of the two axes not stored as dictionaries, the per-id
-// filter verdicts, the selected rows, their shard-local group ids and
-// the local-id-to-group table.
+// filter verdicts, the selected rows, their shard-local group ids, the
+// local-id-to-group table, and per local group its selected-row count,
+// one metric's carrying-row count, and that metric's segment with its
+// fill position.
 type scanBuffers struct {
 	axes              []*axisIDs
 	pfailIDs, geomIDs []uint32
@@ -243,6 +250,8 @@ type scanBuffers struct {
 	sel               []int
 	gids              []uint32
 	local             []*groupAcc
+	cells, n, pos     []int
+	seg               [][]float64
 }
 
 // maxDenseGroups bounds the product of the group-by axes' distinct
@@ -252,11 +261,12 @@ const maxDenseGroups = 1 << 16
 
 // scan processes one shard column at a time: filter once per distinct
 // id into a selection, give each selected row a shard-local group id,
-// resolve each local group to its cross-shard group once, and append
-// each metric column with a typed loop — no per-row closure or string
-// rendering. Nothing scan keeps refers to the shard's buffers, which a
-// ColumnSource may reuse for the next shard: rendered values are fresh
-// strings and metric values are copied.
+// resolve each local group to its cross-shard group once, and copy
+// each metric column with a typed loop into one segment per local
+// group, sized to that group's carrying rows — no per-row closure,
+// string rendering or slice growth. Nothing scan keeps refers to the
+// shard's buffers, which a ColumnSource may reuse for the next shard:
+// rendered values are fresh strings and metric values are copied.
 func (st *queryState) scan(s *Shard) error {
 	st.rows += s.rows
 	clear(st.buf.axes)
@@ -294,37 +304,71 @@ func (st *queryState) scan(s *Shard) error {
 	local := resize(st.buf.local, ng)
 	st.buf.local = local
 	clear(local)
+	cells := resize(st.buf.cells, ng)
+	st.buf.cells = cells
+	clear(cells)
 	for i, r := range sel {
-		acc := local[gids[i]]
-		if acc == nil {
-			acc = st.globalGroup(groupAxes, r)
-			local[gids[i]] = acc
+		g := gids[i]
+		if local[g] == nil {
+			local[g] = st.globalGroup(groupAxes, r)
 		}
-		acc.cells++
+		cells[g]++
+	}
+	for g, acc := range local {
+		if acc != nil {
+			acc.cells += cells[g]
+		}
 	}
 
+	pos := resize(st.buf.pos, ng)
+	st.buf.pos = pos
+	seg := resize(st.buf.seg, ng)
+	st.buf.seg = seg
 	for m, name := range st.spec.Metrics {
+		// Size each local group's segment: every selected row carries a
+		// plain column, only the present rows an optional DVFS one.
+		n := cells
+		opt, optional := s.opts[name]
+		if optional {
+			n = resize(st.buf.n, ng)
+			st.buf.n = n
+			clear(n)
+			for i, r := range sel {
+				if opt.present[r] {
+					n[gids[i]]++
+				}
+			}
+		}
+		for g, acc := range local {
+			seg[g], pos[g] = nil, 0
+			if acc != nil && n[g] > 0 {
+				seg[g] = make([]float64, n[g])
+				acc.vals[m] = append(acc.vals[m], seg[g])
+			}
+		}
 		if col, ok := s.floats[name]; ok {
 			for i, r := range sel {
-				acc := local[gids[i]]
-				acc.vals[m] = append(acc.vals[m], col[r])
+				g := gids[i]
+				seg[g][pos[g]] = col[r]
+				pos[g]++
 			}
 		} else if col, ok := s.ints[name]; ok {
 			for i, r := range sel {
-				acc := local[gids[i]]
-				acc.vals[m] = append(acc.vals[m], float64(col[r]))
+				g := gids[i]
+				seg[g][pos[g]] = float64(col[r])
+				pos[g]++
 			}
 		} else {
-			// Optional DVFS column: only the rows that carry it.
-			col := s.opts[name]
 			for i, r := range sel {
-				if col.present[r] {
-					acc := local[gids[i]]
-					acc.vals[m] = append(acc.vals[m], col.vals[r])
+				if opt.present[r] {
+					g := gids[i]
+					seg[g][pos[g]] = opt.vals[r]
+					pos[g]++
 				}
 			}
 		}
 	}
+	clear(seg) // the segments belong to their groups now
 	return nil
 }
 
@@ -435,7 +479,7 @@ func (st *queryState) globalGroup(axes []*axisIDs, r int) *groupAcc {
 	}
 	acc, ok := st.groups[key]
 	if !ok {
-		acc = &groupAcc{key: key, parts: parts, vals: make([][]float64, len(st.spec.Metrics))}
+		acc = &groupAcc{key: key, parts: parts, vals: make([][][]float64, len(st.spec.Metrics))}
 		st.groups[key] = acc
 	}
 	return acc
@@ -567,8 +611,8 @@ func (a *idAssigner[K]) id(k K) uint32 {
 	return id
 }
 
-// finalize orders the groups canonically and aggregates each sorted
-// sample.
+// finalize orders the groups canonically and aggregates each
+// group×metric sample, releasing its segments once aggregated.
 func (st *queryState) finalize() *Result {
 	groups := make([]*groupAcc, 0, len(st.groups))
 	for _, g := range st.groups {
@@ -576,96 +620,245 @@ func (st *queryState) finalize() *Result {
 	}
 	sort.Slice(groups, func(i, j int) bool { return lessParts(groups[i].parts, groups[j].parts) })
 	res := &Result{Rows: st.rows, Matched: st.matched, Groups: make([]Group, len(groups))}
-	var sc sortScratch
+	var sc aggScratch
 	for gi, g := range groups {
 		out := Group{Key: g.key, Cells: g.cells, Aggregates: make([]Aggregate, len(st.spec.Metrics))}
 		for mi, name := range st.spec.Metrics {
 			out.Aggregates[mi] = aggregate(name, g.vals[mi], &sc)
+			g.vals[mi] = nil
 		}
 		res.Groups[gi] = out
 	}
 	return res
 }
 
-// aggregate summarizes one sorted sample. Summing the sorted sample
-// (not the scan-order one) is what pins the mean's float rounding to a
-// row-order-independent value.
-func aggregate(metric string, vals []float64, sc *sortScratch) Aggregate {
-	a := Aggregate{Metric: metric, Count: len(vals)}
-	if len(vals) == 0 {
+const (
+	// minKeyed is the smallest sample aggregated from a count table or
+	// sorted keys; below it, the set-up of either costs more than
+	// sort.Float64s saves.
+	minKeyed = 128
+	// maxDistinct is the most distinct values a sample may hold to be
+	// aggregated from a count table instead of sorted. Sweep columns
+	// fixed by a cell's coordinates (capacity, operating point, trial
+	// counts) hold a handful per group.
+	maxDistinct = 64
+	// tableBits sizes the count table at 2·maxDistinct slots, so it is
+	// at most half full.
+	tableBits = 7
+)
+
+// aggregate summarizes one sample, given as segments in scan order, as
+// if it were concatenated and sorted ascending: the mean sums it in
+// ascending order, which pins the float rounding to a row-order
+// independent value, and the quantiles are nearest-rank order
+// statistics (stats.QuantileRank). Three paths produce that answer
+// bit-for-bit. A sample with at most maxDistinct distinct values is
+// counted, not sorted; any other is radix-sorted as monotone uint64
+// keys. Tiny samples, and any holding NaN (ordered first by
+// sort.Float64s, split around the numbers by the key image) or negative
+// zero (equal to +0 under comparison, a distinct key), are concatenated
+// and sorted by sort.Float64s, whose order the other two reproduce only
+// where no two distinct bit patterns compare equal.
+func aggregate(metric string, segs [][]float64, sc *aggScratch) Aggregate {
+	n := 0
+	for _, s := range segs {
+		n += len(s)
+	}
+	a := Aggregate{Metric: metric, Count: n}
+	if n == 0 {
 		return a
 	}
-	sc.sortFloats(vals)
+	if n >= minKeyed {
+		if distinct := sc.count(segs); distinct != nil {
+			a.fromCounts(distinct)
+			return a
+		}
+		if keys := sc.sortKeys(segs, n); keys != nil {
+			a.fromKeys(keys)
+			return a
+		}
+	}
+	vals := sc.vals[:0]
+	for _, s := range segs {
+		vals = append(vals, s...)
+	}
+	sc.vals = vals
+	sort.Float64s(vals)
 	sum := 0.0
 	for _, v := range vals {
 		sum += v
 	}
-	a.Mean = sum / float64(len(vals))
-	a.Min = vals[0]
-	a.Max = vals[len(vals)-1]
-	a.P50 = stats.QuantileSorted(vals, 0.50)
-	a.P90 = stats.QuantileSorted(vals, 0.90)
-	a.P99 = stats.QuantileSorted(vals, 0.99)
+	a.set(sum, func(i int) float64 { return vals[i] })
 	return a
 }
 
-// sortScratch holds the radix buffers finalize reuses across every
-// group×metric sample it aggregates.
-type sortScratch struct {
-	keys, buf []uint64
+// set fills the summary of a Count-value sample from its ascending sum
+// and at, which returns the sample's i-th smallest value.
+func (a *Aggregate) set(sum float64, at func(i int) float64) {
+	n := a.Count
+	a.Mean = sum / float64(n)
+	a.Min, a.Max = at(0), at(n-1)
+	a.P50 = at(stats.QuantileRank(n, 0.50))
+	a.P90 = at(stats.QuantileRank(n, 0.90))
+	a.P99 = at(stats.QuantileRank(n, 0.99))
 }
 
-// sortFloats sorts vals ascending with exactly sort.Float64s's result.
-// The hot path is an LSD radix sort over the monotone uint64 image of
-// float64 — linear instead of comparison-bound on the large samples a
-// million-row group-by produces, and passes whose byte is constant
-// across the sample (most of them, for metrics confined to a narrow
-// range) are skipped outright. NaN (ordered first by sort.Float64s,
-// split around the numbers by the radix image) and negative zero
-// (interchangeable with +0 under comparison, a distinct bit pattern
-// under radix) would not reproduce sort.Float64s bit-for-bit, so any
-// occurrence falls back to it; tiny samples do too, where the
-// transform overhead exceeds what linearity saves.
-func (sc *sortScratch) sortFloats(vals []float64) {
-	if len(vals) < 128 {
-		sort.Float64s(vals)
-		return
+// fromKeys summarizes an ascending run of keys.
+func (a *Aggregate) fromKeys(keys []uint64) {
+	sum := 0.0
+	for _, k := range keys {
+		sum += fromKey(k)
 	}
-	for _, v := range vals {
-		if math.IsNaN(v) || (v == 0 && math.Signbit(v)) {
-			sort.Float64s(vals)
-			return
+	a.set(sum, func(i int) float64 { return fromKey(keys[i]) })
+}
+
+// fromCounts summarizes a counted sample, given its distinct values in
+// ascending order. Adding each
+// distinct value count times, in ascending order, performs exactly the
+// additions summing the sorted sample would.
+func (a *Aggregate) fromCounts(distinct []keyCount) {
+	sum := 0.0
+	for _, d := range distinct {
+		v := fromKey(d.key)
+		for c := d.n; c > 0; c-- {
+			sum += v
 		}
 	}
-	if cap(sc.keys) < len(vals) {
-		sc.keys = make([]uint64, len(vals))
-		sc.buf = make([]uint64, len(vals))
+	a.set(sum, func(i int) float64 {
+		d := 0
+		for i >= distinct[d].n {
+			i -= distinct[d].n
+			d++
+		}
+		return fromKey(distinct[d].key)
+	})
+}
+
+// keyCount is one distinct value of a counted sample: its key and how
+// many times it occurs.
+type keyCount struct {
+	key uint64
+	n   int
+}
+
+// aggScratch holds the buffers finalize reuses across every
+// group×metric sample it aggregates: the radix sort's key buffers and
+// byte histograms, the count table and its sorted distinct values, and
+// the fallback's concatenated sample.
+type aggScratch struct {
+	keys, buf []uint64
+	hist      [8][256]int
+
+	slots    [1 << tableBits]uint64 // a key per slot, 0 = empty
+	tally    [1 << tableBits]int
+	distinct []keyCount
+
+	vals []float64
+}
+
+// special reports whether b is the bit pattern of NaN or negative zero,
+// the values sort.Float64s orders differently from their keys.
+func special(b uint64) bool {
+	return b == 1<<63 || b&^(1<<63) > 0x7ff0000000000000
+}
+
+// toKey maps float64 bits to a uint64 whose unsigned order is the
+// float order: negative values have every bit flipped, the rest only
+// the sign bit.
+func toKey(b uint64) uint64 {
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// fromKey inverts toKey.
+func fromKey(k uint64) float64 {
+	return math.Float64frombits(k ^ (uint64(int64(^k)>>63) | 1<<63))
+}
+
+// count tallies the sample in an open-addressing table and, if it holds
+// at most maxDistinct distinct values and neither NaN nor negative
+// zero, returns them in ascending order with their counts; otherwise
+// nil. It gives up at the first value past the limit.
+func (sc *aggScratch) count(segs [][]float64) []keyCount {
+	const mask = len(sc.slots) - 1
+	clear(sc.slots[:])
+	clear(sc.tally[:])
+	d := 0
+	for _, s := range segs {
+		for _, v := range s {
+			b := math.Float64bits(v)
+			if special(b) {
+				return nil
+			}
+			k := toKey(b) // never 0: only a NaN maps there
+			h := int(k * 0x9e3779b97f4a7c15 >> (64 - tableBits))
+			for sc.slots[h] != k {
+				if sc.slots[h] == 0 {
+					if d == maxDistinct {
+						return nil
+					}
+					sc.slots[h] = k
+					d++
+					break
+				}
+				h = (h + 1) & mask
+			}
+			sc.tally[h]++
+		}
 	}
-	keys, buf := sc.keys[:len(vals)], sc.buf[:len(vals)]
-	for i, v := range vals {
-		b := math.Float64bits(v)
-		if b>>63 != 0 {
-			b = ^b
-		} else {
-			b |= 1 << 63
+	distinct := sc.distinct[:0]
+	for h, k := range sc.slots {
+		if k != 0 {
+			distinct = append(distinct, keyCount{k, sc.tally[h]})
 		}
-		keys[i] = b
 	}
-	var count [256]int
-	for shift := uint(0); shift < 64; shift += 8 {
-		for i := range count {
-			count[i] = 0
+	slices.SortFunc(distinct, func(x, y keyCount) int { return cmp.Compare(x.key, y.key) })
+	sc.distinct = distinct
+	return distinct
+}
+
+// sortKeys returns the sample's keys in ascending order, or nil if it
+// holds NaN or negative zero. One pass writes the keys and all eight
+// byte histograms; an LSD radix sort then scatters only on the bytes
+// that vary across the sample (the top ones do not, for a metric
+// confined to a narrow range).
+func (sc *aggScratch) sortKeys(segs [][]float64, n int) []uint64 {
+	if cap(sc.keys) < n {
+		sc.keys = make([]uint64, n)
+		sc.buf = make([]uint64, n)
+	}
+	keys, buf := sc.keys[:n], sc.buf[:n]
+	hist := &sc.hist
+	clear(hist[:])
+	i := 0
+	for _, s := range segs {
+		for _, v := range s {
+			b := math.Float64bits(v)
+			if special(b) {
+				return nil
+			}
+			k := toKey(b)
+			keys[i] = k
+			i++
+			hist[0][byte(k)]++
+			hist[1][byte(k>>8)]++
+			hist[2][byte(k>>16)]++
+			hist[3][byte(k>>24)]++
+			hist[4][byte(k>>32)]++
+			hist[5][byte(k>>40)]++
+			hist[6][byte(k>>48)]++
+			hist[7][byte(k>>56)]++
 		}
-		for _, k := range keys {
-			count[byte(k>>shift)]++
-		}
-		if count[byte(keys[0]>>shift)] == len(keys) {
+	}
+	for d := range hist {
+		shift := uint(8 * d)
+		count := &hist[d]
+		if count[byte(keys[0]>>shift)] == n {
 			continue // every key shares this byte
 		}
 		pos := 0
-		for i, c := range count {
-			count[i] = pos
-			pos += c
+		for c, m := range count {
+			count[c] = pos
+			pos += m
 		}
 		for _, k := range keys {
 			c := byte(k >> shift)
@@ -674,14 +867,7 @@ func (sc *sortScratch) sortFloats(vals []float64) {
 		}
 		keys, buf = buf, keys
 	}
-	for i, k := range keys {
-		if k>>63 != 0 {
-			k &^= 1 << 63
-		} else {
-			k = ^k
-		}
-		vals[i] = math.Float64frombits(k)
-	}
+	return keys
 }
 
 // lessParts compares group coordinates axis by axis: numeric axes by

@@ -142,14 +142,23 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return math.NaN()
 	}
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
+	return sorted[QuantileRank(len(sorted), q)]
+}
+
+// QuantileRank is the index QuantileSorted reads for quantile q of an
+// ascending sample of n > 0 values: the nearest rank ceil(q·n), counted
+// from zero and clamped to [0, n-1]. Callers that hold a sample in
+// another form (sorted keys, value counts) read the same order
+// statistic through it.
+func QuantileRank(n int, q float64) int {
+	i := int(math.Ceil(q*float64(n))) - 1
 	if i < 0 {
 		i = 0
 	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
+	if i >= n {
+		i = n - 1
 	}
-	return sorted[i]
+	return i
 }
 
 // Histogram is a fixed-width bucketing of a sample over [Lo, Hi).

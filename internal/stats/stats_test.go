@@ -164,3 +164,28 @@ func TestHistogramConservesSamples(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestQuantileRank pins the nearest-rank index two ways: QuantileSorted
+// must read exactly the element QuantileRank names, and that index must
+// be the smallest rank k (1-based) with k ≥ q·n, found by counting up.
+func TestQuantileRank(t *testing.T) {
+	for n := 1; n <= 1000; n++ {
+		sorted := make([]float64, n)
+		for i := range sorted {
+			sorted[i] = float64(i)
+		}
+		for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
+			i := QuantileRank(n, q)
+			if got := QuantileSorted(sorted, q); got != sorted[i] {
+				t.Fatalf("n=%d q=%v: QuantileSorted %v, element at QuantileRank %d is %v", n, q, got, i, sorted[i])
+			}
+			k := 1
+			for k < n && float64(k) < q*float64(n) {
+				k++
+			}
+			if i != k-1 {
+				t.Fatalf("n=%d q=%v: QuantileRank %d, smallest rank covering q is index %d", n, q, i, k-1)
+			}
+		}
+	}
+}
