@@ -547,3 +547,41 @@ func withOpts(o sim.Options, set func(*sim.Options)) sim.Options {
 	set(&o)
 	return o
 }
+
+// TestGoldenSimFigures pins Figs. 8-12 at a small scale: four
+// benchmarks (two compute-bound, two memory-bound), four fault-map
+// pairs and 20k instructions. The figure drivers replay one recorded
+// stream per benchmark to every configuration; the tables must not
+// depend on how many workers share it, so Parallelism 1 and 4 are
+// proven byte-identical before the comparison with the fixture.
+func TestGoldenSimFigures(t *testing.T) {
+	render := func(parallelism int) []byte {
+		p := vccmin.SimParams{
+			Benchmarks:   []string{"crafty", "gzip", "swim", "mcf"},
+			FaultPairs:   4,
+			Instructions: 20_000,
+			BaseSeed:     1,
+			Parallelism:  parallelism,
+		}
+		low, err := vccmin.RunLowVoltage(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		high, err := vccmin.RunHighVoltage(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.MarshalIndent([]vccmin.Figure{
+			low.Fig8(), low.Fig9(), low.Fig10(), high.Fig11(), high.Fig12(),
+		}, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(got, '\n')
+	}
+	serial := render(1)
+	if parallel := render(4); !bytes.Equal(parallel, serial) {
+		t.Fatalf("figures differ between Parallelism 1 and 4:\n1: %s\n4: %s", clip(serial), clip(parallel))
+	}
+	checkGolden(t, "sim_figures.json", serial)
+}

@@ -9,14 +9,21 @@
 // low-voltage domain is harvested exactly where it costs the least
 // performance (memory-bound phases, whose stalls shrink with the clock)
 // and the high-voltage domain is spent where it buys the most (compute
-// phases). The scheduler executes one shared instruction stream
-// (trace.PhasedGenerator over a workload.MultiPhase) on two persistent
+// phases). The scheduler executes one shared instruction stream (the
+// phases of a workload.MultiPhase, in order) on two persistent
 // sim.Systems — one per mode, each keeping its own cache and predictor
 // state — charging a configurable switch penalty (pipeline drain plus
 // low-voltage cache re-certification) on every transition, and accounts
 // time and energy per phase with the internal/power Fig. 1 model:
 // a mode's cycles cost V²·cycles normalized energy and cycles/f
 // normalized time.
+//
+// A stream that is replayed is recorded once: each phase's stream is
+// drawn into a workload.Recording at the start of a run, and the
+// oracle's probes in both modes and the schedule itself replay it. The
+// warm-up streams are used once each and stay live. A run therefore
+// holds 8 bytes per workload instruction, which the service bounds
+// through its DVFS scale limit.
 //
 // Five policies (PolicyKind) decide the schedule: the static-high and
 // static-low bounds, an oracle that plans per-phase modes by dynamic
@@ -42,7 +49,6 @@ import (
 	"vccmin/internal/geom"
 	"vccmin/internal/power"
 	"vccmin/internal/sim"
-	"vccmin/internal/trace"
 	"vccmin/internal/workload"
 )
 
@@ -206,7 +212,8 @@ type Result struct {
 	Phases []PhaseBreakdown `json:"phases"`
 }
 
-// runner bundles the per-mode machines and accounting of one run.
+// runner bundles the per-mode machines, the recorded phase streams and
+// the accounting of one run.
 type runner struct {
 	cfg   Config
 	model power.Model
@@ -214,6 +221,7 @@ type runner struct {
 	systems [2]*sim.System // indexed by sim.Mode
 	freq    [2]float64
 	volt    [2]float64
+	phases  []workload.Recording // indexed by phase
 }
 
 // geometry returns the config's L1 geometry, defaulting to the
@@ -244,17 +252,22 @@ func (c Config) modeOptions(m sim.Mode) sim.Options {
 	return opts
 }
 
-// phaseGenerator builds phase p's workload generator. The probe runs and
-// the scheduled run derive identical seeds, so the oracle's isolated
+// record draws each phase's stream once into r.phases. The oracle's
+// probes and the schedule replay the same recordings, so the isolated
 // measurements see exactly the instruction stream the real run executes.
-func (c Config) phaseGenerator(p int) (*workload.Generator, error) {
-	ph := c.Workload.Phases[p]
-	prof, err := workload.ByName(ph.Benchmark)
-	if err != nil {
-		return nil, err
+func (r *runner) record() error {
+	r.phases = make([]workload.Recording, len(r.cfg.Workload.Phases))
+	for p, ph := range r.cfg.Workload.Phases {
+		prof, err := workload.ByName(ph.Benchmark)
+		if err != nil {
+			return err
+		}
+		seed := faults.DeriveSeed(r.cfg.Seed, "dvfs-phase", strconv.Itoa(p), ph.Benchmark)
+		if err := r.phases[p].Record(prof, seed, ph.Instructions); err != nil {
+			return err
+		}
 	}
-	return workload.NewGenerator(prof,
-		faults.DeriveSeed(c.Seed, "dvfs-phase", strconv.Itoa(p), ph.Benchmark))
+	return nil
 }
 
 // Run executes the workload under the config's policy and returns the
@@ -286,6 +299,9 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	if err := r.warmup(); err != nil {
+		return Result{}, err
+	}
+	if err := r.record(); err != nil {
 		return Result{}, err
 	}
 
@@ -321,7 +337,7 @@ func (r *runner) warmup() error {
 // probeKey identifies everything the oracle's probe cycle counts depend
 // on: the machine (geometry, scheme, victim), the fault-map pair (pfail,
 // seed, workload name — the pair seed derives from them) and the phase
-// list (each phase's generator seed derives from the config seed, the
+// list (each phase's recording seed derives from the config seed, the
 // phase index and the benchmark name). Frequency, voltage, switch
 // economics and the power model scale cycles into time and energy AFTER
 // the probe, so they are deliberately absent.
@@ -366,9 +382,10 @@ var probeCache = struct {
 const probeCacheCap = 128
 
 // probeCycles measures every phase in isolation in both modes (the
-// oracle's cost table), reusing one system per mode via sim.System.Reset
-// — bit-identical to building a fresh system per (mode, phase) cell, at
-// a fraction of the cost — and memoizing the result in probeCache.
+// oracle's cost table) by replaying its recording, reusing one system
+// per mode via sim.System.Reset — bit-identical to building a fresh
+// system per (mode, phase) cell, at a fraction of the cost — and
+// memoizing the result in probeCache.
 func (r *runner) probeCycles() ([2][]uint64, error) {
 	cfg := r.cfg
 	key := cfg.probeKey()
@@ -388,11 +405,7 @@ func (r *runner) probeCycles() ([2][]uint64, error) {
 			if p > 0 {
 				sys.Reset()
 			}
-			gen, err := cfg.phaseGenerator(p)
-			if err != nil {
-				return cycles, err
-			}
-			cycles[m][p] = sys.CPU.Run(gen, ph.Instructions).Cycles
+			cycles[m][p] = sys.CPU.Run(r.phases[p].Replay(), ph.Instructions).Cycles
 		}
 	}
 	probeCache.Lock()
@@ -489,9 +502,9 @@ func (r *runner) policy() (policyFunc, error) {
 	return nil, fmt.Errorf("dvfs: policy %s is not schedulable", cfg.Policy)
 }
 
-// schedule executes the shared phased stream chunk by chunk, consulting
-// the policy at every chunk boundary and charging switch penalties on
-// mode transitions.
+// schedule replays the recorded phases chunk by chunk, consulting the
+// policy at every chunk boundary and charging switch penalties on mode
+// transitions.
 func (r *runner) schedule(decide policyFunc) (Result, error) {
 	cfg := r.cfg
 	res := Result{
@@ -505,21 +518,13 @@ func (r *runner) schedule(decide policyFunc) (Result, error) {
 		TotalInstructions: cfg.Workload.TotalInstructions(),
 		Phases:            make([]PhaseBreakdown, len(cfg.Workload.Phases)),
 	}
+	streams := make([]*workload.Replay, len(r.phases))
 	for p, ph := range cfg.Workload.Phases {
 		res.Phases[p] = PhaseBreakdown{Index: p, Benchmark: ph.Benchmark, Instructions: ph.Instructions}
+		streams[p] = r.phases[p].Replay()
 	}
 
-	segs := make([]trace.Segment, len(cfg.Workload.Phases))
-	for p, ph := range cfg.Workload.Phases {
-		gen, err := cfg.phaseGenerator(p)
-		if err != nil {
-			return Result{}, err
-		}
-		segs[p] = trace.Segment{Gen: gen, Instructions: ph.Instructions}
-	}
-	stream := trace.NewPhased(segs)
-
-	r.runChunks(decide, &res, stream)
+	r.runChunks(decide, &res, streams)
 
 	if res.Time > 0 {
 		res.Performance = float64(res.TotalInstructions) / res.Time
@@ -529,59 +534,55 @@ func (r *runner) schedule(decide policyFunc) (Result, error) {
 	return res, nil
 }
 
-// runChunks is the scheduler's hot loop: execute the phased stream chunk
-// by chunk, consulting the policy at every boundary and charging switch
+// runChunks is the scheduler's hot loop: replay each phase's stream in
+// turn, in chunks of at most Interval instructions (a chunk never spans
+// phases), consulting the policy at every boundary and charging switch
 // penalties on transitions, accumulating into res (whose Phases slice
 // the caller pre-sized). Everything it needs — the DP plan behind an
-// oracle decide, the per-mode systems, the phase accounting slots — is
-// materialized before the first chunk, so the loop itself allocates
-// nothing (TestOracleChunkLoopAllocs pins this).
-func (r *runner) runChunks(decide policyFunc, res *Result, stream *trace.PhasedGenerator) {
+// oracle decide, the per-mode systems, the replay cursors, the phase
+// accounting slots — is materialized before the first chunk, so the
+// loop itself allocates nothing (TestOracleChunkLoopAllocs pins this).
+func (r *runner) runChunks(decide policyFunc, res *Result, streams []*workload.Replay) {
 	cfg := r.cfg
 	mode := sim.HighVoltage
 	d := decisionContext{Mode: mode}
-	left := res.TotalInstructions
-	for chunk := 0; left > 0; chunk++ {
-		d.Phase, d.Chunk = stream.Phase(), chunk
-		next := decide(d)
-		if d.HaveSample && next != mode {
-			// Transition: penalty cycles charged in the destination mode.
-			pen := float64(cfg.SwitchPenalty)
-			res.Switches++
-			res.Time += pen / r.freq[next]
-			res.Energy += r.volt[next] * r.volt[next] * pen
-			res.Phases[d.Phase].Time += pen / r.freq[next]
-			res.Phases[d.Phase].Energy += r.volt[next] * r.volt[next] * pen
-		}
-		mode = next
+	for p, stream := range streams {
+		d.Phase = p
+		pb := &res.Phases[p]
+		for left := cfg.Workload.Phases[p].Instructions; left > 0; d.Chunk++ {
+			next := decide(d)
+			if d.HaveSample && next != mode {
+				// Transition: penalty cycles charged in the destination mode.
+				pen := float64(cfg.SwitchPenalty)
+				res.Switches++
+				res.Time += pen / r.freq[next]
+				res.Energy += r.volt[next] * r.volt[next] * pen
+				pb.Time += pen / r.freq[next]
+				pb.Energy += r.volt[next] * r.volt[next] * pen
+			}
+			mode = next
 
-		n := cfg.Interval
-		if rem := stream.Remaining(); n > rem {
-			n = rem
-		}
-		if n > left {
-			n = left
-		}
-		stats := r.systems[mode].CPU.Run(stream, n)
-		left -= n
+			n := min(cfg.Interval, left)
+			stats := r.systems[mode].CPU.Run(stream, n)
+			left -= n
 
-		c := float64(stats.Cycles)
-		t, e := c/r.freq[mode], r.volt[mode]*r.volt[mode]*c
-		res.Time += t
-		res.Energy += e
-		pb := &res.Phases[d.Phase]
-		pb.Time += t
-		pb.Energy += e
-		if mode == sim.HighVoltage {
-			pb.HighCycles += stats.Cycles
-			res.HighInstructions += n
-		} else {
-			pb.LowCycles += stats.Cycles
-			res.LowInstructions += n
-		}
+			c := float64(stats.Cycles)
+			t, e := c/r.freq[mode], r.volt[mode]*r.volt[mode]*c
+			res.Time += t
+			res.Energy += e
+			pb.Time += t
+			pb.Energy += e
+			if mode == sim.HighVoltage {
+				pb.HighCycles += stats.Cycles
+				res.HighInstructions += n
+			} else {
+				pb.LowCycles += stats.Cycles
+				res.LowInstructions += n
+			}
 
-		d.Mode = mode
-		d.LastIPC = stats.IPC()
-		d.HaveSample = true
+			d.Mode = mode
+			d.LastIPC = stats.IPC()
+			d.HaveSample = true
+		}
 	}
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"math"
 	"testing"
+
+	"vccmin/internal/workload"
 )
 
 func smallParams() SimParams {
@@ -227,5 +229,26 @@ func TestRunLowVoltageDeterministic(t *testing.T) {
 		if a.Benchmarks[0].BlockDisable[i] != b.Benchmarks[0].BlockDisable[i] {
 			t.Fatalf("pair %d IPC differs across runs", i)
 		}
+	}
+}
+
+// TestFigureDriversErrorText: a benchmark that cannot be simulated fails
+// both drivers with its first job's coordinates, as the figure drivers
+// have always reported it, after every earlier benchmark has run.
+func TestFigureDriversErrorText(t *testing.T) {
+	p := smallParams()
+	p.Benchmarks = []string{"crafty", "no-such-benchmark"}
+	p.FaultPairs = 2
+	p.Instructions = 2000
+	_, lookup := workload.ByName("no-such-benchmark")
+	if lookup == nil {
+		t.Fatal("no-such-benchmark resolved")
+	}
+	want := "no-such-benchmark baseline/no-victim: " + lookup.Error()
+	if _, err := RunLowVoltage(p); err == nil || err.Error() != want {
+		t.Errorf("RunLowVoltage error %v, want %q", err, want)
+	}
+	if _, err := RunHighVoltage(p); err == nil || err.Error() != want {
+		t.Errorf("RunHighVoltage error %v, want %q", err, want)
 	}
 }

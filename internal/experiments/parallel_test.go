@@ -52,3 +52,39 @@ func TestPairsParallelismInvariance(t *testing.T) {
 		}
 	}
 }
+
+// TestFigureDriversWorkerInvariance: the Figs. 8-12 drivers replay one
+// recording per benchmark from every worker at once, and every
+// measurement must still be bit-identical at every parallelism level.
+func TestFigureDriversWorkerInvariance(t *testing.T) {
+	base := SimParams{
+		Benchmarks:   []string{"mcf", "crafty", "swim"},
+		FaultPairs:   3,
+		Instructions: 4000,
+		BaseSeed:     3,
+	}
+	type measured struct {
+		Low   []BenchLowVoltage
+		Unfit int
+		High  []BenchHighVoltage
+	}
+	measure := func(parallelism int) measured {
+		p := base
+		p.Parallelism = parallelism
+		low, err := RunLowVoltage(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		high, err := RunHighVoltage(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return measured{low.Benchmarks, low.WordDisableUnfit, high.Benchmarks}
+	}
+	want := measure(1)
+	for _, parallelism := range []int{2, 8} {
+		if got := measure(parallelism); !reflect.DeepEqual(got, want) {
+			t.Errorf("parallelism=%d: figure measurements differ from serial\n got %+v\nwant %+v", parallelism, got, want)
+		}
+	}
+}

@@ -7,17 +7,6 @@ import (
 	"vccmin/internal/sim"
 )
 
-// RunIPC executes one simulation and returns its IPC, wrapping any error
-// with the run's identifying coordinates. This is the single-run helper
-// shared by the figure drivers here.
-func RunIPC(opts sim.Options) (float64, error) {
-	r, err := sim.Run(opts)
-	if err != nil {
-		return 0, fmt.Errorf("%s %s/%s: %w", opts.Benchmark, opts.Scheme, opts.Victim, err)
-	}
-	return r.IPC, nil
-}
-
 // ipcJob is one simulation of a figure experiment: its options and the
 // result slot its IPC lands in.
 type ipcJob struct {
@@ -31,15 +20,42 @@ func (js *ipcJobs) add(dst *float64, opts sim.Options) {
 	*js = append(*js, ipcJob{dst, opts})
 }
 
-// run executes the jobs on up to workers goroutines, each writing only
-// its own slot, and returns the lowest failing job's error.
-func (js ipcJobs) run(workers int) error {
-	return par.Do(len(js), workers, nil, func(_ struct{}, i int) error {
-		ipc, err := RunIPC(js[i].opts)
+// simulate runs the figure jobs benchmark by benchmark. Every job of a
+// benchmark simulates the same instruction stream — the one of base,
+// which jobsOf(bi, base, jobs) varies only in the machine — so the
+// stream is recorded once and replayed to the jobs on up to
+// p.Parallelism goroutines, each holding one sim.Replayer and writing
+// only its own slots. One recording is live at a time. The error is the
+// lowest failing job's, in benchmark order, wrapped with the job's
+// benchmark, scheme and victim cache.
+func (p SimParams) simulate(mode sim.Mode, jobsOf func(bi int, base sim.Options, jobs *ipcJobs)) error {
+	var (
+		rec  sim.Recording
+		jobs ipcJobs
+	)
+	for bi, name := range p.Benchmarks {
+		base := sim.Options{Benchmark: name, Mode: mode, Instructions: p.Instructions, Seed: p.BaseSeed}
+		jobs = jobs[:0]
+		jobsOf(bi, base, &jobs)
+		if err := rec.Record(base); err != nil {
+			return jobError(base, err)
+		}
+		newReplayer := func() *sim.Replayer { return new(sim.Replayer) }
+		err := par.Do(len(jobs), p.Parallelism, newReplayer, func(runs *sim.Replayer, i int) error {
+			r, err := runs.Run(jobs[i].opts, &rec)
+			if err != nil {
+				return jobError(jobs[i].opts, err)
+			}
+			*jobs[i].dst = r.IPC
+			return nil
+		}, nil)
 		if err != nil {
 			return err
 		}
-		*js[i].dst = ipc
-		return nil
-	}, nil)
+	}
+	return nil
+}
+
+func jobError(opts sim.Options, err error) error {
+	return fmt.Errorf("%s %s/%s: %w", opts.Benchmark, opts.Scheme, opts.Victim, err)
 }

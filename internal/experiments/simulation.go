@@ -108,16 +108,12 @@ func RunLowVoltage(p SimParams) (*LowVoltageResults, error) {
 		}
 	}
 
-	var jobs ipcJobs
-	for bi, name := range p.Benchmarks {
-		name := name
+	err := p.simulate(sim.LowVoltage, func(bi int, base sim.Options, jobs *ipcJobs) {
 		b := &res.Benchmarks[bi]
-		b.Name = name
+		b.Name = base.Benchmark
 		b.BlockDisable = make([]float64, len(pairs))
 		b.BlockDisableVC = make([]float64, len(pairs))
 		b.BlockDisableVC6T = make([]float64, len(pairs))
-
-		base := sim.Options{Benchmark: name, Mode: sim.LowVoltage, Instructions: p.Instructions, Seed: p.BaseSeed}
 
 		o := base
 		jobs.add(&b.BaselineIPC, o)
@@ -142,9 +138,8 @@ func RunLowVoltage(p SimParams) (*LowVoltageResults, error) {
 			o.Victim = sim.Victim6T
 			jobs.add(&b.BlockDisableVC6T[pi], o)
 		}
-	}
-
-	if err := jobs.run(p.Parallelism); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -292,12 +287,9 @@ func RunHighVoltage(p SimParams) (*HighVoltageResults, error) {
 	p = p.withDefaults()
 	res := &HighVoltageResults{Params: p, Benchmarks: make([]BenchHighVoltage, len(p.Benchmarks))}
 
-	var jobs ipcJobs
-	for bi, name := range p.Benchmarks {
-		name := name
+	err := p.simulate(sim.HighVoltage, func(bi int, base sim.Options, jobs *ipcJobs) {
 		b := &res.Benchmarks[bi]
-		b.Name = name
-		base := sim.Options{Benchmark: name, Mode: sim.HighVoltage, Instructions: p.Instructions, Seed: p.BaseSeed}
+		b.Name = base.Benchmark
 		o := base
 		jobs.add(&b.BaselineIPC, o)
 		o = base
@@ -317,8 +309,8 @@ func RunHighVoltage(p SimParams) (*HighVoltageResults, error) {
 		o.Scheme = sim.BlockDisable
 		o.Victim = sim.Victim10T
 		jobs.add(&b.BlockDisableVCIPC, o)
-	}
-	if err := jobs.run(p.Parallelism); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -404,7 +404,11 @@ func (o Options) withDefaults() Options {
 }
 
 // Run builds the system for opts and simulates the benchmark, drawing
-// its instruction stream live.
+// its instruction stream live. A stream is recorded only where it is
+// replayed (Recording, Replayer): Run simulates its stream once, and
+// recording it first would cost 8 bytes per instruction of a length
+// the caller picks (a /v1/sim request's instructions has no service
+// limit), where the live stream holds constant memory.
 func Run(opts Options) (Result, error) {
 	opts = opts.withDefaults()
 	prof, err := workload.ByName(opts.Benchmark)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"vccmin/internal/core"
-	"vccmin/internal/experiments"
 	"vccmin/internal/faults"
 	"vccmin/internal/geom"
 	"vccmin/internal/power"
@@ -89,11 +88,11 @@ func (s Spec) referenceEvaluate(c Cell) (Row, error) {
 			Seed:         workSeed,
 			Machine:      &machine,
 		}
-		baseIPC, err := experiments.RunIPC(base)
+		baseRun, err := sim.Run(base)
 		if err != nil {
 			return Row{}, err
 		}
-		baseIPCs = append(baseIPCs, baseIPC)
+		baseIPCs = append(baseIPCs, baseRun.IPC)
 
 		for t := 0; t < simTrials; t++ {
 			opts := base

@@ -25,12 +25,31 @@ type SimRequest struct {
 }
 
 // Options converts the request into the simulator's option form,
-// drawing the deterministic fault-map pair fault-dependent schemes need
-// at low voltage.
+// drawing the deterministic fault-map pair block-disabling and
+// incremental word-disabling need at low voltage.
 func (req SimRequest) Options() (sim.Options, error) {
+	opts, g, err := req.options()
+	if err != nil {
+		return opts, err
+	}
+	// Draw the pair deterministically from the request's pfail and seed
+	// on the sparse fast path.
+	if opts.Mode == sim.LowVoltage &&
+		(opts.Scheme == sim.BlockDisable || opts.Scheme == sim.IncrementalWordDisable) {
+		pair := faults.GeneratePairSparse(g, g, 32, req.Pfail, faults.DeriveSeed(req.Seed, "serve-sim-pair"))
+		opts.Pair = &pair
+	}
+	return opts, nil
+}
+
+// options validates the request and converts it into the simulator's
+// option form, without the fault-map pair, and the L1 geometry the pair
+// is drawn over.
+func (req SimRequest) options() (sim.Options, geom.Geometry, error) {
 	opts := sim.Options{Benchmark: req.Benchmark, Seed: req.Seed, Instructions: req.Instructions}
+	g := experiments.ReferenceGeometry()
 	if opts.Benchmark == "" {
-		return opts, fmt.Errorf("benchmark is required")
+		return opts, g, fmt.Errorf("benchmark is required")
 	}
 	switch req.Mode {
 	case "", "low", "low-voltage":
@@ -38,40 +57,31 @@ func (req SimRequest) Options() (sim.Options, error) {
 	case "high", "high-voltage":
 		opts.Mode = sim.HighVoltage
 	default:
-		return opts, fmt.Errorf("bad mode %q (want low or high)", req.Mode)
+		return opts, g, fmt.Errorf("bad mode %q (want low or high)", req.Mode)
 	}
 	var err error
 	if req.Scheme != "" {
 		if opts.Scheme, err = sim.ParseScheme(req.Scheme); err != nil {
-			return opts, err
+			return opts, g, err
 		}
 	}
 	if req.Victim != "" {
 		if opts.Victim, err = sim.ParseVictim(req.Victim); err != nil {
-			return opts, err
+			return opts, g, err
 		}
 	}
-	g := experiments.ReferenceGeometry()
 	if req.Geometry != "" {
 		if g, err = geom.Parse(req.Geometry); err != nil {
-			return opts, err
+			return opts, g, err
 		}
 		machine := sim.Reference(opts.Mode)
 		machine.L1Size, machine.L1Ways, machine.L1BlockBytes = g.SizeBytes, g.Ways, g.BlockBytes
 		opts.Machine = &machine
 	}
 	if req.Pfail < 0 || req.Pfail >= 1 {
-		return opts, fmt.Errorf("pfail %v out of [0,1)", req.Pfail)
+		return opts, g, fmt.Errorf("pfail %v out of [0,1)", req.Pfail)
 	}
-	// Fault-dependent schemes at low voltage need a fault-map pair; draw
-	// it deterministically from the request's pfail and seed on the
-	// sparse fast path.
-	if opts.Mode == sim.LowVoltage && (opts.Scheme == sim.BlockDisable ||
-		opts.Scheme == sim.IncrementalWordDisable || opts.Scheme == sim.BitFix) {
-		pair := faults.GeneratePairSparse(g, g, 32, req.Pfail, faults.DeriveSeed(req.Seed, "serve-sim-pair"))
-		opts.Pair = &pair
-	}
-	return opts, nil
+	return opts, g, nil
 }
 
 // SimResponse summarizes one simulation run.
@@ -94,9 +104,11 @@ type SimTask struct {
 	Req SimRequest
 }
 
-// NewSimTask validates the request into a runnable task.
+// NewSimTask validates the request into a runnable task. The fault-map
+// pair is drawn when the task runs, not here: a request served from the
+// result cache never needs it.
 func NewSimTask(req SimRequest) (SimTask, error) {
-	if _, err := req.Options(); err != nil {
+	if _, _, err := req.options(); err != nil {
 		return SimTask{}, err
 	}
 	return SimTask{Req: req}, nil

@@ -167,6 +167,39 @@ func TestSimTaskMatchesDirectRun(t *testing.T) {
 	}
 }
 
+// TestNewSimTaskValidatesOnly: constructing a sim task checks the
+// request without drawing its fault-map pair, so a block-disable
+// request allocates nothing until it runs, and a bad request fails with
+// the message it always has.
+func TestNewSimTaskValidatesOnly(t *testing.T) {
+	block := SimRequest{Benchmark: "crafty", Scheme: "block", Pfail: 0.001, Seed: 4, Instructions: 3000}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := NewSimTask(block); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("NewSimTask of a block request allocates %v objects, want 0", allocs)
+	}
+
+	for _, c := range []struct {
+		req  SimRequest
+		want string
+	}{
+		{SimRequest{}, "benchmark is required"},
+		{SimRequest{Benchmark: "crafty", Mode: "mid"}, `bad mode "mid" (want low or high)`},
+		{SimRequest{Benchmark: "crafty", Scheme: "nope"}, `sim: unknown scheme "nope" (want baseline, word, block, inc-word or bitfix)`},
+		{SimRequest{Benchmark: "crafty", Victim: "nope"}, `sim: unknown victim kind "nope" (want none, 10t or 6t)`},
+		{SimRequest{Benchmark: "crafty", Geometry: "nope"}, `geom: bad geometry "nope" (want SIZExWAYSxBLOCK)`},
+		{SimRequest{Benchmark: "crafty", Scheme: "block", Pfail: 1}, "pfail 1 out of [0,1)"},
+		{SimRequest{Benchmark: "crafty", Scheme: "block", Pfail: -0.5}, "pfail -0.5 out of [0,1)"},
+	} {
+		_, err := NewSimTask(c.req)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("NewSimTask(%+v) error %v, want %q", c.req, err, c.want)
+		}
+	}
+}
+
 func tinySweepRequest() SweepRequest {
 	return SweepRequest{
 		Pfails:       []float64{0.001, 0.005},

@@ -129,7 +129,8 @@ const (
 // has always used, but a concrete inlinable value with allocation-free
 // reseeding — and its per-site branch state lives in a slice sized to
 // the profile's static branch population, so steady-state generation
-// (and Reset) never touches the heap.
+// (and re-initializing a generator for a recording) never touches the
+// heap.
 type Generator struct {
 	prof Profile
 	rng  lfrand.Source
@@ -197,23 +198,12 @@ func (g *Generator) init(prof Profile, seed int64) error {
 		cum += c.Weight / total
 		g.cumReuse = append(g.cumReuse, cum)
 	}
-	g.Reset(seed)
-	return nil
-}
-
-// Reset rewinds the generator to the state NewGenerator(prof, seed)
-// would construct, reusing every buffer: after Reset the generator
-// emits the identical stream a fresh generator for the same (profile,
-// seed) would. It allocates nothing, which is what lets the dvfs
-// scheduler's chunk loop re-run a workload without touching the heap.
-func (g *Generator) Reset(seed int64) {
-	g.rng.Seed(seed ^ int64(hash64(g.prof.Name)))
+	g.rng.Seed(seed ^ int64(hash64(prof.Name)))
 	g.pc = codeBase
 	g.coldNext = coldBase
 	g.sinceLoad = 0
-	for i := range g.sites {
-		g.sites[i] = siteState{}
-	}
+	clear(g.sites)
+	return nil
 }
 
 // MustNewGenerator is NewGenerator but panics on error.
@@ -321,8 +311,8 @@ func (g *Generator) genBranch(out *trace.Instr) {
 
 // initSite derives a site's fixed character on its first visit.
 // Everything here comes from hash mixes, never the rng, so lazily
-// initializing a site does not perturb the draw stream (Reset relies on
-// this).
+// initializing a site does not perturb the draw stream (init relies on
+// this when it rewinds a generator by clearing its sites).
 func (g *Generator) initSite(st *siteState, site uint64) {
 	siteRand := float64(hash64Mix(site+0x9E3779B9)) / float64(math.MaxUint64)
 	switch {
