@@ -42,8 +42,8 @@ func main() {
 	pfail := flag.Float64("pfail", 0.001, "per-cell failure probability for -json mode")
 	trials := flag.Int("trials", 0, "-json mode: Monte Carlo cross-check trials on the capacity task")
 	pretty := flag.Bool("pretty", true, "-json mode: indent the JSON")
-	cacheDir := clirun.ResultCacheFlag()
-	version := clirun.VersionFlag()
+	cacheDir := clirun.ResultCacheFlag(flag.CommandLine)
+	version := clirun.VersionFlag(flag.CommandLine)
 	flag.Parse()
 	if clirun.HandleVersion(version) {
 		return

@@ -70,7 +70,7 @@ func main() {
 	flag.StringVar(&cfg.input, "input", "", "parse this `go test -bench` output file instead of running benchmarks")
 	flag.StringVar(&cfg.extra, "extra", "", "comma-separated extra bench-format logs merged into the snapshot (e.g. vccmin-loadgen -bench-out)")
 	flag.BoolVar(&cfg.gate, "gate", true, "exit non-zero when a benchmark regresses past -threshold")
-	version := clirun.VersionFlag()
+	version := clirun.VersionFlag(flag.CommandLine)
 	flag.Parse()
 	if clirun.HandleVersion(version) {
 		return

@@ -40,35 +40,51 @@ import (
 	"vccmin/internal/workload"
 )
 
-func main() {
-	var (
-		workloads = flag.String("workloads", "", "multi-phase workloads, comma list (default: all builtins)")
-		schemes   = flag.String("schemes", "block,word", "low-voltage schemes, comma list (baseline,word,block,inc-word,bitfix)")
-		policies  = flag.String("policies", "", "scheduling policies, comma list (static-high,static-low,oracle,reactive,interval; default: all)")
-		victim    = flag.String("victim", "none", "victim cache (none,10t,6t)")
-		pfail     = flag.Float64("pfail", 0.001, "per-cell failure probability at the low-voltage point")
-		seed      = flag.Int64("seed", 1, "base seed for every run's random streams")
-		scale     = flag.Int("scale", 0, "rescale each workload to about this many instructions (0 = reference scale)")
-		penalty   = flag.Int("penalty", 0, "mode-switch penalty in cycles (0 = default 2000, -1 = free switches)")
-		interval  = flag.Int("interval", 0, "decision-chunk size in instructions (0 = default 2000)")
-		threshold = flag.Float64("ipc-threshold", 0, "reactive policy's high-mode IPC threshold (0 = default 0.1)")
-		workers   = flag.Int("workers", 0, "concurrent runs (0 = GOMAXPROCS); never changes results")
-		out       = flag.String("out", "", "output JSON file (empty = stdout)")
-		pretty    = flag.Bool("pretty", true, "indent the JSON (false emits the server's exact compact bytes)")
-		runs      = flag.Bool("runs", false, "include the full per-run phase accounting in the output")
-		list      = flag.Bool("list", false, "list builtin workloads and policies, then exit")
-		cacheDir  = clirun.ResultCacheFlag()
-		version   = clirun.VersionFlag()
-	)
+// options is the parsed command line: the explore request plus the
+// flags that are not request fields.
+type options struct {
+	req          tasks.DVFSExploreRequest
+	workers      int
+	out          string
+	pretty, list bool
+	cacheDir     *string
+	version      *bool
+}
+
+// parseFlags registers the command's flags on fs and parses args.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{}
+	cliflag.Bind(fs, &o.req)
 	// -policy is an alias for -policies, matching the singular-axis habit
 	// of one-policy invocations (vccmin-dvfs -policy oracle).
-	flag.StringVar(policies, "policy", "", "alias for -policies")
-	flag.Parse()
-	if clirun.HandleVersion(version) {
+	fs.Var(fs.Lookup("policies").Value, "policy", "alias for -policies")
+	fs.IntVar(&o.workers, "workers", 0, "concurrent runs (0 = GOMAXPROCS); never changes results")
+	fs.StringVar(&o.out, "out", "", "output JSON file (empty = stdout)")
+	fs.BoolVar(&o.pretty, "pretty", true, "indent the JSON (false emits the server's exact compact bytes)")
+	fs.BoolVar(&o.list, "list", false, "list builtin workloads and policies, then exit")
+	o.cacheDir = clirun.ResultCacheFlag(fs)
+	o.version = clirun.VersionFlag(fs)
+	return o, fs.Parse(args)
+}
+
+// task constructs the same task the server constructs for GET /v1/dvfs:
+// the switch-economics knobs flow through hashed task fields, so the
+// emitted "hash" really does identify the output bytes. Workers only
+// changes scheduling — it lives on the spec, outside the request, and
+// outside the canonical hash.
+func (o *options) task() (tasks.DVFSExploreTask, error) {
+	task, err := tasks.NewDVFSExploreTask(o.req)
+	task.Spec.Workers = o.workers
+	return task, err
+}
+
+func main() {
+	o, _ := parseFlags(flag.CommandLine, os.Args[1:]) // exits on a parse error
+	if clirun.HandleVersion(o.version) {
 		return
 	}
 
-	if *list {
+	if o.list {
 		fmt.Println("multi-phase workloads:")
 		for _, m := range workload.MultiPhaseProfiles() {
 			var parts []string
@@ -84,30 +100,11 @@ func main() {
 		return
 	}
 
-	// Construct the same task the server constructs for GET /v1/dvfs:
-	// the switch-economics knobs flow through hashed task fields, so the
-	// emitted "hash" really does identify the output bytes.
-	req := tasks.DVFSExploreRequest{
-		Workloads:     cliflag.Split(*workloads),
-		Schemes:       cliflag.Split(*schemes),
-		Policies:      cliflag.Split(*policies),
-		Victim:        *victim,
-		Pfail:         pfail,
-		Seed:          *seed,
-		Scale:         *scale,
-		SwitchPenalty: *penalty,
-		Interval:      *interval,
-		IPCThreshold:  *threshold,
-		IncludeRuns:   *runs,
-	}
-	task, err := tasks.NewDVFSExploreTask(req)
+	task, err := o.task()
 	if err != nil {
 		clirun.Fatal("vccmin-dvfs", err)
 	}
-	// Workers only changes scheduling — it lives on the spec, outside
-	// the request, and outside the canonical hash.
-	task.Spec.Workers = *workers
-	eng, err := clirun.NewEngine(*cacheDir)
+	eng, err := clirun.NewEngine(*o.cacheDir)
 	if err != nil {
 		clirun.Fatal("vccmin-dvfs", err)
 	}
@@ -115,7 +112,7 @@ func main() {
 	if err != nil {
 		clirun.Fatal("vccmin-dvfs", err)
 	}
-	if err := clirun.WriteOutput(*out, res.Bytes, *pretty); err != nil {
+	if err := clirun.WriteOutput(o.out, res.Bytes, o.pretty); err != nil {
 		clirun.Fatal("vccmin-dvfs", err)
 	}
 

@@ -34,7 +34,7 @@ func main() {
 	cluster := flag.Int("cluster", 1, "fault cluster size in cells (1 = uniform)")
 	dump := flag.String("dump", "", "write the drawn map to this file (JSON)")
 	load := flag.String("load", "", "inspect a map from this file instead of drawing one")
-	version := clirun.VersionFlag()
+	version := clirun.VersionFlag(flag.CommandLine)
 	flag.Parse()
 	if clirun.HandleVersion(version) {
 		return

@@ -40,80 +40,96 @@ import (
 
 	"vccmin/internal/cliflag"
 	"vccmin/internal/clirun"
+	"vccmin/internal/engine"
 	"vccmin/internal/tasks"
 )
 
+// options is the parsed command line: the fleet request plus the flags
+// that are not request fields.
+type options struct {
+	req                         tasks.FleetRequest
+	predict, sample             int
+	out, cpuprofile, memprofile string
+	pretty                      bool
+	cacheDir                    *string
+	version                     *bool
+}
+
+// parseFlags registers the command's flags on fs and parses args.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{}
+	cliflag.Bind(fs, &o.req)
+	fs.IntVar(&o.predict, "predict", 0, "run a prediction study with this measurement budget K instead of a fleet sweep")
+	fs.IntVar(&o.sample, "sample", 0, "prediction study: dies sampled across the fleet (0 = default 128)")
+	fs.StringVar(&o.out, "out", "", "output JSON file (empty = stdout)")
+	fs.BoolVar(&o.pretty, "pretty", true, "indent the JSON (false emits the server's exact compact bytes)")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write an allocation profile (post-GC heap) to this file on exit")
+	o.cacheDir = clirun.ResultCacheFlag(fs)
+	o.version = clirun.VersionFlag(fs)
+	return o, fs.Parse(args)
+}
+
+// task constructs the fleet sweep or, with -predict, the prediction
+// study over the same fleet.
+func (o *options) task() (engine.Task, error) {
+	if o.predict <= 0 {
+		t, err := tasks.NewFleetTask(o.req)
+		return t, err
+	}
+	r := o.req
+	if len(r.Schemes) > 1 {
+		return nil, fmt.Errorf("-predict takes one scheme, got %d", len(r.Schemes))
+	}
+	req := tasks.PredictRequest{
+		Dies:          r.Dies,
+		DiesPerWafer:  r.DiesPerWafer,
+		WaferSigma:    r.WaferSigma,
+		Gradient:      r.Gradient,
+		DieSigma:      r.DieSigma,
+		CapacityFloor: r.CapacityFloor,
+		Geometry:      r.Geometry,
+		Seed:          r.Seed,
+		K:             o.predict,
+		Sample:        o.sample,
+		Workers:       r.Workers,
+	}
+	if len(r.Schemes) == 1 {
+		req.Scheme = r.Schemes[0]
+	}
+	t, err := tasks.NewPredictTask(req)
+	return t, err
+}
+
 func main() {
-	var (
-		dies         = flag.Int("dies", 0, "fleet size in dies (0 = default 1000)")
-		diesPerWafer = flag.Int("dies-per-wafer", 0, "wafer capacity (0 = default 64)")
-		schemes      = flag.String("schemes", "", "schemes to certify each die under, comma list (default block,word)")
-		waferSigma   = flag.Float64("wafer-sigma", 0, "lognormal sigma of the per-wafer mean multiplier (0 = default 0.25)")
-		gradient     = flag.Float64("gradient", 0, "intra-wafer radial log-multiplier span (0 = default 0.4)")
-		dieSigma     = flag.Float64("die-sigma", 0, "lognormal sigma of the per-die noise (0 = default 0.15)")
-		floor        = flag.Float64("capacity-floor", 0, "surviving-capacity fraction a capacity scheme must retain (0 = default 0.75)")
-		vsteps       = flag.Int("vsteps", 0, "voltage grid points between Vcc-min and the floor (0 = default 33)")
-		geometry     = flag.String("geom", "", "cache geometry SIZExWAYSxBLOCK (default 32768x8x64)")
-		seed         = flag.Int64("seed", 1, "fleet base seed; every wafer and die stream derives from it")
-		includeDies  = flag.Bool("include-dies", false, "include the per-die rows in the output")
-		predict      = flag.Int("predict", 0, "run a prediction study with this measurement budget K instead of a fleet sweep")
-		sample       = flag.Int("sample", 0, "prediction study: dies sampled across the fleet (0 = default 128)")
-		workers      = flag.Int("workers", 0, "fan-out goroutines (0 = GOMAXPROCS); never changes results")
-		out          = flag.String("out", "", "output JSON file (empty = stdout)")
-		pretty       = flag.Bool("pretty", true, "indent the JSON (false emits the server's exact compact bytes)")
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memprofile   = flag.String("memprofile", "", "write an allocation profile (post-GC heap) to this file on exit")
-		cacheDir     = clirun.ResultCacheFlag()
-		version      = clirun.VersionFlag()
-	)
-	flag.Parse()
-	if clirun.HandleVersion(version) {
+	o, _ := parseFlags(flag.CommandLine, os.Args[1:]) // exits on a parse error
+	if clirun.HandleVersion(o.version) {
 		return
 	}
 
-	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
+	stopProfiles, err := startProfiles(o.cpuprofile, o.memprofile)
 	if err != nil {
 		clirun.Fatal("vccmin-fleet", err)
 	}
 	defer stopProfiles()
 
-	eng, err := clirun.NewEngine(*cacheDir)
+	eng, err := clirun.NewEngine(*o.cacheDir)
 	if err != nil {
 		clirun.Fatal("vccmin-fleet", err)
 	}
+	task, err := o.task()
+	if err != nil {
+		clirun.Fatal("vccmin-fleet", err)
+	}
+	res, err := clirun.RunTask(eng, "vccmin-fleet", task)
+	if err != nil {
+		clirun.Fatal("vccmin-fleet", err)
+	}
+	if err := clirun.WriteOutput(o.out, res.Bytes, o.pretty); err != nil {
+		clirun.Fatal("vccmin-fleet", err)
+	}
 
-	if *predict > 0 {
-		schemeList := cliflag.Split(*schemes)
-		req := tasks.PredictRequest{
-			Dies:         *dies,
-			DiesPerWafer: *diesPerWafer,
-			Geometry:     *geometry,
-			Seed:         *seed,
-			K:            *predict,
-			Sample:       *sample,
-			Workers:      *workers,
-		}
-		if len(schemeList) > 1 {
-			clirun.Fatal("vccmin-fleet", fmt.Errorf("-predict takes one scheme, got %d", len(schemeList)))
-		}
-		if len(schemeList) == 1 {
-			req.Scheme = schemeList[0]
-		}
-		setIfNonZero(&req.WaferSigma, *waferSigma)
-		setIfNonZero(&req.Gradient, *gradient)
-		setIfNonZero(&req.DieSigma, *dieSigma)
-		setIfNonZero(&req.CapacityFloor, *floor)
-		task, err := tasks.NewPredictTask(req)
-		if err != nil {
-			clirun.Fatal("vccmin-fleet", err)
-		}
-		res, err := clirun.RunTask(eng, "vccmin-fleet", task)
-		if err != nil {
-			clirun.Fatal("vccmin-fleet", err)
-		}
-		if err := clirun.WriteOutput(*out, res.Bytes, *pretty); err != nil {
-			clirun.Fatal("vccmin-fleet", err)
-		}
+	if o.predict > 0 {
 		var resp tasks.PredictResponse
 		if err := res.Decode(&resp); err != nil {
 			clirun.Fatal("vccmin-fleet", err)
@@ -122,33 +138,6 @@ func main() {
 			resp.Sample, resp.K, resp.MeanAbsError, resp.P99, resp.BracketBound)
 		return
 	}
-
-	req := tasks.FleetRequest{
-		Dies:         *dies,
-		DiesPerWafer: *diesPerWafer,
-		Schemes:      cliflag.Split(*schemes),
-		VSteps:       *vsteps,
-		Geometry:     *geometry,
-		Seed:         *seed,
-		IncludeDies:  *includeDies,
-		Workers:      *workers,
-	}
-	setIfNonZero(&req.WaferSigma, *waferSigma)
-	setIfNonZero(&req.Gradient, *gradient)
-	setIfNonZero(&req.DieSigma, *dieSigma)
-	setIfNonZero(&req.CapacityFloor, *floor)
-	task, err := tasks.NewFleetTask(req)
-	if err != nil {
-		clirun.Fatal("vccmin-fleet", err)
-	}
-	res, err := clirun.RunTask(eng, "vccmin-fleet", task)
-	if err != nil {
-		clirun.Fatal("vccmin-fleet", err)
-	}
-	if err := clirun.WriteOutput(*out, res.Bytes, *pretty); err != nil {
-		clirun.Fatal("vccmin-fleet", err)
-	}
-
 	var resp tasks.FleetResponse
 	if err := res.Decode(&resp); err != nil {
 		clirun.Fatal("vccmin-fleet", err)
@@ -197,13 +186,4 @@ func startProfiles(cpu, mem string) (func(), error) {
 			fmt.Fprintln(os.Stderr, "vccmin-fleet: wrote heap profile to", mem)
 		}
 	}, nil
-}
-
-// setIfNonZero materializes an optional float flag: 0 means "take the
-// population default" and stays nil in the request.
-func setIfNonZero(dst **float64, v float64) {
-	if v != 0 {
-		val := v
-		*dst = &val
-	}
 }

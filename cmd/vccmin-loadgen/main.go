@@ -58,7 +58,7 @@ func main() {
 		benchOut = flag.String("bench-out", "", "write go test -bench format result lines to this file (for vccmin-bench -extra)")
 		selfRate = flag.Float64("self-rate-limit", 0, "with -self: per-client rate limit of the hosted service (0 disables)")
 		selfShed = flag.Int("self-shed-watermark", 0, "with -self: admission watermark of the hosted service (0 = default)")
-		version  = clirun.VersionFlag()
+		version  = clirun.VersionFlag(flag.CommandLine)
 	)
 	flag.Parse()
 	if clirun.HandleVersion(version) {

@@ -29,82 +29,48 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"vccmin/internal/cliflag"
 	"vccmin/internal/clirun"
-	"vccmin/internal/colstore"
 	"vccmin/internal/sweep"
 	"vccmin/internal/tasks"
 )
 
+// options is the parsed command line: the query request (its sweep
+// grid's fields flattened into top-level flags) plus the flags that are
+// not request fields.
+type options struct {
+	req       tasks.QueryRequest
+	rows, out string
+	pretty    bool
+	cacheDir  *string
+	version   *bool
+}
+
+// parseFlags registers the command's flags on fs and parses args.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{}
+	cliflag.Bind(fs, &o.req)
+	fs.StringVar(&o.rows, "rows", "", "answer from this sweep checkpoint (JSONL) instead of computing")
+	fs.StringVar(&o.out, "out", "", "output JSON file (empty = stdout)")
+	fs.BoolVar(&o.pretty, "pretty", true, "indent the JSON (false emits the server's exact compact bytes)")
+	o.cacheDir = clirun.ResultCacheFlag(fs)
+	o.version = clirun.VersionFlag(fs)
+	return o, fs.Parse(args)
+}
+
 func main() {
-	var (
-		pfails     = flag.String("pfail", "1e-3", "pfail values: comma list or lo:hi:n (log-spaced)")
-		geoms      = flag.String("geom", "32768x8x64", "cache geometries, comma list of SIZExWAYSxBLOCK")
-		schemes    = flag.String("schemes", "block", "schemes, comma list (baseline,word,block,inc-word,bitfix)")
-		victims    = flag.String("victims", "none", "victim caches, comma list (none,10t,6t)")
-		grans      = flag.String("gran", "block", "disabling granularities, comma list (block,set,way)")
-		policies   = flag.String("policies", "", "DVFS policy axis, comma list; empty = classic cells only")
-		dvfsWls    = flag.String("dvfs-workloads", "", "multi-phase workloads per scheduled cell, comma list")
-		benchmarks = flag.String("benchmarks", "", "benchmarks per cell, comma list (default crafty,mcf,gzip)")
-		trials     = flag.Int("trials", 3, "fault-map pairs per cell")
-		instrs     = flag.Int("instructions", 50_000, "simulated instructions per run")
-		seed       = flag.Int64("seed", 1, "base seed for every cell's seed stream")
-		workers    = flag.Int("workers", 0, "concurrent cell evaluations when computing (0 = GOMAXPROCS); never changes results")
-		shards     = flag.Int("shards", 1, "total shard count")
-		shard      = flag.Int("shard", 0, "this run's shard index in [0,shards)")
-		rowsPath   = flag.String("rows", "", "answer from this sweep checkpoint (JSONL) instead of computing")
-		groupBy    = flag.String("group-by", "", "axes to group by, comma list of "+strings.Join(colstore.Axes, ","))
-		metrics    = flag.String("metrics", "", "metrics to aggregate, comma list (default "+strings.Join(tasks.DefaultQueryMetrics, ",")+")")
-		where      = flag.String("where", "", "equality filters, comma list of axis=value")
-		pfailMin   = flag.Float64("pfail-min", 0, "keep rows with pfail >= this (0 = no lower bound)")
-		pfailMax   = flag.Float64("pfail-max", 0, "keep rows with pfail <= this (0 = no upper bound)")
-		out        = flag.String("out", "", "output JSON file (empty = stdout)")
-		pretty     = flag.Bool("pretty", true, "indent the JSON (false emits the server's exact compact bytes)")
-		cacheDir   = clirun.ResultCacheFlag()
-		version    = clirun.VersionFlag()
-	)
-	flag.Parse()
-	if clirun.HandleVersion(version) {
+	o, _ := parseFlags(flag.CommandLine, os.Args[1:]) // exits on a parse error
+	if clirun.HandleVersion(o.version) {
 		return
 	}
 
-	req := tasks.QueryRequest{
-		Sweep: tasks.SweepRequest{
-			Geometries:    cliflag.Split(*geoms),
-			Schemes:       cliflag.Split(*schemes),
-			Victims:       cliflag.Split(*victims),
-			Granularities: cliflag.Split(*grans),
-			Policies:      cliflag.Split(*policies),
-			DVFSWorkloads: cliflag.Split(*dvfsWls),
-			Benchmarks:    cliflag.Split(*benchmarks),
-			Trials:        *trials,
-			Instructions:  *instrs,
-			BaseSeed:      *seed,
-			Workers:       *workers,
-			ShardIndex:    *shard,
-			ShardCount:    *shards,
-		},
-		GroupBy: cliflag.Split(*groupBy),
-		Metrics: cliflag.Split(*metrics),
-	}
-	var err error
-	if req.Sweep.Pfails, err = cliflag.ParsePfails(*pfails); err != nil {
-		clirun.Fatal("vccmin-query", err)
-	}
-	if req.Where, err = parseWhere(*where); err != nil {
-		clirun.Fatal("vccmin-query", err)
-	}
-	setIfNonZero(&req.PfailMin, *pfailMin)
-	setIfNonZero(&req.PfailMax, *pfailMax)
-
-	task, err := tasks.NewQueryTask(req)
+	task, err := tasks.NewQueryTask(o.req)
 	if err != nil {
 		clirun.Fatal("vccmin-query", err)
 	}
-	if *rowsPath != "" {
-		f, err := os.Open(*rowsPath)
+	if o.rows != "" {
+		f, err := os.Open(o.rows)
 		if err != nil {
 			clirun.Fatal("vccmin-query", err)
 		}
@@ -118,7 +84,7 @@ func main() {
 		}
 	}
 
-	eng, err := clirun.NewEngine(*cacheDir)
+	eng, err := clirun.NewEngine(*o.cacheDir)
 	if err != nil {
 		clirun.Fatal("vccmin-query", err)
 	}
@@ -126,7 +92,7 @@ func main() {
 	if err != nil {
 		clirun.Fatal("vccmin-query", err)
 	}
-	if err := clirun.WriteOutput(*out, res.Bytes, *pretty); err != nil {
+	if err := clirun.WriteOutput(o.out, res.Bytes, o.pretty); err != nil {
 		clirun.Fatal("vccmin-query", err)
 	}
 	var resp tasks.QueryResponse
@@ -135,34 +101,4 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "query: %d rows, %d matched, %d groups (sweep %s, query %s)\n",
 		resp.Rows, resp.Matched, len(resp.Groups), resp.SweepHash, resp.Hash)
-}
-
-// parseWhere parses "axis=value,axis=value" into the request's filter
-// map. Axis validity is checked by the task constructor, not here.
-func parseWhere(s string) (map[string]string, error) {
-	parts := cliflag.Split(s)
-	if len(parts) == 0 {
-		return nil, nil
-	}
-	m := make(map[string]string, len(parts))
-	for _, p := range parts {
-		k, v, ok := strings.Cut(p, "=")
-		if !ok || k == "" {
-			return nil, fmt.Errorf("bad -where element %q: want axis=value", p)
-		}
-		if _, dup := m[k]; dup {
-			return nil, fmt.Errorf("duplicate -where axis %q", k)
-		}
-		m[k] = v
-	}
-	return m, nil
-}
-
-// setIfNonZero materializes an optional bound flag: 0 means "no bound"
-// and stays nil in the request.
-func setIfNonZero(dst **float64, v float64) {
-	if v != 0 {
-		val := v
-		*dst = &val
-	}
 }

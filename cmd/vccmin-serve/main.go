@@ -67,7 +67,7 @@ func main() {
 		hdrTimeout = flag.Duration("read-header-timeout", 10*time.Second, "slowloris guard: how long a connection may take to send its header")
 		maxHeader  = flag.Int("max-header-bytes", 1<<20, "largest accepted request-header block")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
-		version    = clirun.VersionFlag()
+		version    = clirun.VersionFlag(flag.CommandLine)
 	)
 	flag.Parse()
 	if clirun.HandleVersion(version) {

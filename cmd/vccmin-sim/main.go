@@ -22,66 +22,76 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
+	"vccmin/internal/cliflag"
 	"vccmin/internal/clirun"
 	"vccmin/internal/experiments"
 	"vccmin/internal/tasks"
 	"vccmin/internal/textplot"
 )
 
-func main() {
-	figFlag := flag.String("fig", "", "figure to run (8, 9, 10, 11, 12); empty = all")
-	benchmarks := flag.String("benchmarks", "", "comma-separated benchmark subset; empty = all 26")
-	pairs := flag.Int("pairs", 50, "random fault-map pairs per block-disable configuration")
-	instructions := flag.Int("instructions", 200_000, "instructions per simulation run")
-	pfail := flag.Float64("pfail", 0.001, "per-cell failure probability below Vcc-min")
-	seed := flag.Int64("seed", 1, "base random seed")
-	plot := flag.Bool("plot", true, "render terminal plots in addition to tables")
-	benchmark := flag.String("benchmark", "", "single-run mode: simulate one benchmark and print JSON")
-	mode := flag.String("mode", "low", "single-run mode: voltage domain (low,high)")
-	scheme := flag.String("scheme", "", "single-run mode: mitigation scheme (baseline,word,block,inc-word,bitfix)")
-	victim := flag.String("victim", "", "single-run mode: victim cache (none,10t,6t)")
-	geometry := flag.String("geom", "", "single-run mode: L1 geometry SIZExWAYSxBLOCK (empty = reference)")
-	pretty := flag.Bool("pretty", true, "single-run mode: indent the JSON")
-	cacheDir := clirun.ResultCacheFlag()
-	version := clirun.VersionFlag()
-	flag.Parse()
-	if clirun.HandleVersion(version) {
-		return
-	}
+// options is the parsed command line: the single-run sim request, whose
+// pfail, seed and instructions figure mode reads too, plus the flags
+// that are not request fields.
+type options struct {
+	req          tasks.SimRequest
+	fig          string
+	benchmarks   string
+	pairs        int
+	plot, pretty bool
+	cacheDir     *string
+	version      *bool
+}
 
-	if *benchmark != "" {
-		runSingle(tasks.SimRequest{
-			Benchmark:    *benchmark,
-			Mode:         *mode,
-			Scheme:       *scheme,
-			Victim:       *victim,
-			Geometry:     *geometry,
-			Pfail:        *pfail,
-			Seed:         *seed,
-			Instructions: *instructions,
-		}, *cacheDir, *pretty)
-		return
-	}
+// parseFlags registers the command's flags on fs and parses args. The
+// request starts from the command's defaults rather than from zero,
+// because the sim task hashes its request verbatim.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{req: tasks.SimRequest{Mode: "low", Pfail: 0.001, Seed: 1, Instructions: 200_000}}
+	cliflag.Bind(fs, &o.req)
+	fs.StringVar(&o.fig, "fig", "", "figure to run (8, 9, 10, 11, 12); empty = all")
+	fs.StringVar(&o.benchmarks, "benchmarks", "", "comma-separated benchmark subset; empty = all 26")
+	fs.IntVar(&o.pairs, "pairs", 50, "random fault-map pairs per block-disable configuration")
+	fs.BoolVar(&o.plot, "plot", true, "render terminal plots in addition to tables")
+	fs.BoolVar(&o.pretty, "pretty", true, "single-run mode: indent the JSON")
+	o.cacheDir = clirun.ResultCacheFlag(fs)
+	o.version = clirun.VersionFlag(fs)
+	return o, fs.Parse(args)
+}
 
+// simParams is figure mode's experiment configuration.
+func (o *options) simParams() experiments.SimParams {
 	p := experiments.DefaultSimParams()
-	p.FaultPairs = *pairs
-	p.Instructions = *instructions
-	p.Pfail = *pfail
-	p.BaseSeed = *seed
-	if *benchmarks != "" {
-		p.Benchmarks = strings.Split(*benchmarks, ",")
+	p.FaultPairs = o.pairs
+	p.Instructions = o.req.Instructions
+	p.Pfail = o.req.Pfail
+	p.BaseSeed = o.req.Seed
+	if b := cliflag.Split(o.benchmarks); len(b) > 0 {
+		p.Benchmarks = b
+	}
+	return p
+}
+
+func main() {
+	o, _ := parseFlags(flag.CommandLine, os.Args[1:]) // exits on a parse error
+	if clirun.HandleVersion(o.version) {
+		return
 	}
 
+	if o.req.Benchmark != "" {
+		runSingle(o.req, *o.cacheDir, o.pretty)
+		return
+	}
+
+	p := o.simParams()
 	want := map[string]bool{}
-	if *figFlag == "" {
+	if o.fig == "" {
 		for _, f := range []string{"8", "9", "10", "11", "12"} {
 			want[f] = true
 		}
 	} else {
-		want[*figFlag] = true
+		want[o.fig] = true
 	}
 
 	if want["8"] || want["9"] || want["10"] {
@@ -98,13 +108,13 @@ func main() {
 				lv.WordDisableUnfit, p.FaultPairs)
 		}
 		if want["8"] {
-			printFigure(lv.Fig8(), *plot)
+			printFigure(lv.Fig8(), o.plot)
 		}
 		if want["9"] {
-			printFigure(lv.Fig9(), *plot)
+			printFigure(lv.Fig9(), o.plot)
 		}
 		if want["10"] {
-			printFigure(lv.Fig10(), *plot)
+			printFigure(lv.Fig10(), o.plot)
 		}
 	}
 	if want["11"] || want["12"] {
@@ -114,10 +124,10 @@ func main() {
 			os.Exit(1)
 		}
 		if want["11"] {
-			printFigure(hv.Fig11(), *plot)
+			printFigure(hv.Fig11(), o.plot)
 		}
 		if want["12"] {
-			printFigure(hv.Fig12(), *plot)
+			printFigure(hv.Fig12(), o.plot)
 		}
 	}
 }

@@ -31,135 +31,99 @@
 package main
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strings"
 
 	"vccmin/internal/cliflag"
 	"vccmin/internal/clirun"
-	"vccmin/internal/dvfs"
-	"vccmin/internal/geom"
-	"vccmin/internal/prob"
-	"vccmin/internal/sim"
 	"vccmin/internal/sweep"
 	"vccmin/internal/tasks"
 )
 
+// options is the parsed command line: the sweep request plus the flags
+// that are not request fields.
+type options struct {
+	req             tasks.SweepRequest
+	out, summarize  string
+	resume, summary bool
+	cacheDir        *string
+	version         *bool
+}
+
+// parseFlags registers the command's flags on fs and parses args.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{}
+	cliflag.Bind(fs, &o.req)
+	fs.StringVar(&o.out, "out", "", "output JSONL file (empty = stdout, no resume)")
+	fs.BoolVar(&o.resume, "resume", false, "skip cells already present in -out")
+	fs.BoolVar(&o.summary, "summary", true, "print per-axis summaries after the run")
+	fs.StringVar(&o.summarize, "summarize", "", "only aggregate an existing JSONL file and exit")
+	o.cacheDir = clirun.ResultCacheFlag(fs)
+	o.version = clirun.VersionFlag(fs)
+	return o, fs.Parse(args)
+}
+
 func main() {
-	var (
-		pfails     = flag.String("pfail", "1e-3", "pfail values: comma list or lo:hi:n (log-spaced)")
-		geoms      = flag.String("geom", "32768x8x64", "cache geometries, comma list of SIZExWAYSxBLOCK")
-		schemes    = flag.String("schemes", "block", "schemes, comma list (baseline,word,block,inc-word,bitfix)")
-		victims    = flag.String("victims", "none", "victim caches, comma list (none,10t,6t)")
-		grans      = flag.String("gran", "block", "disabling granularities, comma list (block,set,way)")
-		policies   = flag.String("policies", "", "DVFS policy axis, comma list (static-high,static-low,oracle,reactive,interval); empty = classic cells only")
-		dvfsWls    = flag.String("dvfs-workloads", "", "multi-phase workloads per scheduled cell, comma list (default compute-memory-swing)")
-		benchmarks = flag.String("benchmarks", "", "benchmarks per cell, comma list (default crafty,mcf,gzip)")
-		trials     = flag.Int("trials", 3, "fault-map pairs per cell")
-		instrs     = flag.Int("instructions", 50_000, "simulated instructions per run")
-		seed       = flag.Int64("seed", 1, "base seed for every cell's seed stream")
-		workers    = flag.Int("workers", 0, "concurrent cell evaluations (0 = GOMAXPROCS)")
-		shards     = flag.Int("shards", 1, "total shard count")
-		shard      = flag.Int("shard", 0, "this run's shard index in [0,shards)")
-		out        = flag.String("out", "", "output JSONL file (empty = stdout, no resume)")
-		resume     = flag.Bool("resume", false, "skip cells already present in -out")
-		summary    = flag.Bool("summary", true, "print per-axis summaries after the run")
-		summarize  = flag.String("summarize", "", "only aggregate an existing JSONL file and exit")
-		cacheDir   = clirun.ResultCacheFlag()
-		version    = clirun.VersionFlag()
-	)
-	flag.Parse()
-	if clirun.HandleVersion(version) {
+	o, _ := parseFlags(flag.CommandLine, os.Args[1:]) // exits on a parse error
+	if clirun.HandleVersion(o.version) {
 		return
 	}
 
-	if *summarize != "" {
-		if err := summarizeFile(*summarize); err != nil {
-			fatal(err)
+	if o.summarize != "" {
+		if err := summarizeFile(o.summarize); err != nil {
+			clirun.Fatal("vccmin-sweep", err)
 		}
 		return
 	}
 
-	spec := sweep.Spec{
-		Trials:       *trials,
-		Instructions: *instrs,
-		BaseSeed:     *seed,
-		Workers:      *workers,
-		ShardIndex:   *shard,
-		ShardCount:   *shards,
+	task, err := tasks.NewSweepRunTask(o.req)
+	if err != nil {
+		clirun.Fatal("vccmin-sweep", err)
 	}
-	var err error
-	if spec.Pfails, err = cliflag.ParsePfails(*pfails); err != nil {
-		fatal(err)
-	}
-	if spec.Geometries, err = parseGeoms(*geoms); err != nil {
-		fatal(err)
-	}
-	if spec.Schemes, err = cliflag.ParseList(*schemes, sim.ParseScheme); err != nil {
-		fatal(err)
-	}
-	if spec.Victims, err = cliflag.ParseList(*victims, sim.ParseVictim); err != nil {
-		fatal(err)
-	}
-	if spec.Granularities, err = cliflag.ParseList(*grans, prob.ParseGranularity); err != nil {
-		fatal(err)
-	}
-	if *policies != "" {
-		if spec.Policies, err = cliflag.ParseList(*policies, dvfs.ParsePolicy); err != nil {
-			fatal(err)
-		}
-	}
-	if *dvfsWls != "" {
-		spec.DVFSWorkloads = strings.Split(*dvfsWls, ",")
-	}
-	if *benchmarks != "" {
-		spec.Benchmarks = strings.Split(*benchmarks, ",")
-	}
-
+	spec := task.Spec
 	var res *sweep.Result
 	switch {
-	case *resume && *out == "":
-		fatal(fmt.Errorf("-resume needs -out"))
-	case *cacheDir != "" && *resume:
-		fatal(fmt.Errorf("-result-cache and -resume are exclusive: the engine store already skips completed work"))
-	case *cacheDir != "":
-		if err := runViaEngine(spec, *cacheDir, *out, *summary); err != nil {
-			fatal(err)
+	case o.resume && o.out == "":
+		clirun.Fatal("vccmin-sweep", fmt.Errorf("-resume needs -out"))
+	case *o.cacheDir != "" && o.resume:
+		clirun.Fatal("vccmin-sweep", fmt.Errorf("-result-cache and -resume are exclusive: the engine store already skips completed work"))
+	case *o.cacheDir != "":
+		if err := runViaEngine(task, *o.cacheDir, o.out, o.summary); err != nil {
+			clirun.Fatal("vccmin-sweep", err)
 		}
 		return
-	case *resume:
+	case o.resume:
 		// ResumeFile loads the checkpoint, truncates any torn final line
 		// and appends the missing cells on the valid prefix's boundary.
-		res, err = sweep.ResumeFile(spec, *out, sweep.RunOptions{})
+		res, err = sweep.ResumeFile(spec, o.out, sweep.RunOptions{})
 		if err != nil {
-			fatal(err)
+			clirun.Fatal("vccmin-sweep", err)
 		}
 		if res.ResumeTornBytes > 0 {
 			fmt.Fprintf(os.Stderr, "sweep: dropped %d bytes of torn final line from %s (valid prefix %d bytes)\n",
-				res.ResumeTornBytes, *out, res.ResumeValidBytes)
+				res.ResumeTornBytes, o.out, res.ResumeValidBytes)
 		}
 	default:
 		opt := sweep.RunOptions{Out: os.Stdout}
-		if *out != "" {
-			f, err := os.OpenFile(*out, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+		if o.out != "" {
+			f, err := os.OpenFile(o.out, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 			if err != nil {
-				fatal(err)
+				clirun.Fatal("vccmin-sweep", err)
 			}
 			defer f.Close()
 			opt.Out = f
 		}
 		res, err = sweep.Run(spec, opt)
 		if err != nil {
-			fatal(err)
+			clirun.Fatal("vccmin-sweep", err)
 		}
 	}
 	fmt.Fprintf(os.Stderr, "sweep: grid %d cells, shard %d/%d owns %d: computed %d, skipped %d (resume)\n",
-		res.TotalCells, *shard, *shards, res.ShardCells, res.Computed, res.Skipped)
-	if *summary && len(res.Summary) > 0 {
+		res.TotalCells, spec.ShardIndex, spec.ShardCount, res.ShardCells, res.Computed, res.Skipped)
+	if o.summary && len(res.Summary) > 0 {
 		printSummary(res.Summary)
 	}
 }
@@ -169,12 +133,7 @@ func main() {
 // spec's canonical hash in the store under cacheDir, so a repeated
 // invocation replays stored bytes instead of re-simulating. Rows are
 // emitted as the same JSONL stream the direct path writes.
-func runViaEngine(spec sweep.Spec, cacheDir, out string, summary bool) error {
-	spec = spec.WithDefaults()
-	if err := spec.Check(); err != nil {
-		return err
-	}
-	task := tasks.SweepRunTask{Spec: spec}
+func runViaEngine(task tasks.SweepRunTask, cacheDir, out string, summary bool) error {
 	eng, err := clirun.NewEngine(cacheDir)
 	if err != nil {
 		return err
@@ -187,38 +146,27 @@ func runViaEngine(spec sweep.Spec, cacheDir, out string, summary bool) error {
 	if err := res.Decode(&resp); err != nil {
 		return err
 	}
-	w := io.Writer(os.Stdout)
-	if out != "" {
-		f, err := os.OpenFile(out, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	bw := bufio.NewWriter(w)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	for _, row := range resp.Rows {
-		b, err := json.Marshal(row)
-		if err != nil {
-			return err
-		}
-		if _, err := bw.Write(append(b, '\n')); err != nil {
+		if err := enc.Encode(row); err != nil {
 			return err
 		}
 	}
-	if err := bw.Flush(); err != nil {
+	if out == "" {
+		_, err = os.Stdout.Write(buf.Bytes())
+	} else {
+		err = os.WriteFile(out, buf.Bytes(), 0o644)
+	}
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "sweep: grid %d cells, shard %d/%d owns %d: computed %d (hash %s, source %s)\n",
-		resp.TotalCells, spec.ShardIndex, spec.ShardCount, resp.ShardCells, resp.Computed, resp.Hash, res.Source)
+		resp.TotalCells, task.Spec.ShardIndex, task.Spec.ShardCount, resp.ShardCells, resp.Computed, resp.Hash, res.Source)
 	if summary && len(resp.Summary) > 0 {
 		printSummary(resp.Summary)
 	}
 	return nil
-}
-
-func parseGeoms(s string) ([]geom.Geometry, error) {
-	return cliflag.ParseList(s, geom.Parse)
 }
 
 func summarizeFile(path string) error {
@@ -244,9 +192,4 @@ func printSummary(groups []sweep.AxisSummary) {
 			g.Axis, g.Value, g.Cells,
 			100*g.MeanExpectedCapacity, 100*g.MeanIPCDegradation, g.MeanEnergyPerInstruction)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "vccmin-sweep:", err)
-	os.Exit(1)
 }

@@ -1,7 +1,11 @@
-// Package cliflag holds the comma-separated-list parsing shared by the
-// CLIs and the HTTP query layer, so axis syntax cannot drift between
-// surfaces: empty elements are skipped, surrounding whitespace is
-// trimmed, and element parsing stops at the first error.
+// Package cliflag binds text to the internal/tasks request structs,
+// so each request field is declared once, in its struct, for every
+// text surface: Walk visits a struct's json-tagged fields, Set parses
+// one text value into a field, and both the service's GET query binder
+// and Bind, which registers a struct's fields as command-line flags, go
+// through them. List syntax cannot drift between surfaces: empty
+// elements are skipped, surrounding whitespace is trimmed, and element
+// parsing stops at the first error.
 package cliflag
 
 import (
@@ -55,9 +59,18 @@ func ParsePfails(s string) ([]float64, error) {
 		out[n-1] = hi // exact endpoint despite float rounding
 		return out, nil
 	}
-	return ParseList(s, func(v string) (float64, error) {
-		return strconv.ParseFloat(v, 64)
-	})
+	return ParseList(s, parseFloat)
+}
+
+// parseFloat is strconv.ParseFloat without NaN and the infinities: no
+// request field takes one, JSON cannot carry one, and a canonical hash
+// cannot digest one.
+func parseFloat(s string) (float64, error) {
+	x, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(x) || math.IsInf(x, 0)) {
+		return 0, fmt.Errorf("%q is not a finite number", s)
+	}
+	return x, err
 }
 
 // parseRange recognizes lo:hi:n.
@@ -66,8 +79,8 @@ func parseRange(s string) (lo, hi float64, n int, ok bool) {
 	if len(parts) != 3 {
 		return 0, 0, 0, false
 	}
-	lo, err1 := strconv.ParseFloat(parts[0], 64)
-	hi, err2 := strconv.ParseFloat(parts[1], 64)
+	lo, err1 := parseFloat(parts[0])
+	hi, err2 := parseFloat(parts[1])
 	n, err3 := strconv.Atoi(parts[2])
 	if err1 != nil || err2 != nil || err3 != nil {
 		return 0, 0, 0, false

@@ -90,3 +90,13 @@ func TestParseListStopsAtFirstError(t *testing.T) {
 		t.Fatalf("parse called %d times, want 2 (a then failing b)", calls)
 	}
 }
+
+// TestParsePfailsRejectsNonFinite pins that no spelling of NaN or an
+// infinity reaches a pfail axis, in a list or a range.
+func TestParsePfailsRejectsNonFinite(t *testing.T) {
+	for _, s := range []string{"NaN", "1e-3,inf", "-Inf", "1e-4:NaN:3", "nan:1e-3:2", "1e-4:Infinity:2"} {
+		if got, err := ParsePfails(s); err == nil {
+			t.Errorf("ParsePfails(%q) = %v, want an error", s, got)
+		}
+	}
+}

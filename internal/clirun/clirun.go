@@ -22,9 +22,9 @@ import (
 	"vccmin/internal/engine"
 )
 
-// VersionFlag registers the standard -version flag.
-func VersionFlag() *bool {
-	return flag.Bool("version", false, "print the build version and exit")
+// VersionFlag registers the standard -version flag on fs.
+func VersionFlag(fs *flag.FlagSet) *bool {
+	return fs.Bool("version", false, "print the build version and exit")
 }
 
 // HandleVersion prints the build line and reports whether the caller
@@ -37,9 +37,9 @@ func HandleVersion(set *bool) bool {
 	return true
 }
 
-// ResultCacheFlag registers the standard -result-cache flag.
-func ResultCacheFlag() *string {
-	return flag.String("result-cache", "",
+// ResultCacheFlag registers the standard -result-cache flag on fs.
+func ResultCacheFlag(fs *flag.FlagSet) *string {
+	return fs.String("result-cache", "",
 		"content-addressed result store directory (reused across runs; empty = in-memory only)")
 }
 

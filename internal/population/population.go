@@ -149,9 +149,9 @@ func (s FleetSpec) Check() error {
 		return fmt.Errorf("population: dies_per_wafer must be positive, got %d", s.DiesPerWafer)
 	case s.VSteps < 2:
 		return fmt.Errorf("population: vsteps %d below minimum 2", s.VSteps)
-	case s.CapacityFloor < 0 || s.CapacityFloor > 1:
+	case !(s.CapacityFloor >= 0 && s.CapacityFloor <= 1):
 		return fmt.Errorf("population: capacity_floor %v out of [0,1]", s.CapacityFloor)
-	case s.Variation.WaferSigma < 0 || s.Variation.Gradient < 0 || s.Variation.DieSigma < 0:
+	case !(s.Variation.WaferSigma >= 0 && s.Variation.Gradient >= 0 && s.Variation.DieSigma >= 0):
 		return fmt.Errorf("population: variation parameters must be non-negative, got %+v", s.Variation)
 	case s.Geom.BlockBytes > 128:
 		return fmt.Errorf("population: block size %d B exceeds the fault model's 128 B bound", s.Geom.BlockBytes)

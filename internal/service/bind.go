@@ -5,8 +5,6 @@ import (
 	"net/http"
 	"net/url"
 	"reflect"
-	"strconv"
-	"strings"
 
 	"vccmin/internal/cliflag"
 	"vccmin/internal/engine"
@@ -19,54 +17,23 @@ import (
 // limits before anything is queued or computed.
 
 // bindQuery fills the struct v points to from query parameters, one
-// parameter per exported field, named by the field's json tag. Absent
-// or empty parameters leave the field at its starting value, so a
-// caller's pre-set fields act as GET-only defaults. A value that does
-// not parse is reported as `bad <name> "<value>"`.
-//
-// Field types: string; []string (comma list); int; int64 (full 64-bit
-// range, so seeds never truncate); float64; *float64 (nil when absent);
-// bool (1/0/true/false).
+// parameter per field cliflag.Walk visits, named by the field's json
+// tag and parsed by cliflag.Set — the walk and parser the CLIs' flags
+// bind through. Absent or empty parameters leave the field at its
+// starting value, so a caller's pre-set fields act as GET-only
+// defaults. A value that does not parse is reported as
+// `bad <name> "<value>"`.
 func bindQuery(q url.Values, v any) error {
-	rv := reflect.ValueOf(v).Elem()
-	rt := rv.Type()
-	for i := 0; i < rt.NumField(); i++ {
-		name, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ",")
+	return cliflag.Walk(v, func(name string, _ reflect.StructTag, f reflect.Value) error {
 		raw := q.Get(name)
-		if name == "" || name == "-" || raw == "" {
-			continue
+		if raw == "" {
+			return nil
 		}
-		if err := setField(rv.Field(i), raw); err != nil {
+		if err := cliflag.Set(f, raw); err != nil {
 			return fmt.Errorf("bad %s %q", name, raw)
 		}
-	}
-	return nil
-}
-
-// setField parses raw into one bindable field.
-func setField(f reflect.Value, raw string) error {
-	var err error
-	switch p := f.Addr().Interface().(type) {
-	case *string:
-		*p = raw
-	case *[]string:
-		*p = cliflag.Split(raw)
-	case *int:
-		*p, err = strconv.Atoi(raw)
-	case *int64:
-		*p, err = strconv.ParseInt(raw, 10, 64)
-	case *float64:
-		*p, err = strconv.ParseFloat(raw, 64)
-	case **float64:
-		var x float64
-		x, err = strconv.ParseFloat(raw, 64)
-		*p = &x
-	case *bool:
-		*p, err = strconv.ParseBool(raw)
-	default:
-		panic(fmt.Sprintf("service: cannot bind query parameter into %s", f.Type()))
-	}
-	return err
+		return nil
+	})
 }
 
 // getTask is the handler of a GET route whose query binds into the task

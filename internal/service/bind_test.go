@@ -2,6 +2,8 @@ package service
 
 import (
 	"bufio"
+	"flag"
+	"io"
 	"math"
 	"net/url"
 	"os"
@@ -11,6 +13,8 @@ import (
 	"strings"
 	"testing"
 
+	"vccmin/internal/cliflag"
+	"vccmin/internal/engine"
 	"vccmin/internal/tasks"
 )
 
@@ -66,6 +70,73 @@ func TestBindQuery(t *testing.T) {
 		if err := bindQuery(q, &bindAll{}); err == nil || err.Error() != msg {
 			t.Errorf("%s: %v, want %q", raw, err, msg)
 		}
+	}
+}
+
+// FuzzBindSurfaces feeds one set of name=value pairs to both text
+// surfaces of the two requests a GET route and a CLI both bind,
+// FleetRequest and DVFSExploreRequest: the GET query (bindQuery) and the
+// command line (cliflag.Bind, then flag parsing). Both must fail to
+// parse, or both must construct tasks with the same canonical hash or
+// the same error text.
+func FuzzBindSurfaces(f *testing.F) {
+	f.Add(false, "dies=500&schemes=block, word&wafer_sigma=0.3&include_dies=1&seed=7")
+	f.Add(false, "dies=-5&vsteps=x&gradient=0&capacity_floor=1.5&geom=1x1x1&workers=3")
+	f.Add(false, "die_sigma=NaN&dies_per_wafer=0&seed=9223372036854775808")
+	f.Add(true, "policies=oracle&seed=-1&runs=true&pfail=2e-3")
+	f.Add(true, "workloads=bursty-server&schemes=block&victim=10t&penalty=-1&ipc_threshold=0.2&scale=4000&interval=7")
+	f.Add(true, "policies=none&runs=2&pfail=1")
+	f.Fuzz(func(t *testing.T, dvfs bool, pairs string) {
+		if dvfs {
+			bindSurfacesAgree(t, pairs, tasks.NewDVFSExploreTask)
+		} else {
+			bindSurfacesAgree(t, pairs, tasks.NewFleetTask)
+		}
+	})
+}
+
+// bindSurfacesAgree binds the pairs of "name=value&..." that name a
+// field of R (empty values and repeats dropped, as a GET drops them)
+// through both surfaces and constructs a task from each.
+func bindSurfacesAgree[R any, T engine.Task](t *testing.T, pairs string, build func(R) (T, error)) {
+	var get, cli R
+	names := map[string]bool{}
+	cliflag.Walk(&get, func(name string, _ reflect.StructTag, _ reflect.Value) error {
+		names[name] = true
+		return nil
+	})
+	q := url.Values{}
+	var args []string
+	for _, p := range strings.Split(pairs, "&") {
+		k, v, _ := strings.Cut(p, "=")
+		if !names[k] || v == "" || q.Has(k) {
+			continue
+		}
+		q.Set(k, v)
+		args = append(args, "-"+strings.ReplaceAll(k, "_", "-")+"="+v)
+	}
+	getErr := bindQuery(q, &get)
+	fs := flag.NewFlagSet("cli", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	cliflag.Bind(fs, &cli)
+	cliErr := fs.Parse(args)
+	if (getErr == nil) != (cliErr == nil) {
+		t.Fatalf("%q: GET binds with error %v, the CLI with %v", pairs, getErr, cliErr)
+	}
+	if getErr != nil {
+		return
+	}
+	gt, gerr := build(get)
+	ct, cerr := build(cli)
+	switch {
+	case (gerr == nil) != (cerr == nil):
+		t.Fatalf("%q: GET constructs with error %v, the CLI with %v", pairs, gerr, cerr)
+	case gerr != nil:
+		if gerr.Error() != cerr.Error() {
+			t.Fatalf("%q: GET error %q, CLI error %q", pairs, gerr, cerr)
+		}
+	case gt.CanonicalHash() != ct.CanonicalHash():
+		t.Fatalf("%q: GET hash %s, CLI hash %s", pairs, gt.CanonicalHash(), ct.CanonicalHash())
 	}
 }
 

@@ -128,7 +128,7 @@ func (s Spec) Check() error {
 		return fmt.Errorf("sweep: shard index %d out of range [0,%d)", s.ShardIndex, s.ShardCount)
 	}
 	for _, p := range s.Pfails {
-		if p < 0 || p >= 1 {
+		if !(p >= 0 && p < 1) {
 			return fmt.Errorf("sweep: pfail %v out of [0,1)", p)
 		}
 	}
@@ -142,6 +142,11 @@ func (s Spec) Check() error {
 			if _, err := workload.MultiPhaseByName(w); err != nil {
 				return fmt.Errorf("sweep: %w", err)
 			}
+		}
+	}
+	for _, b := range s.Benchmarks {
+		if _, err := workload.ByName(b); err != nil {
+			return fmt.Errorf("sweep: %w", err)
 		}
 	}
 	return nil

@@ -74,7 +74,7 @@ func NewCapacityTask(req CapacityRequest) (CapacityTask, error) {
 		return CapacityTask{}, err
 	}
 	n := req.normalized()
-	if p := *n.Pfail; p < 0 || p >= 1 {
+	if p := *n.Pfail; !(p >= 0 && p < 1) {
 		return CapacityTask{}, fmt.Errorf("pfail %v out of [0,1)", p)
 	}
 	if n.Geometry != "" {
@@ -185,7 +185,7 @@ type OperatingPointTask struct {
 func NewOperatingPointTask(req OperatingPointRequest) (OperatingPointTask, error) {
 	n := req.normalized()
 	if n.MinPerformance == nil {
-		if p := *n.Pfail; p <= 0 || p >= 1 {
+		if p := *n.Pfail; !(p > 0 && p < 1) {
 			return OperatingPointTask{}, fmt.Errorf("pfail %v out of (0,1)", p)
 		}
 	}

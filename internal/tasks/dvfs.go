@@ -15,21 +15,21 @@ import (
 // economics. Empty axes take the explorer defaults. Scale 0 means the
 // workloads' reference instruction budgets.
 type DVFSExploreRequest struct {
-	Workloads     []string `json:"workloads,omitempty"`
-	Schemes       []string `json:"schemes,omitempty"`
-	Policies      []string `json:"policies,omitempty"`
-	Victim        string   `json:"victim,omitempty"`
-	Pfail         *float64 `json:"pfail,omitempty"` // default 0.001
-	Seed          int64    `json:"seed,omitempty"`  // default 1
-	Scale         int      `json:"scale,omitempty"`
-	SwitchPenalty int      `json:"penalty,omitempty"`
-	Interval      int      `json:"interval,omitempty"`
-	IPCThreshold  float64  `json:"ipc_threshold,omitempty"`
+	Workloads     []string `json:"workloads,omitempty" help:"multi-phase workloads, comma list (default: all builtins)"`
+	Schemes       []string `json:"schemes,omitempty" help:"low-voltage schemes, comma list of baseline,word,block,inc-word,bitfix (default block,word)"`
+	Policies      []string `json:"policies,omitempty" help:"scheduling policies, comma list of static-high,static-low,oracle,reactive,interval (default: all)"`
+	Victim        string   `json:"victim,omitempty" help:"victim cache: none, 10t or 6t (default none)"`
+	Pfail         *float64 `json:"pfail,omitempty" help:"per-cell failure probability at the low-voltage point (default 0.001)"`
+	Seed          int64    `json:"seed,omitempty" help:"base seed for every run's random streams (0 = default 1)"`
+	Scale         int      `json:"scale,omitempty" help:"rescale each workload to about this many instructions (0 = reference scale)"`
+	SwitchPenalty int      `json:"penalty,omitempty" help:"mode-switch penalty in cycles (0 = default 2000, -1 = free switches)"`
+	Interval      int      `json:"interval,omitempty" help:"decision-chunk size in instructions (0 = default 2000)"`
+	IPCThreshold  float64  `json:"ipc_threshold,omitempty" help:"reactive policy's high-mode IPC threshold (0 = default 0.1)"`
 
 	// IncludeRuns adds the full per-run phase accounting to the
 	// response. It changes the stored bytes, so it is part of the task's
 	// canonical hash (but not of the response's spec hash).
-	IncludeRuns bool `json:"runs,omitempty"`
+	IncludeRuns bool `json:"runs,omitempty" help:"include the full per-run phase accounting in the output"`
 }
 
 // ExploreSpec converts the request into the explorer's spec form,
@@ -70,7 +70,7 @@ func (r DVFSExploreRequest) ExploreSpec() (dvfs.ExploreSpec, error) {
 	if r.Pfail != nil {
 		pfail = *r.Pfail
 	}
-	if pfail < 0 || pfail >= 1 {
+	if !(pfail >= 0 && pfail < 1) {
 		return spec, fmt.Errorf("pfail %v out of [0,1)", pfail)
 	}
 	spec.Pfail = pfail
@@ -231,7 +231,7 @@ func (r DVFSRunRequest) config() (dvfs.Config, error) {
 			return cfg, err
 		}
 	}
-	if *r.Pfail < 0 || *r.Pfail >= 1 {
+	if !(*r.Pfail >= 0 && *r.Pfail < 1) {
 		return cfg, fmt.Errorf("pfail %v out of [0,1)", *r.Pfail)
 	}
 	cfg.Pfail = *r.Pfail

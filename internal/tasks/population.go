@@ -15,26 +15,26 @@ import (
 // defaults; note that, as everywhere in this package, an explicit zero
 // selects the default (use a tiny sigma to approximate "no variation").
 type FleetRequest struct {
-	Dies          int      `json:"dies,omitempty"`           // default 1000
-	DiesPerWafer  int      `json:"dies_per_wafer,omitempty"` // default 64
-	Schemes       []string `json:"schemes,omitempty"`        // default block,word
-	WaferSigma    *float64 `json:"wafer_sigma,omitempty"`    // default 0.25
-	Gradient      *float64 `json:"gradient,omitempty"`       // default 0.4
-	DieSigma      *float64 `json:"die_sigma,omitempty"`      // default 0.15
-	CapacityFloor *float64 `json:"capacity_floor,omitempty"` // default 0.75
-	VSteps        int      `json:"vsteps,omitempty"`         // default 33
-	Geometry      string   `json:"geom,omitempty"`           // default 32768x8x64
-	Seed          int64    `json:"seed,omitempty"`           // default 1
+	Dies          int      `json:"dies,omitempty" help:"fleet size in dies (0 = default 1000)"`
+	DiesPerWafer  int      `json:"dies_per_wafer,omitempty" help:"wafer capacity (0 = default 64)"`
+	Schemes       []string `json:"schemes,omitempty" help:"schemes to certify each die under, comma list (default block,word)"`
+	WaferSigma    *float64 `json:"wafer_sigma,omitempty" help:"lognormal sigma of the per-wafer mean multiplier (0 = default 0.25)"`
+	Gradient      *float64 `json:"gradient,omitempty" help:"intra-wafer radial log-multiplier span (0 = default 0.4)"`
+	DieSigma      *float64 `json:"die_sigma,omitempty" help:"lognormal sigma of the per-die noise (0 = default 0.15)"`
+	CapacityFloor *float64 `json:"capacity_floor,omitempty" help:"surviving-capacity fraction a capacity scheme must retain (0 = default 0.75)"`
+	VSteps        int      `json:"vsteps,omitempty" help:"voltage grid points between Vcc-min and the floor (0 = default 33)"`
+	Geometry      string   `json:"geom,omitempty" help:"cache geometry SIZExWAYSxBLOCK (default 32768x8x64)"`
+	Seed          int64    `json:"seed,omitempty" help:"fleet base seed; every wafer and die stream derives from it (0 = default 1)"`
 
 	// IncludeDies adds the per-die rows to the response. Like the DVFS
 	// explorer's runs flag it changes the stored bytes, so it is part
 	// of the canonical hash.
-	IncludeDies bool `json:"include_dies,omitempty"`
+	IncludeDies bool `json:"include_dies,omitempty" help:"include the per-die rows in the output"`
 
 	// Workers bounds the fan-out goroutines. Scheduling only — results
 	// are bit-identical at every value — so it is zeroed before
 	// hashing.
-	Workers int `json:"workers,omitempty"`
+	Workers int `json:"workers,omitempty" help:"fan-out goroutines (0 = GOMAXPROCS); never changes results"`
 }
 
 // normalized applies the scalar defaults and strips the scheduling

@@ -16,11 +16,11 @@ import (
 // query computes the sweep inline (batch-shaped work).
 type QueryRequest struct {
 	Sweep    SweepRequest      `json:"sweep"`
-	GroupBy  []string          `json:"group_by,omitempty"`
-	Metrics  []string          `json:"metrics,omitempty"` // empty = DefaultQueryMetrics
-	Where    map[string]string `json:"where,omitempty"`
-	PfailMin *float64          `json:"pfail_min,omitempty"`
-	PfailMax *float64          `json:"pfail_max,omitempty"`
+	GroupBy  []string          `json:"group_by,omitempty" help:"axes to group by, comma list of pfail,geometry,scheme,victim,granularity,policy,stream"`
+	Metrics  []string          `json:"metrics,omitempty" help:"metrics to aggregate, comma list (default expected_capacity,ipc_degradation,energy_per_instruction)"`
+	Where    map[string]string `json:"where,omitempty" help:"equality filters, comma list of axis=value"`
+	PfailMin *float64          `json:"pfail_min,omitempty" help:"keep rows with pfail >= this (absent = no lower bound)"`
+	PfailMax *float64          `json:"pfail_max,omitempty" help:"keep rows with pfail <= this (absent = no upper bound)"`
 }
 
 // DefaultQueryMetrics are aggregated when the request names none: the

@@ -14,14 +14,14 @@ import (
 // String fields use the CLI forms (scheme "block", victim "10t", mode
 // "low"); zero values take the reference defaults.
 type SimRequest struct {
-	Benchmark    string  `json:"benchmark"`
-	Mode         string  `json:"mode"`
-	Scheme       string  `json:"scheme"`
-	Victim       string  `json:"victim"`
-	Geometry     string  `json:"geometry"`
-	Pfail        float64 `json:"pfail"`
-	Seed         int64   `json:"seed"`
-	Instructions int     `json:"instructions"`
+	Benchmark    string  `json:"benchmark" help:"benchmark to simulate; vccmin-sim runs this one and prints JSON instead of the figures"`
+	Mode         string  `json:"mode" help:"voltage domain (low,high)"`
+	Scheme       string  `json:"scheme" help:"mitigation scheme (baseline,word,block,inc-word,bitfix)"`
+	Victim       string  `json:"victim" help:"victim cache (none,10t,6t)"`
+	Geometry     string  `json:"geometry" flag:"geom" help:"L1 geometry SIZExWAYSxBLOCK (empty = reference)"`
+	Pfail        float64 `json:"pfail" help:"per-cell failure probability below Vcc-min"`
+	Seed         int64   `json:"seed" help:"base random seed"`
+	Instructions int     `json:"instructions" help:"instructions per simulation run"`
 }
 
 // Options converts the request into the simulator's option form,
@@ -78,7 +78,7 @@ func (req SimRequest) options() (sim.Options, geom.Geometry, error) {
 		machine.L1Size, machine.L1Ways, machine.L1BlockBytes = g.SizeBytes, g.Ways, g.BlockBytes
 		opts.Machine = &machine
 	}
-	if req.Pfail < 0 || req.Pfail >= 1 {
+	if !(req.Pfail >= 0 && req.Pfail < 1) {
 		return opts, g, fmt.Errorf("pfail %v out of [0,1)", req.Pfail)
 	}
 	return opts, g, nil

@@ -15,20 +15,20 @@ import (
 // /v1/sweeps body and the sweep task parameters): the enum axes spelled
 // as CLI-style strings. Empty axes take the engine's reference defaults.
 type SweepRequest struct {
-	Pfails        []float64 `json:"pfails"`
-	Geometries    []string  `json:"geometries"`
-	Schemes       []string  `json:"schemes"`
-	Victims       []string  `json:"victims"`
-	Granularities []string  `json:"granularities"`
-	Policies      []string  `json:"policies"`
-	DVFSWorkloads []string  `json:"dvfs_workloads"`
-	Benchmarks    []string  `json:"benchmarks"`
-	Trials        int       `json:"trials"`
-	Instructions  int       `json:"instructions"`
-	BaseSeed      int64     `json:"base_seed"`
-	Workers       int       `json:"workers"`
-	ShardIndex    int       `json:"shard_index,omitempty"`
-	ShardCount    int       `json:"shard_count,omitempty"`
+	Pfails        []float64 `json:"pfails" flag:"pfail" help:"pfail values: comma list or lo:hi:n, n log-spaced points (default 1e-3)"`
+	Geometries    []string  `json:"geometries" flag:"geom" help:"cache geometries, comma list of SIZExWAYSxBLOCK (default 32768x8x64)"`
+	Schemes       []string  `json:"schemes" help:"schemes, comma list of baseline,word,block,inc-word,bitfix (default block)"`
+	Victims       []string  `json:"victims" help:"victim caches, comma list of none,10t,6t (default none)"`
+	Granularities []string  `json:"granularities" flag:"gran" help:"disabling granularities, comma list of block,set,way (default block)"`
+	Policies      []string  `json:"policies" help:"DVFS policy axis, comma list of static-high,static-low,oracle,reactive,interval (default: classic cells only)"`
+	DVFSWorkloads []string  `json:"dvfs_workloads" help:"multi-phase workloads per scheduled cell, comma list (default compute-memory-swing)"`
+	Benchmarks    []string  `json:"benchmarks" help:"benchmarks per cell, comma list (default crafty,mcf,gzip)"`
+	Trials        int       `json:"trials" help:"fault-map pairs per cell (default 3)"`
+	Instructions  int       `json:"instructions" help:"simulated instructions per run (default 50000)"`
+	BaseSeed      int64     `json:"base_seed" flag:"seed" help:"base seed for every cell's seed stream (default 1)"`
+	Workers       int       `json:"workers" help:"concurrent cell evaluations (0 = GOMAXPROCS); never changes results"`
+	ShardIndex    int       `json:"shard_index,omitempty" flag:"shard" help:"this run's shard index in [0,shards)"`
+	ShardCount    int       `json:"shard_count,omitempty" flag:"shards" help:"total shard count (default 1)"`
 }
 
 // Spec converts the request into the sweep engine's spec form.
