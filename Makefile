@@ -99,9 +99,10 @@ clean-check:
 check: vet fmt doc-check link-check api-check clean-check
 
 # Short fuzz smoke over the checkpoint readers, the batched sparse
-# sampler, the colv1 shard codec, the query aggregation paths and the
-# GET-versus-CLI request binding (go test allows one fuzz target per
-# invocation, hence the separate runs).
+# sampler, the colv1 shard codec, the query aggregation paths, the
+# GET-versus-CLI request binding and the fleet prober's severity sort
+# (go test allows one fuzz target per invocation, hence the separate
+# runs).
 fuzz:
 	$(GO) test ./internal/sweep -run='^$$' -fuzz=FuzzReadRows -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sweep -run='^$$' -fuzz=FuzzLoadCompleted -fuzztime=$(FUZZTIME)
@@ -110,6 +111,7 @@ fuzz:
 	$(GO) test ./internal/colstore -run='^$$' -fuzz=FuzzVarintColumn -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/colstore -run='^$$' -fuzz=FuzzAggregate -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/service -run='^$$' -fuzz=FuzzBindSurfaces -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/population -run='^$$' -fuzz=FuzzSeveritySort -fuzztime=$(FUZZTIME)
 
 # Coverage over the internal packages with a hard floor.
 cover:

@@ -12,7 +12,6 @@ import (
 // fleet sweep's unit of work.
 func BenchmarkFleetDieVccmin(b *testing.B) {
 	spec := FleetSpec{Seed: 7}.WithDefaults()
-	grid := spec.Grid()
 	p := newProber(spec)
 	steps := make([]int, len(spec.Schemes))
 	b.ReportAllocs()
@@ -20,7 +19,7 @@ func BenchmarkFleetDieVccmin(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d := i % 1024
 		p.draw(d)
-		p.gridSteps(grid, steps)
+		p.gridSteps(steps)
 	}
 }
 

@@ -254,7 +254,7 @@ func TestDifferentialProberWalk(t *testing.T) {
 			if len(p.flt) != len(o.cells) {
 				t.Fatalf("trial %d die %d: population size %d vs %d", ti, d, len(p.flt), len(o.cells))
 			}
-			p.gridSteps(grid, steps)
+			p.gridSteps(steps)
 			for k, scheme := range spec.Schemes {
 				if want := o.stepAt(scheme, grid); steps[k] != want {
 					t.Fatalf("trial %d die %d scheme %v: step %d, oracle %d (mult %v, faults %d)",

@@ -98,7 +98,7 @@ func RunFleet(spec FleetSpec) (*FleetResult, error) {
 		p.draw(d)
 		x, y := spec.DiePosition(d % spec.DiesPerWafer)
 		steps := stepsBacking[d*nS : (d+1)*nS : (d+1)*nS]
-		p.gridSteps(grid, steps)
+		p.gridSteps(steps)
 		dies[d] = DieResult{
 			Die:        d,
 			Wafer:      d / spec.DiesPerWafer,

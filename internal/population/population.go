@@ -31,7 +31,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"slices"
 	"strconv"
 
 	"vccmin/internal/faults"
@@ -151,8 +150,9 @@ func (s FleetSpec) Check() error {
 		return fmt.Errorf("population: vsteps %d below minimum 2", s.VSteps)
 	case !(s.CapacityFloor >= 0 && s.CapacityFloor <= 1):
 		return fmt.Errorf("population: capacity_floor %v out of [0,1]", s.CapacityFloor)
-	case !(s.Variation.WaferSigma >= 0 && s.Variation.Gradient >= 0 && s.Variation.DieSigma >= 0):
-		return fmt.Errorf("population: variation parameters must be non-negative, got %+v", s.Variation)
+	case !(finiteNonNegative(s.Variation.WaferSigma) && finiteNonNegative(s.Variation.Gradient) &&
+		finiteNonNegative(s.Variation.DieSigma)):
+		return fmt.Errorf("population: variation parameters must be finite and non-negative, got %+v", s.Variation)
 	case s.Geom.BlockBytes > 128:
 		return fmt.Errorf("population: block size %d B exceeds the fault model's 128 B bound", s.Geom.BlockBytes)
 	case len(s.Schemes) == 0:
@@ -163,6 +163,11 @@ func (s FleetSpec) Check() error {
 	}
 	return nil
 }
+
+// finiteNonNegative reports whether v is a finite number >= 0 (NaN and
+// ±Inf fail: an infinite sigma cannot be drawn from, and the task
+// layer's canonical JSON hash cannot encode it).
+func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // Grid returns the descending voltage grid: VSteps points from the
 // model's Vcc-min (index 0) down to its floor (last index), inclusive.
@@ -220,7 +225,14 @@ func (s FleetSpec) gradientAt(j int) float64 {
 // voltage v: the model's pfail scaled by the die multiplier, clamped
 // into [0,1].
 func (s FleetSpec) pfailAt(mult, v float64) float64 {
-	p := mult * s.Model.Pfail(v)
+	return scaledPfail(mult, s.Model.Pfail(v))
+}
+
+// scaledPfail is pfailAt with the model's pfail already evaluated: the
+// prober tabulates Model.Pfail over the grid once and scales per die,
+// which is the same float operations as calling pfailAt at every step.
+func scaledPfail(mult, modelPfail float64) float64 {
+	p := mult * modelPfail
 	if p > 1 {
 		return 1
 	}
@@ -248,12 +260,13 @@ const (
 // prober measures one die at a time, reusing its buffers across dies
 // and voltages; each concurrent worker owns one.
 //
-// The measurement is a single incremental walk: draw sorts the latent
-// population ascending by severity, so the fault set active at any
-// voltage is a prefix of the sorted order (the nested-severity
-// construction above). Walking the descending voltage grid, each fault
-// enters the reused map exactly once as the prefix grows, and every
-// scheme's pass predicate is maintained incrementally alongside:
+// The measurement is a single incremental walk: draw orders the latent
+// population ascending by severity (an expected O(F) bucket sort, see
+// sortBySeverity), so the fault set active at any voltage is a prefix
+// of the sorted order (the nested-severity construction above).
+// Walking the descending voltage grid, each fault enters the reused map
+// exactly once as the prefix grows, and every scheme's pass predicate
+// is maintained incrementally alongside:
 // baseline passes while the prefix is empty; block-disable keeps a
 // running faulty-block count; incremental word-disable keeps per-pair
 // full/half/disabled counts, reclassifying only the pair a fault lands
@@ -274,6 +287,17 @@ type prober struct {
 	flt  []latentFault
 	mult float64
 	pflr float64 // effective pfail at the voltage floor
+
+	// sortBySeverity's scratch, reused across dies: per-bucket start
+	// offsets and the slice the faults are scattered into (swapped
+	// with flt after each sort).
+	bucketStart []int32
+	swap        []latentFault
+
+	// Model.Pfail at each point of spec.Grid(), computed once per
+	// prober: the walk scales it by the die multiplier instead of
+	// re-evaluating the model's exponential at every step of every die.
+	gridPfail []float64
 
 	// Reused random stream: one lfrand source reseeded in place per
 	// die (no per-die generator allocation or math/rand reseeding
@@ -342,6 +366,10 @@ func newProber(spec FleetSpec) *prober {
 	}
 	p.totalPairs = g.Sets() * p.pairsPerSet
 	p.rng = rand.New(&p.src)
+	p.gridPfail = spec.Grid() // voltages, mapped in place to Model.Pfail
+	for i, v := range p.gridPfail {
+		p.gridPfail[i] = spec.Model.Pfail(v)
+	}
 	return p
 }
 
@@ -405,10 +433,56 @@ func (p *prober) draw(d int) {
 	}
 }
 
+// sortBySeverity orders p.flt by compareFaults in expected O(F) time,
+// producing exactly the order slices.SortFunc(p.flt, compareFaults)
+// would (the order is strict and total, so the sorted sequence is
+// unique). Severities are iid uniform on [0,1), so scattering the F
+// faults into F equal-width buckets by int(sev·F) leaves O(1) expected
+// faults per bucket (for sev < 1 the rounded product stays below F;
+// the min with F-1 only guards the slice bound). The bucket index is
+// monotone in severity, so faults in different buckets are already in
+// order and one insertion pass over the scattered slice finishes the
+// sort; the scatter is stable and draw emits ascending cells, so equal
+// severities also arrive in order and that pass moves only the
+// in-bucket inversions. The scratch is reused across dies: the scatter
+// target becomes flt and the old flt the next die's scatter target.
 func (p *prober) sortBySeverity() {
-	if len(p.flt) > 1 {
-		slices.SortFunc(p.flt, compareFaults)
+	n := len(p.flt)
+	if n < 2 {
+		return
 	}
+	if cap(p.bucketStart) < n+1 {
+		p.bucketStart = make([]int32, n+1, cap(p.flt)+1)
+	}
+	if cap(p.swap) < n {
+		p.swap = make([]latentFault, cap(p.flt))
+	}
+	// start[b+1] counts bucket b, then the prefix sum turns start[b]
+	// into bucket b's first slot.
+	start := p.bucketStart[:n+1]
+	clear(start)
+	fn := float64(n)
+	for _, f := range p.flt {
+		start[min(int(f.sev*fn), n-1)+1]++
+	}
+	for b := 1; b < n; b++ {
+		start[b] += start[b-1]
+	}
+	out := p.swap[:n]
+	for _, f := range p.flt {
+		b := min(int(f.sev*fn), n-1)
+		out[start[b]] = f
+		start[b]++
+	}
+	for i := 1; i < n; i++ {
+		f := out[i]
+		j := i
+		for ; j > 0 && compareFaults(f, out[j-1]) < 0; j-- {
+			out[j] = out[j-1]
+		}
+		out[j] = f
+	}
+	p.flt, p.swap = out, p.flt
 }
 
 // setNeeds prepares a walk over the given schemes: which incremental
@@ -569,8 +643,8 @@ func (p *prober) passIncr(scheme sim.Scheme) bool {
 // fault is admitted exactly once, and a scheme that fails is dead for
 // the rest of the walk (every predicate is monotone in the fault set).
 // The walk exits early once every scheme has failed. steps must have
-// length len(spec.Schemes).
-func (p *prober) gridSteps(grid []float64, steps []int) {
+// length len(spec.Schemes); the grid is the prober's own spec.Grid().
+func (p *prober) gridSteps(steps []int) {
 	schemes := p.spec.Schemes
 	p.setNeeds(schemes)
 	p.resetWalk()
@@ -580,7 +654,7 @@ func (p *prober) gridSteps(grid []float64, steps []int) {
 	if p.pflr <= 0 || len(p.flt) == 0 {
 		// No latent fault is active at any voltage: each scheme holds
 		// its fault-free verdict across the whole grid.
-		last := len(grid) - 1
+		last := len(p.gridPfail) - 1
 		for k, scheme := range schemes {
 			if p.passIncr(scheme) {
 				steps[k] = last
@@ -594,8 +668,8 @@ func (p *prober) gridSteps(grid []float64, steps []int) {
 		alive[k] = true
 	}
 	idx := 0
-	for i, v := range grid {
-		ratio := p.spec.pfailAt(p.mult, v) / p.pflr
+	for i, pf := range p.gridPfail {
+		ratio := scaledPfail(p.mult, pf) / p.pflr
 		for idx < len(p.flt) && p.flt[idx].sev <= ratio {
 			p.addNext(p.flt[idx].cell)
 			idx++

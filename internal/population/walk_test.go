@@ -25,7 +25,6 @@ func saturatedSpec() FleetSpec {
 
 func TestWalkSaturatedPfailFullDraw(t *testing.T) {
 	spec := saturatedSpec()
-	grid := spec.Grid()
 	p := newProber(spec)
 	steps := make([]int, len(spec.Schemes))
 	for _, d := range []int{0, spec.DiesPerWafer - 1} { // wafer corners
@@ -36,7 +35,7 @@ func TestWalkSaturatedPfailFullDraw(t *testing.T) {
 		if got, want := len(p.flt), spec.Geom.TotalCells(); got != want {
 			t.Fatalf("die %d: drew %d faults, want the full population %d", d, got, want)
 		}
-		p.gridSteps(grid, steps)
+		p.gridSteps(steps)
 		for k, scheme := range spec.Schemes {
 			if steps[k] != -1 {
 				t.Fatalf("die %d scheme %v: step %d, want -1 (every cell faulty near nominal)", d, scheme, steps[k])
@@ -47,7 +46,6 @@ func TestWalkSaturatedPfailFullDraw(t *testing.T) {
 
 func TestWalkZeroPfailEmptyDraw(t *testing.T) {
 	spec := FleetSpec{Seed: 3, Schemes: allSchemes}.WithDefaults()
-	grid := spec.Grid()
 	p := newProber(spec)
 	p.draw(0)
 	// Force the degenerate multiplier-underflow case: an effective
@@ -57,8 +55,8 @@ func TestWalkZeroPfailEmptyDraw(t *testing.T) {
 	p.pflr = 0
 	p.flt = p.flt[:0]
 	steps := make([]int, len(spec.Schemes))
-	p.gridSteps(grid, steps)
-	last := len(grid) - 1
+	p.gridSteps(steps)
+	last := spec.VSteps - 1
 	for k, scheme := range spec.Schemes {
 		if steps[k] != last {
 			t.Fatalf("scheme %v: step %d, want %d (fault-free die reaches the floor)", scheme, steps[k], last)
@@ -74,7 +72,6 @@ func TestWalkZeroPfailEmptyDraw(t *testing.T) {
 
 func TestWalkSeveritiesActivateOnlyAtFloor(t *testing.T) {
 	spec := FleetSpec{Seed: 5, Schemes: []sim.Scheme{sim.Baseline, sim.BlockDisable}}.WithDefaults()
-	grid := spec.Grid()
 	p := newProber(spec)
 	p.draw(0)
 	// A multiplier so low that every grid ratio except the floor's own
@@ -88,8 +85,8 @@ func TestWalkSeveritiesActivateOnlyAtFloor(t *testing.T) {
 		latentFault{sev: 0.9995, cell: 7},
 	)
 	steps := make([]int, len(spec.Schemes))
-	p.gridSteps(grid, steps)
-	last := len(grid) - 1
+	p.gridSteps(steps)
+	last := spec.VSteps - 1
 	// Baseline tolerates no fault: it passes every step except the
 	// floor, where both faults finally activate.
 	if steps[0] != last-1 {
@@ -112,7 +109,6 @@ func TestWalkStepsIndependentOfSchemeOrder(t *testing.T) {
 		{sim.IncrementalWordDisable, sim.Baseline},
 	}
 	spec := FleetSpec{Seed: 9, Dies: 48, Variation: Variation{WaferSigma: 2, Gradient: 0.5, DieSigma: 1}}.WithDefaults()
-	grid := spec.Grid()
 	// Reference: each scheme measured alone.
 	want := map[sim.Scheme][]int{}
 	for _, scheme := range allSchemes {
@@ -122,7 +118,7 @@ func TestWalkStepsIndependentOfSchemeOrder(t *testing.T) {
 		steps := make([]int, 1)
 		for d := 0; d < spec.Dies; d++ {
 			p.draw(d)
-			p.gridSteps(grid, steps)
+			p.gridSteps(steps)
 			want[scheme] = append(want[scheme], steps[0])
 		}
 	}
@@ -133,7 +129,7 @@ func TestWalkStepsIndependentOfSchemeOrder(t *testing.T) {
 		steps := make([]int, len(order))
 		for d := 0; d < spec.Dies; d++ {
 			p.draw(d)
-			p.gridSteps(grid, steps)
+			p.gridSteps(steps)
 			for k, scheme := range order {
 				if steps[k] != want[scheme][d] {
 					t.Fatalf("die %d scheme %v in order %v: step %d, want %d",

@@ -3,6 +3,7 @@ package tasks
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 
 	"vccmin/internal/experiments"
@@ -188,6 +189,9 @@ func NewOperatingPointTask(req OperatingPointRequest) (OperatingPointTask, error
 		if p := *n.Pfail; !(p > 0 && p < 1) {
 			return OperatingPointTask{}, fmt.Errorf("pfail %v out of (0,1)", p)
 		}
+	} else if v := *n.MinPerformance; math.IsNaN(v) || math.IsInf(v, 0) {
+		// CanonicalHash's JSON encoding cannot represent the value.
+		return OperatingPointTask{}, fmt.Errorf("min_performance %v is not a finite number", v)
 	}
 	return OperatingPointTask{Req: req}, nil
 }

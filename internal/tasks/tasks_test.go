@@ -451,3 +451,41 @@ func TestQueryTaskRejectsNonFinitePfail(t *testing.T) {
 		}
 	}
 }
+
+// TestConstructorsRejectNonFinite: a NaN or infinite variation sigma,
+// gradient or performance floor is refused by the constructor with an
+// error. An accepted value would reach CanonicalHash, whose JSON
+// encoding panics on it, and a panic on an engine pool worker ends the
+// process.
+func TestConstructorsRejectNonFinite(t *testing.T) {
+	for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		v := v
+		cases := map[string]func() (engine.Task, error){
+			"fleet wafer_sigma": func() (engine.Task, error) { return NewFleetTask(FleetRequest{WaferSigma: &v}) },
+			"fleet gradient":    func() (engine.Task, error) { return NewFleetTask(FleetRequest{Gradient: &v}) },
+			"fleet die_sigma":   func() (engine.Task, error) { return NewFleetTask(FleetRequest{DieSigma: &v}) },
+			"predict wafer_sigma": func() (engine.Task, error) {
+				return NewPredictTask(PredictRequest{WaferSigma: &v})
+			},
+			"predict gradient": func() (engine.Task, error) { return NewPredictTask(PredictRequest{Gradient: &v}) },
+			"predict die_sigma": func() (engine.Task, error) {
+				return NewPredictTask(PredictRequest{DieSigma: &v})
+			},
+			"operating-point min_performance": func() (engine.Task, error) {
+				return NewOperatingPointTask(OperatingPointRequest{MinPerformance: &v})
+			},
+		}
+		for name, build := range cases {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s %v: constructor panicked: %v", name, v, r)
+					}
+				}()
+				if _, err := build(); err == nil {
+					t.Errorf("%s %v: accepted, want an error", name, v)
+				}
+			}()
+		}
+	}
+}
