@@ -98,7 +98,8 @@ clean-check:
 # The static quality gate CI runs before the test jobs.
 check: vet fmt doc-check link-check api-check clean-check
 
-# Short fuzz smoke over the checkpoint readers, the batched sparse
+# Short fuzz smoke over the checkpoint reader (ReadRows and resume's
+# loader, FuzzLoadCompleted, both read through it), the batched sparse
 # sampler, the colv1 shard codec, the query aggregation paths, the
 # GET-versus-CLI request binding and the fleet prober's severity sort
 # (go test allows one fuzz target per invocation, hence the separate

@@ -56,6 +56,32 @@ func BuildBlockDisable(m *faults.Map) *BlockDisableMap {
 	return d
 }
 
+// BuildIncrementalEnable derives the way-enable map of incremental
+// word-disabling (the paper's configuration) from a fault map, pair by
+// pair as EvaluateIncrementalWD classifies them: both ways of a
+// disabled pair are off, a repairable pair keeps way 2i (the merged
+// block at half capacity), and a fault-free pair keeps both.
+func BuildIncrementalEnable(m *faults.Map) *BlockDisableMap {
+	g := m.Geom
+	cfg := ReferenceWordDisable()
+	subPerBlock := m.WordsPerBlock() / cfg.WordsPerSubblock
+	d := &BlockDisableMap{Geom: g, Sets: make([]WayMask, g.Sets())}
+	for set := 0; set < g.Sets(); set++ {
+		var mask WayMask
+		for p := 0; p < g.Ways/2; p++ {
+			w0, w1 := 2*p, 2*p+1
+			switch classifyPair(m, cfg, set, w0, w1, subPerBlock) {
+			case PairFullCapacity:
+				mask |= 1<<uint(w0) | 1<<uint(w1)
+			case PairHalfCapacity:
+				mask |= 1 << uint(w0)
+			}
+		}
+		d.Sets[set] = mask
+	}
+	return d
+}
+
 // FullyEnabled returns a BlockDisableMap with every way of every set
 // enabled — the high-voltage (or fault-free) configuration.
 func FullyEnabled(g geom.Geometry) *BlockDisableMap {

@@ -265,6 +265,37 @@ func TestIncrementalNeverWholeCacheFailure(t *testing.T) {
 	}
 }
 
+// TestIncrementalEnableMatchesEvaluation: over seeded maps, the enable
+// map's pairs with both ways on, way 2i alone and neither count exactly
+// the Full, Half and Disabled pairs EvaluateIncrementalWD reports, and
+// no pair enables way 2i+1 alone.
+func TestIncrementalEnableMatchesEvaluation(t *testing.T) {
+	for _, pfail := range []float64{0, 0.0005, 0.002, 0.005, 0.02} {
+		for seed := int64(1); seed <= 3; seed++ {
+			m := faults.Generate(refGeom, 32, pfail, rand.New(rand.NewSource(seed)))
+			d := BuildIncrementalEnable(m)
+			var got IncrementalWDResult
+			for set, mask := range d.Sets {
+				for p := 0; p < refGeom.Ways/2; p++ {
+					switch mask >> uint(2*p) & 3 {
+					case 3:
+						got.FullPairs++
+					case 1:
+						got.HalfPairs++
+					case 0:
+						got.DisabledPairs++
+					default:
+						t.Fatalf("pfail %v seed %d: set %d pair %d enables way 2i+1 alone", pfail, seed, set, p)
+					}
+				}
+			}
+			if want := EvaluateIncrementalWD(m, ReferenceWordDisable()); got != want {
+				t.Errorf("pfail %v seed %d: enable map counts %+v, evaluation %+v", pfail, seed, got, want)
+			}
+		}
+	}
+}
+
 func TestPairStateString(t *testing.T) {
 	if PairFullCapacity.String() != "full" || PairHalfCapacity.String() != "half" || PairDisabled.String() != "disabled" {
 		t.Error("pair state names wrong")

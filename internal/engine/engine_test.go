@@ -221,10 +221,10 @@ func TestMemLRUEviction(t *testing.T) {
 }
 
 func TestPoolLifecycle(t *testing.T) {
-	p := NewPool(2, 8)
+	p := NewTieredPool(0, 2, 8, 8)
 	var done atomic.Int64
 	for i := 0; i < 5; i++ {
-		if err := p.Submit(func(context.Context) { done.Add(1) }); err != nil {
+		if err := p.SubmitTier(TierBatch, func(context.Context) { done.Add(1) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -236,19 +236,19 @@ func TestPoolLifecycle(t *testing.T) {
 	if n := done.Load(); n != 5 {
 		t.Fatalf("drained with %d/5 items done", n)
 	}
-	if err := p.Submit(func(context.Context) {}); !errors.Is(err, ErrPoolDraining) {
+	if err := p.SubmitTier(TierBatch, func(context.Context) {}); !errors.Is(err, ErrPoolDraining) {
 		t.Fatalf("submit while draining: %v, want ErrPoolDraining", err)
 	}
 	p.Close()
 }
 
 func TestPoolQueueFull(t *testing.T) {
-	p := NewPool(1, 1)
+	p := NewTieredPool(0, 1, 1, 1)
 	defer p.Close()
 	gate := make(chan struct{})
 	defer close(gate)
 	// Occupy the worker, then fill the one-slot backlog.
-	if err := p.Submit(func(context.Context) { <-gate }); err != nil {
+	if err := p.SubmitTier(TierBatch, func(context.Context) { <-gate }); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -258,10 +258,10 @@ func TestPoolQueueFull(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := p.Submit(func(context.Context) {}); err != nil {
+	if err := p.SubmitTier(TierBatch, func(context.Context) {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Submit(func(context.Context) {}); !errors.Is(err, ErrPoolFull) {
+	if err := p.SubmitTier(TierBatch, func(context.Context) {}); !errors.Is(err, ErrPoolFull) {
 		t.Fatalf("overfull submit: %v, want ErrPoolFull", err)
 	}
 }

@@ -68,14 +68,6 @@ var (
 	ErrPoolFull = errors.New("engine: pool queue full")
 )
 
-// NewPool starts a single-tier pool: workers dual workers over a batch
-// queue of backlog capacity (Submit feeds the batch tier). It is the
-// pre-tier constructor, kept for callers that do not serve interactive
-// traffic.
-func NewPool(workers, backlog int) *Pool {
-	return NewTieredPool(0, workers, backlog, backlog)
-}
-
 // NewTieredPool starts interactiveWorkers workers dedicated to the
 // interactive queue plus batchWorkers dual workers serving both queues,
 // over per-tier backlogs. batchWorkers <= 0 defaults to 2; backlogs
@@ -150,12 +142,6 @@ func (p *Pool) interactiveWorker() {
 			p.run(TierInteractive, fn)
 		}
 	}
-}
-
-// Submit enqueues fn on the batch tier (the pre-tier behaviour). The fn
-// receives the pool's context, which Close cancels.
-func (p *Pool) Submit(fn func(context.Context)) error {
-	return p.SubmitTier(TierBatch, fn)
 }
 
 // SubmitTier enqueues fn on the given tier, rejecting with ErrPoolFull

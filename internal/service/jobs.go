@@ -106,14 +106,9 @@ type Manager struct {
 	dedupHits atomic.Uint64
 }
 
-// NewManager starts a batch-only worker pool over the data directory,
+// NewManagerTiered starts the job manager over the data directory,
 // creating it if needed, re-registering finished jobs and re-enqueueing
-// unfinished ones found there.
-func NewManager(dir string, workers int) (*Manager, error) {
-	return NewManagerTiered(dir, workers, 0, 0)
-}
-
-// NewManagerTiered is NewManager over a two-tier pool: batchWorkers
+// unfinished ones found there. Its pool has two tiers: batchWorkers
 // dual workers run sweep jobs (and may serve interactive work when
 // idle), while interactiveWorkers additional workers are reserved for
 // the interactive tier the service's synchronous endpoints submit to —
@@ -183,7 +178,7 @@ func (m *Manager) recover(specs []string) error {
 		}
 		j.snap = JobSnapshot{ID: id, Status: JobQueued, Resumed: true, CreatedAt: m.now().UTC()}
 		m.jobs[id] = j
-		if err := m.pool.Submit(func(ctx context.Context) { m.run(ctx, j) }); err != nil {
+		if err := m.pool.SubmitTier(engine.TierBatch, func(ctx context.Context) { m.run(ctx, j) }); err != nil {
 			return fmt.Errorf("service: recovering job %s: %w", id, err)
 		}
 	}
@@ -218,7 +213,7 @@ func (m *Manager) Enqueue(spec sweep.Spec) (JobSnapshot, bool, error) {
 		m.mu.Unlock()
 		return JobSnapshot{}, false, err
 	}
-	if err := m.pool.Submit(func(ctx context.Context) { m.run(ctx, j) }); err != nil {
+	if err := m.pool.SubmitTier(engine.TierBatch, func(ctx context.Context) { m.run(ctx, j) }); err != nil {
 		m.mu.Lock()
 		delete(m.jobs, id)
 		m.mu.Unlock()

@@ -42,10 +42,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.runTaskTier(w, r, t.WithSource(src), engine.TierInteractive)
 		return
 	}
-	if backlog := s.jobs.BatchBacklog(); backlog >= int64(s.cfg.ShedWatermark) {
-		s.shed503(w, ErrCodeOverloaded, map[string]any{
-			"batch_backlog": backlog, "watermark": s.cfg.ShedWatermark,
-		}, "batch tier saturated (%d queued >= watermark %d); retry later", backlog, s.cfg.ShedWatermark)
+	if s.shedBatch(w, "batch tier") {
 		return
 	}
 	s.runTaskTier(w, r, t, engine.TierBatch)

@@ -520,16 +520,7 @@ func (s *Server) runTaskTier(w http.ResponseWriter, r *http.Request, t engine.Ta
 	serr := s.submitWait(r.Context(), tier, func(ctx context.Context) {
 		res, err = s.eng.Do(ctx, t)
 	})
-	switch {
-	case errors.Is(serr, engine.ErrPoolFull):
-		s.shed503(w, ErrCodeOverloaded, map[string]any{"queue": queue},
-			"%s queue full; retry shortly", queue)
-		return
-	case errors.Is(serr, engine.ErrPoolDraining):
-		s.shed503(w, ErrCodeDraining, nil, "shutting down; retry against another node")
-		return
-	case serr != nil:
-		writeErr(w, http.StatusServiceUnavailable, "%s", serr)
+	if s.submitFailed(w, serr, queue, "shortly") {
 		return
 	}
 	switch {
@@ -550,6 +541,39 @@ func (s *Server) runTaskTier(w http.ResponseWriter, r *http.Request, t engine.Ta
 	// another handler's in-flight response.
 	w.Write(res.Bytes)
 	w.Write([]byte{'\n'})
+}
+
+// submitFailed answers the 503 for work the pool would not take and
+// reports whether serr was such a refusal: a full queue is shed naming
+// it (with when to retry), a draining pool sends the client to another
+// node.
+func (s *Server) submitFailed(w http.ResponseWriter, serr error, queue, retry string) bool {
+	switch {
+	case serr == nil:
+		return false
+	case errors.Is(serr, engine.ErrPoolFull):
+		s.shed503(w, ErrCodeOverloaded, map[string]any{"queue": queue},
+			"%s queue full; retry %s", queue, retry)
+	case errors.Is(serr, engine.ErrPoolDraining):
+		s.shed503(w, ErrCodeDraining, nil, "shutting down; retry against another node")
+	default:
+		writeErr(w, http.StatusServiceUnavailable, "%s", serr)
+	}
+	return true
+}
+
+// shedBatch is the batch tier's admission gate: once the batch backlog
+// reaches the shed watermark it answers 503 for new batch-shaped work,
+// naming the saturated queue as what, and reports that it did.
+func (s *Server) shedBatch(w http.ResponseWriter, what string) bool {
+	backlog := s.jobs.BatchBacklog()
+	if backlog < int64(s.cfg.ShedWatermark) {
+		return false
+	}
+	s.shed503(w, ErrCodeOverloaded, map[string]any{
+		"batch_backlog": backlog, "watermark": s.cfg.ShedWatermark,
+	}, "%s saturated (%d queued >= watermark %d); retry later", what, backlog, s.cfg.ShedWatermark)
+	return true
 }
 
 // ---- Sync endpoints ----
@@ -643,10 +667,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			len(req.Requests), s.cfg.MaxBatchItems)
 		return
 	}
-	if backlog := s.jobs.BatchBacklog(); backlog >= int64(s.cfg.ShedWatermark) {
-		s.shed503(w, ErrCodeOverloaded, map[string]any{
-			"batch_backlog": backlog, "watermark": s.cfg.ShedWatermark,
-		}, "batch tier saturated (%d queued >= watermark %d); retry later", backlog, s.cfg.ShedWatermark)
+	if s.shedBatch(w, "batch tier") {
 		return
 	}
 	// Each item passes the same admit gate as its sync endpoint before
@@ -656,15 +677,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	serr := s.submitWait(r.Context(), engine.TierBatch, func(ctx context.Context) {
 		results = engine.RunBatchFiltered(ctx, s.eng, req.Requests, 0, s.admit)
 	})
-	switch {
-	case errors.Is(serr, engine.ErrPoolFull):
-		s.shed503(w, ErrCodeOverloaded, map[string]any{"queue": "batch"}, "batch queue full; retry later")
-		return
-	case errors.Is(serr, engine.ErrPoolDraining):
-		s.shed503(w, ErrCodeDraining, nil, "shutting down; retry against another node")
-		return
-	case serr != nil:
-		writeErr(w, http.StatusServiceUnavailable, "%s", serr)
+	if s.submitFailed(w, serr, "batch", "later") {
 		return
 	}
 	writeJSON(w, http.StatusOK, BatchResponse{Results: results})
@@ -697,13 +710,8 @@ func (s *Server) handleSweepPost(w http.ResponseWriter, r *http.Request) {
 	// the watermark. A spec the manager already knows still answers —
 	// the dedup hit costs nothing and may well be the client retrying
 	// exactly as the earlier 503 told it to.
-	if _, known := s.jobs.Get(spec.CanonicalHash()); !known {
-		if backlog := s.jobs.BatchBacklog(); backlog >= int64(s.cfg.ShedWatermark) {
-			s.shed503(w, ErrCodeOverloaded, map[string]any{
-				"batch_backlog": backlog, "watermark": s.cfg.ShedWatermark,
-			}, "sweep queue saturated (%d queued >= watermark %d); retry later", backlog, s.cfg.ShedWatermark)
-			return
-		}
+	if _, known := s.jobs.Get(spec.CanonicalHash()); !known && s.shedBatch(w, "sweep queue") {
+		return
 	}
 	snap, cached, err := s.jobs.Enqueue(spec)
 	switch {

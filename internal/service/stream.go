@@ -11,6 +11,8 @@ import (
 	"os"
 	"strconv"
 	"time"
+
+	"vccmin/internal/sweep"
 )
 
 // The live-delivery layer: GET /v1/sweeps/{id}/stream pushes a job's
@@ -49,9 +51,10 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	}
 	// Resume point: ?offset= wins, else the SSE Last-Event-ID header
 	// (the id of the last row received, so delivery restarts after it).
-	// Offset starts at the -1 sentinel so "absent" is distinguishable.
-	q := streamQuery{Offset: -1}
-	if err := bindQuery(r.URL.Query(), &q); err != nil {
+	// An empty ?offset= is absent, as bindQuery reads it.
+	query := r.URL.Query()
+	var q streamQuery
+	if err := bindQuery(query, &q); err != nil {
 		writeErr(w, http.StatusBadRequest, "%s", err)
 		return
 	}
@@ -61,20 +64,17 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	}
 	jsonl := q.Format == "jsonl"
 	start := q.Offset
-	if start < -1 {
+	if start < 0 {
 		writeErr(w, http.StatusBadRequest, "offset %d negative", start)
 		return
 	}
-	if start == -1 {
-		start = 0
-		if lei := r.Header.Get("Last-Event-ID"); lei != "" {
-			last, err := strconv.Atoi(lei)
-			if err != nil || last < 0 {
-				writeErr(w, http.StatusBadRequest, "bad Last-Event-ID %q", lei)
-				return
-			}
-			start = last + 1
+	if lei := r.Header.Get("Last-Event-ID"); lei != "" && query.Get("offset") == "" {
+		last, err := strconv.Atoi(lei)
+		if err != nil || last < 0 {
+			writeErr(w, http.StatusBadRequest, "bad Last-Event-ID %q", lei)
+			return
 		}
+		start = last + 1
 	}
 
 	fl, ok := w.(http.Flusher)
@@ -91,8 +91,9 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
-	tail := &rowTailer{path: s.jobs.RowsPath(id)}
-	defer tail.close()
+	f := &jobFile{path: s.jobs.RowsPath(id)}
+	defer f.Close()
+	tail := sweep.NewCheckpoint(f)
 
 	next := 0 // absolute index of the next row to read from the file
 	tick := time.NewTicker(streamPollInterval)
@@ -107,7 +108,7 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 		terminal := snap.Status == JobDone || snap.Status == JobFailed
 
 		for {
-			line, err := tail.nextLine()
+			line, err := tail.Next()
 			if err != nil || line == nil {
 				if err != nil {
 					// Mid-stream failure: the status line is long gone, so
@@ -174,58 +175,55 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// rowTailer incrementally reads complete JSONL lines from a growing
-// checkpoint file. It tolerates the file not existing yet (a queued job
-// that has not flushed a row) and a partial final line (a row mid-
-// write): both read as "nothing more yet", and the partial line is
-// buffered until its newline arrives.
-type rowTailer struct {
-	path    string
-	f       *os.File
-	br      *bufio.Reader
-	pending []byte
+// jobFile reads a job's checkpoint file, opening it at the first Read
+// that finds it: until the file exists (a queued job that has not
+// flushed a row) it reads as empty, so a tail finds nothing yet and a
+// count finds zero rows.
+type jobFile struct {
+	path string
+	f    *os.File
 }
 
-// nextLine returns the next complete line (including its newline), nil
-// when no complete line is available yet, or a non-nil error for real
-// I/O failures. Blank lines are skipped, exactly as sweep.ReadRows
-// skips them.
-func (t *rowTailer) nextLine() ([]byte, error) {
-	if t.f == nil {
-		f, err := os.Open(t.path)
-		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				return nil, nil
-			}
-			return nil, err
-		}
-		t.f = f
-		t.br = bufio.NewReader(f)
-	}
-	for {
-		chunk, err := t.br.ReadBytes('\n')
-		t.pending = append(t.pending, chunk...)
-		if err == io.EOF {
-			// A partial tail stays pending; the file will grow under us
-			// and the next read continues where this one stopped.
-			return nil, nil
+func (j *jobFile) Read(p []byte) (int, error) {
+	if j.f == nil {
+		f, err := os.Open(j.path)
+		if errors.Is(err, os.ErrNotExist) {
+			return 0, io.EOF
 		}
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		line := t.pending
-		t.pending = nil
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		return line, nil
+		j.f = f
 	}
+	return j.f.Read(p)
 }
 
-func (t *rowTailer) close() {
-	if t.f != nil {
-		t.f.Close()
+func (j *jobFile) Close() error {
+	if j.f == nil {
+		return nil
 	}
+	return j.f.Close()
+}
+
+// eachRow calls fn with each of the first n complete rows of a job's
+// checkpoint (every row when n < 0), newline included, and returns how
+// many rows it read. The count is what X-Total-Count reports and what
+// stream event ids index.
+func eachRow(path string, n int, fn func(i int, line []byte) error) (int, error) {
+	f := &jobFile{path: path}
+	defer f.Close()
+	ck := sweep.NewCheckpoint(f)
+	i := 0
+	for ; n < 0 || i < n; i++ {
+		line, err := ck.Next()
+		if err != nil || line == nil {
+			return i, err
+		}
+		if err := fn(i, line); err != nil {
+			return i, err
+		}
+	}
+	return i, nil
 }
 
 // ---- Paginated row access ----
@@ -248,75 +246,24 @@ func (s *Server) handleSweepRows(w http.ResponseWriter, r *http.Request) {
 	}
 
 	path := s.jobs.RowsPath(id)
-	total, err := countRows(path)
+	total, err := eachRow(path, -1, func(int, []byte) error { return nil })
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "%s", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Total-Count", strconv.Itoa(total))
-	if total == 0 {
-		return
-	}
-
-	f, err := os.Open(path)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "%s", err)
-		return
-	}
-	defer f.Close()
 	// Emit at most the rows counted above: rows flushed between the two
 	// passes would otherwise make the body disagree with X-Total-Count.
+	// A read error midway ends the body after the rows already served.
 	offset, hi := p.window(total)
-	emit := hi - offset
-	br := bufio.NewReader(f)
 	bw := bufio.NewWriter(w)
 	defer bw.Flush()
-	for skipped, emitted := 0, 0; emitted < emit; {
-		line, err := br.ReadBytes('\n')
-		if err != nil {
-			return // torn tail or I/O error: the complete prefix was served
+	eachRow(path, hi, func(i int, line []byte) error {
+		if i < offset {
+			return nil
 		}
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		if skipped < offset {
-			skipped++
-			continue
-		}
-		if _, err := bw.Write(line); err != nil {
-			return
-		}
-		emitted++
-	}
-}
-
-// countRows counts the complete non-blank lines of a checkpoint file; a
-// missing file counts zero. The count is what X-Total-Count reports and
-// what stream event ids index.
-func countRows(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	n := 0
-	for {
-		line, err := br.ReadBytes('\n')
-		if err != nil {
-			// EOF with a partial tail: the incomplete row is not counted,
-			// matching the resume logic's torn-line tolerance.
-			if err == io.EOF {
-				return n, nil
-			}
-			return 0, err
-		}
-		if len(bytes.TrimSpace(line)) > 0 {
-			n++
-		}
-	}
+		_, err := bw.Write(line)
+		return err
+	})
 }

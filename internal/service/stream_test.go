@@ -2,13 +2,17 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"vccmin/internal/sweep"
 )
 
 // sseEvent is one parsed server-sent event.
@@ -259,6 +263,8 @@ func TestStreamValidation(t *testing.T) {
 		{url: "/v1/sweeps/nope/stream", status: http.StatusNotFound},
 		{url: "/v1/sweeps/" + id + "/stream?format=csv", status: http.StatusBadRequest},
 		{url: "/v1/sweeps/" + id + "/stream?offset=-2", status: http.StatusBadRequest},
+		{url: "/v1/sweeps/" + id + "/stream?offset=-1", status: http.StatusBadRequest},
+		{url: "/v1/sweeps/" + id + "/stream?offset=-1", header: "0", status: http.StatusBadRequest},
 		{url: "/v1/sweeps/" + id + "/stream", header: "banana", status: http.StatusBadRequest},
 	}
 	for _, c := range cases {
@@ -276,6 +282,77 @@ func TestStreamValidation(t *testing.T) {
 			t.Errorf("GET %s (Last-Event-ID %q): status %d, want %d", c.url, c.header, resp.StatusCode, c.status)
 		}
 	}
+}
+
+// TestRowsStreamReadRowsAgree: one checkpoint with blank lines, a CRLF
+// row and a torn tail, written into a finished job's rows path, reads
+// the same row for row through /rows (X-Total-Count and body, whole and
+// paged), /stream?format=jsonl and sweep.ReadRows of its valid prefix.
+func TestRowsStreamReadRowsAgree(t *testing.T) {
+	s, ts := newTestServer(t)
+	var acc SweepAccepted
+	postJSON(t, ts.URL+"/v1/sweeps", tinySpec(), &acc)
+	id := acc.Job.ID
+	waitDone(t, ts.URL, id)
+
+	path := s.jobs.RowsPath(id)
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := splitLines(orig)
+	var ck bytes.Buffer
+	ck.WriteString("\n")
+	for i, line := range lines {
+		if i == 1 {
+			line = strings.TrimSuffix(line, "\n") + "\r\n"
+		}
+		ck.WriteString(line)
+		if i%2 == 0 {
+			ck.WriteString(" \t\n\r\n")
+		}
+	}
+	valid := ck.Len()
+	ck.WriteString(lines[0][:len(lines[0])/2])
+	if err := os.WriteFile(path, ck.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	want, err := sweep.ReadRows(bytes.NewReader(ck.Bytes()[:valid]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(lines) {
+		t.Fatalf("valid prefix holds %d rows, the job wrote %d", len(want), len(lines))
+	}
+	sameRows := func(what string, body []byte, want []sweep.Row) {
+		t.Helper()
+		got, err := sweep.ReadRows(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: row %d differs:\n%+v\n%+v", what, i, got[i], want[i])
+			}
+		}
+	}
+
+	resp, polled := getBody(t, ts.URL+"/v1/sweeps/"+id+"/rows")
+	if n := resp.Header.Get("X-Total-Count"); n != strconv.Itoa(len(want)) {
+		t.Fatalf("X-Total-Count %s, want %d", n, len(want))
+	}
+	sameRows("/rows", polled, want)
+	_, paged := getBody(t, ts.URL+"/v1/sweeps/"+id+"/rows?offset=1&limit=2")
+	sameRows("/rows?offset=1&limit=2", paged, want[1:3])
+	_, streamed := getBody(t, ts.URL+"/v1/sweeps/"+id+"/stream?format=jsonl")
+	if !bytes.Equal(streamed, polled) {
+		t.Fatalf("jsonl stream %q differs from polled rows %q", streamed, polled)
+	}
+	sameRows("/stream?format=jsonl", streamed, want)
 }
 
 // TestStreamKeepAliveAndDisconnect pins down that an idle stream stays

@@ -295,10 +295,10 @@ func assemble(opts Options, prev *System) (*System, error) {
 			if opts.Pair == nil {
 				return nil, fmt.Errorf("sim: incremental word-disable at low voltage needs a fault-map pair")
 			}
-			if ic.Enable, err = gate("I-cache", opts.Pair.I, l1Geom, buildIncrementalEnable); err != nil {
+			if ic.Enable, err = gate("I-cache", opts.Pair.I, l1Geom, core.BuildIncrementalEnable); err != nil {
 				return nil, err
 			}
-			if dc.Enable, err = gate("D-cache", opts.Pair.D, l1Geom, buildIncrementalEnable); err != nil {
+			if dc.Enable, err = gate("D-cache", opts.Pair.D, l1Geom, core.BuildIncrementalEnable); err != nil {
 				return nil, err
 			}
 			// The repairable pairs run merged at the alignment-network
@@ -345,46 +345,6 @@ func gate(cache string, m *faults.Map, g geom.Geometry, build func(*faults.Map) 
 		return nil, fmt.Errorf("sim: %s fault map is for a %v, the cache is a %v", cache, m.Geom, g)
 	}
 	return build(m), nil
-}
-
-// buildIncrementalEnable derives a way-enable map for the incremental
-// word-disable scheme: both ways of a disabled pair are off; repairable
-// pairs keep one way (merged half capacity); fault-free pairs keep both.
-func buildIncrementalEnable(m *faults.Map) *core.BlockDisableMap {
-	g := m.Geom
-	cfg := core.ReferenceWordDisable()
-	subPerBlock := m.WordsPerBlock() / cfg.WordsPerSubblock
-	d := &core.BlockDisableMap{Geom: g, Sets: make([]core.WayMask, g.Sets())}
-	for set := 0; set < g.Sets(); set++ {
-		var mask core.WayMask
-		for p := 0; p < g.Ways/2; p++ {
-			w0, w1 := 2*p, 2*p+1
-			state := classifyPair(m, cfg, set, w0, w1, subPerBlock)
-			switch state {
-			case core.PairFullCapacity:
-				mask |= 1<<uint(w0) | 1<<uint(w1)
-			case core.PairHalfCapacity:
-				mask |= 1 << uint(w0)
-			}
-		}
-		d.Sets[set] = mask
-	}
-	return d
-}
-
-// classifyPair mirrors core's pair classification for the enable builder.
-func classifyPair(m *faults.Map, cfg core.WordDisableConfig, set, w0, w1, subPerBlock int) core.PairState {
-	if m.At(set, w0).WordMask == 0 && m.At(set, w1).WordMask == 0 {
-		return core.PairFullCapacity
-	}
-	for _, way := range []int{w0, w1} {
-		for s := 0; s < subPerBlock; s++ {
-			if m.SubblockFaultyWords(set, way, s*cfg.WordsPerSubblock, cfg.WordsPerSubblock) > cfg.WordsPerSubblock/2 {
-				return core.PairDisabled
-			}
-		}
-	}
-	return core.PairHalfCapacity
 }
 
 // withDefaults fills in the run length: 200k measured instructions

@@ -14,7 +14,7 @@ import (
 )
 
 // StreamVersion identifies the random-stream family the engine draws
-// from. It is stamped into every row and enforced by LoadCompleted, so a
+// from. It is stamped into every row and enforced by Resume, so a
 // resume can never silently stitch rows produced by incompatible RNG
 // streams into one checkpoint (the PR-3 sparse fast path changed the
 // stream; pre-break checkpoints must be rerun, not resumed).

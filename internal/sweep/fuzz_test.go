@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-// Fuzzing targets the two checkpoint readers: whatever bytes a killed,
-// interleaved or corrupted run leaves behind, ReadRows and LoadCompleted
-// must never panic, and LoadCompleted's valid-prefix contract must hold —
-// truncating a file to the reported prefix and re-reading it yields the
-// same completed-cell set and consumes every byte.
+// Fuzzing targets the checkpoint's readers: whatever bytes a killed,
+// interleaved or corrupted run leaves behind, Checkpoint, ReadRows and
+// resume's loader must never panic, and the valid-prefix contract must
+// hold — truncating a file to the reported prefix and re-reading it
+// yields the same completed-cell set and consumes every byte.
 
 // fuzzRowLine renders a well-formed checkpoint line for seeding.
 func fuzzRowLine(key string, index int) string {
@@ -19,28 +19,62 @@ func fuzzRowLine(key string, index int) string {
 	return string(b) + "\n"
 }
 
-func fuzzSeeds(f *testing.F) {
+// fuzzSeedInputs is the seed corpus both fuzz targets start from, and
+// part of the input set TestReadRowsDifferential replays.
+func fuzzSeedInputs() [][]byte {
 	valid := fuzzRowLine("pfail=0.001;geom=32768x8x64;scheme=block-disable;victim=no-victim;gran=block", 0)
 	second := fuzzRowLine("pfail=0.002;geom=32768x8x64;scheme=baseline;victim=no-victim;gran=block", 1)
-	f.Add([]byte(""))
-	f.Add([]byte(valid))
-	f.Add([]byte(valid + second))
-	f.Add([]byte(valid + second[:len(second)/2]))                      // torn tail
-	f.Add([]byte(valid + "\n\n" + second))                             // blank lines
-	f.Add([]byte(valid + valid))                                       // duplicate cells
-	f.Add([]byte(valid + "{\"key\": garbage}\n"))                      // complete corrupt line
-	f.Add([]byte("not json at all\n" + valid))                         // interleaved garbage first
-	f.Add([]byte(strings.Repeat(" ", 300) + "\n"))                     // whitespace-only line
-	f.Add([]byte("{\"key\":\"" + strings.Repeat("k", 2000) + "\"}\n")) // long key
-	f.Add([]byte("\xff\xfe\x00 binary junk \n" + valid))
+	return [][]byte{
+		[]byte(""),
+		[]byte(valid),
+		[]byte(valid + second),
+		[]byte(valid + second[:len(second)/2]),                      // torn tail
+		[]byte(valid + "\n\n" + second),                             // blank lines
+		[]byte(valid + valid),                                       // duplicate cells
+		[]byte(valid + "{\"key\": garbage}\n"),                      // complete corrupt line
+		[]byte("not json at all\n" + valid),                         // interleaved garbage first
+		[]byte(strings.Repeat(" ", 300) + "\n"),                     // whitespace-only line
+		[]byte("{\"key\":\"" + strings.Repeat("k", 2000) + "\"}\n"), // long key
+		[]byte("\xff\xfe\x00 binary junk \n" + valid),
+	}
 }
 
+func fuzzSeeds(f *testing.F) {
+	for _, in := range fuzzSeedInputs() {
+		f.Add(in)
+	}
+}
+
+// FuzzLoadCompleted fuzzes how resume loads the completed cells of a
+// checkpoint through the Checkpoint reader.
 func FuzzLoadCompleted(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		done, valid, err := LoadCompleted(bytes.NewReader(data))
+		// The reader's framing alone: the complete lines and the torn
+		// tail partition the input, and the tail holds no newline.
+		ck := NewCheckpoint(bytes.NewReader(data))
+		for {
+			line, err := ck.Next()
+			if err != nil {
+				t.Fatalf("reading from memory failed: %v", err)
+			}
+			if line == nil {
+				break
+			}
+		}
+		if got := ck.Valid() + int64(len(ck.Torn())); got != int64(len(data)) {
+			t.Fatalf("valid prefix %d + torn tail %d != input %d", ck.Valid(), len(ck.Torn()), len(data))
+		}
+		if bytes.IndexByte(ck.Torn(), '\n') >= 0 {
+			t.Fatalf("torn tail %q holds a newline", ck.Torn())
+		}
+
+		done, valid, _, err := readCheckpoint(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if valid != ck.Valid() {
+			t.Fatalf("resume's valid prefix %d, the reader's %d", valid, ck.Valid())
 		}
 		if valid < 0 || valid > int64(len(data)) {
 			t.Fatalf("valid prefix %d outside [0,%d]", valid, len(data))
@@ -52,12 +86,12 @@ func FuzzLoadCompleted(f *testing.F) {
 		// Re-reading the truncated prefix must be stable: same set, every
 		// byte consumed, no error. This is exactly what resume relies on
 		// after truncating a torn file.
-		done2, valid2, err2 := LoadCompleted(bytes.NewReader(data[:valid]))
+		done2, valid2, torn2, err2 := readCheckpoint(bytes.NewReader(data[:valid]))
 		if err2 != nil {
 			t.Fatalf("valid prefix failed to re-parse: %v", err2)
 		}
-		if valid2 != valid {
-			t.Fatalf("prefix re-read shrank: %d -> %d", valid, valid2)
+		if valid2 != valid || torn2 != 0 {
+			t.Fatalf("prefix re-read shrank: %d -> %d (+%d torn)", valid, valid2, torn2)
 		}
 		if len(done2) != len(done) {
 			t.Fatalf("completed set changed on re-read: %d -> %d keys", len(done), len(done2))
@@ -67,16 +101,13 @@ func FuzzLoadCompleted(f *testing.F) {
 				t.Fatalf("key %q lost on re-read", k)
 			}
 		}
-		// Every complete line in the prefix parsed, so ReadRows must agree
-		// (its scanner caps lines at 1 MiB; stay under it).
-		if int64(len(data)) < 1<<20 {
-			rows, err := ReadRows(bytes.NewReader(data[:valid]))
-			if err != nil {
-				t.Fatalf("ReadRows rejected LoadCompleted's valid prefix: %v", err)
-			}
-			if len(rows) < len(done) {
-				t.Fatalf("%d rows but %d distinct keys", len(rows), len(done))
-			}
+		// Every complete line in the prefix parsed, so ReadRows must agree.
+		rows, err := ReadRows(bytes.NewReader(data[:valid]))
+		if err != nil {
+			t.Fatalf("ReadRows rejected resume's valid prefix: %v", err)
+		}
+		if len(rows) < len(done) {
+			t.Fatalf("%d rows but %d distinct keys", len(rows), len(done))
 		}
 	})
 }
@@ -85,6 +116,14 @@ func FuzzReadRows(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rows, err := ReadRows(bytes.NewReader(data))
+		// Under the old scanner's 1 MiB line cap, the frozen reference
+		// must give the same rows or the same error.
+		if len(data) < 1<<20 {
+			ref, refErr := referenceReadRows(bytes.NewReader(data))
+			if !sameReadRows(rows, err, ref, refErr) {
+				t.Fatalf("ReadRows (%d rows, err %v) differs from the reference (%d rows, err %v)", len(rows), err, len(ref), refErr)
+			}
+		}
 		if err != nil {
 			return
 		}

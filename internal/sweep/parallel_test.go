@@ -70,12 +70,8 @@ func TestResumeEquivalenceSerialVsParallel(t *testing.T) {
 	prefix := bytes.Join(lines[:3], nil)
 
 	for _, workers := range []int{1, 8} {
-		done, _, err := LoadCompleted(bytes.NewReader(prefix))
-		if err != nil {
-			t.Fatal(err)
-		}
 		var rest bytes.Buffer
-		res, err := Run(spec, RunOptions{Out: &rest, Completed: done, Workers: workers})
+		res, err := Resume(spec, bytes.NewReader(prefix), RunOptions{Out: &rest, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,30 +111,25 @@ func TestCancellationMidPool(t *testing.T) {
 	}
 
 	// The flushed prefix must be a parseable in-order prefix of the full
-	// stream with at least the row that triggered cancellation.
-	done, valid, err := LoadCompleted(bytes.NewReader(out.Bytes()))
-	if err != nil {
-		t.Fatalf("cancelled checkpoint unreadable: %v", err)
-	}
-	if len(done) == 0 {
-		t.Fatal("cancelled run flushed no rows before aborting")
-	}
-	if int64(out.Len()) != valid {
-		t.Fatalf("cancelled checkpoint has %d bytes, %d valid: torn tail in flushed output", out.Len(), valid)
-	}
+	// stream with at least the row that triggered cancellation, and
+	// resuming it completes to the byte-identical full run.
 	if !bytes.HasPrefix(full, out.Bytes()) {
 		t.Fatal("cancelled output is not a prefix of the full stream")
 	}
-
-	// Resuming the checkpoint completes to the byte-identical full run.
 	var rest bytes.Buffer
-	res, err := Run(spec, RunOptions{Out: &rest, Completed: done, Workers: 8})
+	res, err := Resume(spec, bytes.NewReader(out.Bytes()), RunOptions{Out: &rest, Workers: 8})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("cancelled checkpoint unreadable: %v", err)
 	}
-	if res.Skipped != len(done) || res.Computed != 8-len(done) {
+	if res.Skipped == 0 {
+		t.Fatal("cancelled run flushed no rows before aborting")
+	}
+	if res.ResumeValidBytes != int64(out.Len()) || res.ResumeTornBytes != 0 {
+		t.Fatalf("cancelled checkpoint has %d bytes, %d valid: torn tail in flushed output", out.Len(), res.ResumeValidBytes)
+	}
+	if res.Computed != 8-res.Skipped {
 		t.Fatalf("resume after cancel computed %d skipped %d, want %d and %d",
-			res.Computed, res.Skipped, 8-len(done), len(done))
+			res.Computed, res.Skipped, 8-res.Skipped, res.Skipped)
 	}
 	stitched := append(append([]byte{}, out.Bytes()...), rest.Bytes()...)
 	if !bytes.Equal(stitched, full) {

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -19,10 +18,6 @@ type RunOptions struct {
 	// as soon as every earlier owned cell has completed — so a killed run
 	// leaves a valid resumable prefix. Nil discards the stream.
 	Out io.Writer
-
-	// Completed holds cell keys to skip (resume). Build it from a partial
-	// output file with LoadCompleted.
-	Completed map[string]struct{}
 
 	// Context cancels the run between cells: already-flushed rows remain a
 	// valid checkpoint and Run returns the context's error. Nil means
@@ -69,13 +64,15 @@ type Result struct {
 	ResumeTornBytes  int64
 }
 
-// Run evaluates the spec's grid cells owned by its shard, skipping cells
-// already in opt.Completed, with opt.Workers (or Spec.Workers) concurrent
-// evaluations. Rows stream to opt.Out in cell order. A cell error aborts
-// the run and Run returns the error of the lowest failing cell, whatever
-// the worker count; every row before that cell is flushed and remains a
-// valid checkpoint for resume.
-func Run(spec Spec, opt RunOptions) (*Result, error) {
+// Run evaluates the spec's grid cells owned by its shard with
+// opt.Workers (or Spec.Workers) concurrent evaluations. Rows stream to
+// opt.Out in cell order. A cell error aborts the run and Run returns the
+// error of the lowest failing cell, whatever the worker count; every row
+// before that cell is flushed and remains a valid checkpoint for Resume.
+func Run(spec Spec, opt RunOptions) (*Result, error) { return run(spec, opt, nil) }
+
+// run is Run skipping the owned cells whose keys are in completed.
+func run(spec Spec, opt RunOptions, completed map[string]struct{}) (*Result, error) {
 	spec = spec.withDefaults()
 	if err := spec.Check(); err != nil {
 		return nil, err
@@ -97,7 +94,7 @@ func Run(spec Spec, opt RunOptions) (*Result, error) {
 			continue
 		}
 		res.ShardCells++
-		if _, done := opt.Completed[c.Key()]; done {
+		if _, done := completed[c.Key()]; done {
 			res.Skipped++
 			continue
 		}
@@ -148,77 +145,80 @@ func Run(spec Spec, opt RunOptions) (*Result, error) {
 	return res, nil
 }
 
-// ReadRows parses a JSON-lines result stream. Blank (all-whitespace)
-// lines are ignored, exactly as LoadCompleted ignores them, so the two
-// readers always agree on what a checkpoint contains.
+// ReadRows parses a JSON-lines result stream read through a Checkpoint.
+// A final line without its newline is parsed too, so a stream that ends
+// in a complete row reads whole and one torn mid-row is an error, like
+// any other corrupt line.
 func ReadRows(r io.Reader) ([]Row, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	ck := NewCheckpoint(r)
 	var rows []Row
-	for ln := 1; sc.Scan(); ln++ {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
+	add := func(line []byte, ln int) error {
 		var row Row
-		if err := json.Unmarshal(line, &row); err != nil {
-			return nil, fmt.Errorf("sweep: line %d: %w", ln, err)
+		if err := json.Unmarshal(bytes.TrimSpace(line), &row); err != nil {
+			return fmt.Errorf("sweep: line %d: %w", ln, err)
 		}
 		rows = append(rows, row)
+		return nil
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	for {
+		line, err := ck.Next()
+		if err != nil {
+			return nil, err
+		}
+		if line == nil {
+			break
+		}
+		if err := add(line, ck.Line()); err != nil {
+			return nil, err
+		}
+	}
+	if tail := ck.Torn(); len(bytes.TrimSpace(tail)) > 0 {
+		if err := add(tail, ck.Line()+1); err != nil {
+			return nil, err
+		}
 	}
 	return rows, nil
 }
 
-// LoadCompleted reads a partial result stream and returns the set of cell
-// keys it contains plus the byte length of the valid prefix. A final line
-// without a newline (a run killed mid-write) is tolerated and excluded
-// from both; callers appending to the file should first truncate it to
-// valid. A complete line that fails to parse is real corruption and an
-// error.
-func LoadCompleted(r io.Reader) (done map[string]struct{}, valid int64, err error) {
-	indexed, valid, err := loadCompletedIndexed(r)
+// loadCheckpoint reads a prior checkpoint for resume: the keys of the
+// cells its complete rows hold, and the byte lengths of its valid prefix
+// and of the torn line after it. A complete line that fails to parse is
+// real corruption and an error, and so is a row that does not sit at its
+// own index in the spec's grid.
+func loadCheckpoint(spec Spec, r io.Reader) (done map[string]struct{}, valid, torn int64, err error) {
+	indexed, valid, torn, err := readCheckpoint(r)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	done = make(map[string]struct{}, len(indexed))
-	for k := range indexed {
-		done[k] = struct{}{}
-	}
-	return done, valid, nil
+	done, err = checkAgainstGrid(spec.withDefaults(), indexed)
+	return done, valid, torn, err
 }
 
-// loadCompletedIndexed is LoadCompleted keeping each row's grid index,
-// so the resume path can verify the checkpoint against the spec's grid.
-func loadCompletedIndexed(r io.Reader) (done map[string]int, valid int64, err error) {
-	br := bufio.NewReader(r)
+// readCheckpoint is loadCheckpoint before the grid check: the grid index
+// of each cell the checkpoint's complete rows hold.
+func readCheckpoint(r io.Reader) (done map[string]int, valid, torn int64, err error) {
+	ck := NewCheckpoint(r)
 	done = map[string]int{}
-	for ln := 1; ; ln++ {
-		line, err := br.ReadBytes('\n')
-		if err == io.EOF {
-			// No trailing newline: a checkpoint interrupted mid-write.
-			return done, valid, nil
-		}
+	for {
+		line, err := ck.Next()
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
-		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 {
-			var row Row
-			if err := json.Unmarshal(trimmed, &row); err != nil {
-				return nil, 0, fmt.Errorf("sweep: line %d: %w", ln, err)
-			}
-			// Refuse to resume a checkpoint written by an incompatible
-			// random-stream family: completing it would silently mix rows
-			// from two distributions in one output file. Rerun instead.
-			if row.Stream != StreamVersion {
-				return nil, 0, fmt.Errorf("sweep: line %d: checkpoint stream %q incompatible with engine stream %q — delete the checkpoint and rerun",
-					ln, row.Stream, StreamVersion)
-			}
-			done[row.Key] = row.Index
+		if line == nil {
+			return done, ck.Valid(), int64(len(ck.Torn())), nil
 		}
-		valid += int64(len(line))
+		var row Row
+		if err := json.Unmarshal(bytes.TrimSpace(line), &row); err != nil {
+			return nil, 0, 0, fmt.Errorf("sweep: line %d: %w", ck.Line(), err)
+		}
+		// Refuse to resume a checkpoint written by an incompatible
+		// random-stream family: completing it would silently mix rows
+		// from two distributions in one output file. Rerun instead.
+		if row.Stream != StreamVersion {
+			return nil, 0, 0, fmt.Errorf("sweep: line %d: checkpoint stream %q incompatible with engine stream %q — delete the checkpoint and rerun",
+				ck.Line(), row.Stream, StreamVersion)
+		}
+		done[row.Key] = row.Index
 	}
 }
 
@@ -255,29 +255,15 @@ func checkAgainstGrid(spec Spec, done map[string]int) (map[string]struct{}, erro
 // prev: a caller appending the new rows to the same file must first
 // truncate it to ResumeValidBytes (a torn tail left in place would fuse
 // with the first appended row into an unparseable line) — or use
-// ResumeFile, which does both. Any Completed set already in opt is
-// extended.
+// ResumeFile, which does both.
 func Resume(spec Spec, prev io.Reader, opt RunOptions) (*Result, error) {
-	cr := &countingReader{r: prev}
-	indexed, valid, err := loadCompletedIndexed(cr)
+	done, valid, torn, err := loadCheckpoint(spec, prev)
 	if err != nil {
 		return nil, err
 	}
-	done, err := checkAgainstGrid(spec.withDefaults(), indexed)
-	if err != nil {
-		return nil, err
-	}
-	if opt.Completed == nil {
-		opt.Completed = done
-	} else {
-		for k := range done {
-			opt.Completed[k] = struct{}{}
-		}
-	}
-	res, err := Run(spec, opt)
+	res, err := run(spec, opt, done)
 	if res != nil {
-		res.ResumeValidBytes = valid
-		res.ResumeTornBytes = cr.n - valid
+		res.ResumeValidBytes, res.ResumeTornBytes = valid, torn
 	}
 	return res, err
 }
@@ -285,23 +271,18 @@ func Resume(spec Spec, prev io.Reader, opt RunOptions) (*Result, error) {
 // ResumeFile is Resume checkpointing through a file: cells already
 // recorded in path are skipped, a final line torn by a kill mid-write is
 // truncated away, and new rows append in cell order on the valid prefix's
-// boundary. The file is created if missing. opt.Out and opt.Completed are
-// owned by ResumeFile and must be zero.
+// boundary. The file is created if missing. opt.Out is owned by
+// ResumeFile and must be nil.
 func ResumeFile(spec Spec, path string, opt RunOptions) (*Result, error) {
-	if opt.Out != nil || opt.Completed != nil {
-		return nil, fmt.Errorf("sweep: ResumeFile owns Out and Completed")
+	if opt.Out != nil {
+		return nil, fmt.Errorf("sweep: ResumeFile owns Out")
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	cr := &countingReader{r: f}
-	indexed, valid, err := loadCompletedIndexed(cr)
-	if err != nil {
-		return nil, fmt.Errorf("sweep: loading %s: %w", path, err)
-	}
-	done, err := checkAgainstGrid(spec.withDefaults(), indexed)
+	done, valid, torn, err := loadCheckpoint(spec, f)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: loading %s: %w", path, err)
 	}
@@ -312,29 +293,14 @@ func ResumeFile(spec Spec, path string, opt RunOptions) (*Result, error) {
 		return nil, err
 	}
 	opt.Out = f
-	opt.Completed = done
-	res, err := Run(spec, opt)
+	res, err := run(spec, opt, done)
 	if res != nil {
-		res.ResumeValidBytes = valid
-		res.ResumeTornBytes = cr.n - valid
+		res.ResumeValidBytes, res.ResumeTornBytes = valid, torn
 	}
 	if err != nil {
 		return res, err
 	}
 	return res, f.Sync()
-}
-
-// countingReader counts bytes consumed, so Resume can size the torn tail
-// (total read minus valid prefix) without a second pass.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }
 
 func itoa(n int) string { return strconv.Itoa(n) }

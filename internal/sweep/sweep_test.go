@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -103,24 +104,20 @@ func TestResumeSkipsCompletedCells(t *testing.T) {
 	lines := strings.SplitAfter(first.String(), "\n")
 	partial := strings.Join(lines[:3], "")
 	torn := partial + lines[3][:len(lines[3])/2]
-	done, valid, err := LoadCompleted(strings.NewReader(torn))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(done) != 3 {
-		t.Fatalf("loaded %d completed cells, want 3", len(done))
-	}
-	if valid != int64(len(partial)) {
-		t.Fatalf("valid prefix %d bytes, want %d (torn line excluded)", valid, len(partial))
-	}
 
 	var rest bytes.Buffer
-	res, err := Run(spec, RunOptions{Out: &rest, Completed: done})
+	res, err := Resume(spec, strings.NewReader(torn), RunOptions{Out: &rest})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Skipped != 3 || res.Computed != 5 {
 		t.Fatalf("resume computed %d, skipped %d; want 5 and 3", res.Computed, res.Skipped)
+	}
+	if res.ResumeValidBytes != int64(len(partial)) {
+		t.Fatalf("valid prefix %d bytes, want %d (torn line excluded)", res.ResumeValidBytes, len(partial))
+	}
+	if res.ResumeTornBytes != int64(len(torn)-len(partial)) {
+		t.Fatalf("torn tail %d bytes, want %d", res.ResumeTornBytes, len(torn)-len(partial))
 	}
 	// Completed cells must not be recomputed, and the union must equal
 	// the uninterrupted run byte-for-byte.
@@ -132,11 +129,7 @@ func TestResumeSkipsCompletedCells(t *testing.T) {
 	}
 
 	// Resuming from the complete output recomputes nothing.
-	all, _, err := LoadCompleted(strings.NewReader(first.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = Run(spec, RunOptions{Completed: all})
+	res, err = Resume(spec, strings.NewReader(first.String()), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,28 +139,35 @@ func TestResumeSkipsCompletedCells(t *testing.T) {
 }
 
 func TestLoadCompletedRejectsCorruptCompleteLine(t *testing.T) {
-	if _, _, err := LoadCompleted(strings.NewReader("not json\n")); err == nil {
+	if _, err := Resume(testSpec(), strings.NewReader("not json\n"), RunOptions{}); err == nil {
 		t.Error("accepted a corrupt newline-terminated line")
 	}
 }
 
 // TestLoadCompletedRejectsForeignStream: a checkpoint written by a
 // different (or pre-versioning) RNG stream must refuse to resume rather
-// than silently stitch two distributions into one output file.
+// than silently stitch two distributions into one output file. The rows
+// name a real cell of the grid at its own index, so the refusal is the
+// stream check's, not the grid check's.
 func TestLoadCompletedRejectsForeignStream(t *testing.T) {
-	rows := []string{
-		`{"key":"a","index":0}`,                     // pre-versioning row: no stream field
-		`{"key":"b","index":1,"stream":"dense-v0"}`, // explicit foreign stream
+	spec := testSpec()
+	cell := spec.withDefaults().Cells()[0]
+	key, _ := json.Marshal(cell.Key())
+	row := func(stream string) string {
+		return fmt.Sprintf(`{"key":%s,"index":%d%s}`, key, cell.Index, stream) + "\n"
 	}
-	for _, row := range rows {
-		if _, _, err := LoadCompleted(strings.NewReader(row + "\n")); err == nil {
-			t.Errorf("resumed a checkpoint row from a foreign stream: %s", row)
+	for _, line := range []string{
+		row(""),                     // pre-versioning row: no stream field
+		row(`,"stream":"dense-v0"`), // explicit foreign stream
+	} {
+		_, err := Resume(spec, strings.NewReader(line), RunOptions{})
+		if err == nil || !strings.Contains(err.Error(), "checkpoint stream") {
+			t.Errorf("resumed a checkpoint row from a foreign stream (err %v): %s", err, line)
 		}
 	}
-	ok := `{"key":"c","index":2,"stream":"` + StreamVersion + `"}`
-	done, _, err := LoadCompleted(strings.NewReader(ok + "\n"))
-	if err != nil || len(done) != 1 {
-		t.Fatalf("current-stream row rejected: %v (%d keys)", err, len(done))
+	res, err := Resume(spec, strings.NewReader(row(`,"stream":"`+StreamVersion+`"`)), RunOptions{})
+	if err != nil || res.Skipped != 1 {
+		t.Fatalf("current-stream row rejected: %v (%+v)", err, res)
 	}
 }
 

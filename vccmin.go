@@ -366,10 +366,9 @@ type SweepResult = sweep.Result
 // SweepAxisSummary is the per-axis marginal aggregate of a sweep.
 type SweepAxisSummary = sweep.AxisSummary
 
-// SweepRunOptions configures one sweep execution: the output stream, the
-// resume set, cancellation, progress observation and the worker bound for
-// concurrent cell evaluations (which never changes results, only
-// scheduling).
+// SweepRunOptions configures one sweep execution: the output stream,
+// cancellation, progress observation and the worker bound for concurrent
+// cell evaluations (which never changes results, only scheduling).
 type SweepRunOptions = sweep.RunOptions
 
 // RunSweep evaluates the spec's grid (or this shard's slice of it),
@@ -380,9 +379,9 @@ func RunSweep(spec SweepSpec, out io.Writer) (*SweepResult, error) {
 	return sweep.Run(spec, sweep.RunOptions{Out: out})
 }
 
-// RunSweepWith is RunSweep with full execution options — checkpoint
-// resume via Completed, cancellation via Context, progress callbacks and
-// a per-run Workers bound.
+// RunSweepWith is RunSweep with full execution options — cancellation
+// via Context, progress callbacks and a per-run Workers bound. To skip
+// the cells a prior checkpoint already holds, use ResumeSweep.
 func RunSweepWith(spec SweepSpec, opt SweepRunOptions) (*SweepResult, error) {
 	return sweep.Run(spec, opt)
 }
