@@ -38,7 +38,8 @@ bench-gate:
 # concatenate-and-sort query aggregate, the rebuild-per-probe fleet
 # prober, the per-run sweep cell evaluation, the live instruction stream
 # against its recording and replay, the map-and-recency-list cache
-# model, the scan-based functional-unit pool) held identical to the
+# model, the scan-based functional-unit pool, math/rand's serial seed
+# chain against lfrand's power table) held identical to the
 # optimized hot paths, plus the worker-invariance tests of every caller
 # of internal/par (results identical at workers 1 and up, the figure
 # drivers' with every worker replaying one shared recording) and par's
@@ -46,7 +47,7 @@ bench-gate:
 # test runs three times in one process: the task registry is
 # process-wide, so a repeat must not register its kind twice.
 diff-race:
-	$(GO) test -race -run 'Differential|Model|FUPoolDifferential|SamplerBatched|ProbeCacheHit|MarkFrontierMatchesRebuild|FrontierSet|RecordingReplayMatchesLive|MeasuredCapacityWorkerInvariance|PairsParallelismInvariance|FleetWorkerInvariance|PredictWorkerInvariance|WorkersByteIdentical|ExploreDeterministicAcrossWorkers|RegistryAndBatch|FigureDriversWorkerInvariance|RunTraceMatchesRun' ./internal/faults ./internal/dvfs ./internal/colstore ./internal/population ./internal/workload ./internal/sweep ./internal/experiments ./internal/engine ./internal/cache ./internal/pipeline ./internal/sim
+	$(GO) test -race -run 'Differential|Model|FUPoolDifferential|SamplerBatched|ProbeCacheHit|MarkFrontierMatchesRebuild|FrontierSet|RecordingReplayMatchesLive|MeasuredCapacityWorkerInvariance|PairsParallelismInvariance|FleetWorkerInvariance|PredictWorkerInvariance|WorkersByteIdentical|ExploreDeterministicAcrossWorkers|RegistryAndBatch|FigureDriversWorkerInvariance|RunTraceMatchesRun' ./internal/faults ./internal/dvfs ./internal/colstore ./internal/population ./internal/workload ./internal/sweep ./internal/experiments ./internal/engine ./internal/cache ./internal/pipeline ./internal/sim ./internal/lfrand
 	$(GO) test -race ./internal/par
 	$(GO) test -race -count=3 -run RegistryAndBatch ./internal/engine
 
@@ -101,9 +102,9 @@ check: vet fmt doc-check link-check api-check clean-check
 # Short fuzz smoke over the checkpoint reader (ReadRows and resume's
 # loader, FuzzLoadCompleted, both read through it), the batched sparse
 # sampler, the colv1 shard codec, the query aggregation paths, the
-# GET-versus-CLI request binding and the fleet prober's severity sort
-# (go test allows one fuzz target per invocation, hence the separate
-# runs).
+# GET-versus-CLI request binding, the fleet prober's severity sort and
+# lfrand's power-table seeding against math/rand's state (go test
+# allows one fuzz target per invocation, hence the separate runs).
 fuzz:
 	$(GO) test ./internal/sweep -run='^$$' -fuzz=FuzzReadRows -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sweep -run='^$$' -fuzz=FuzzLoadCompleted -fuzztime=$(FUZZTIME)
@@ -113,6 +114,7 @@ fuzz:
 	$(GO) test ./internal/colstore -run='^$$' -fuzz=FuzzAggregate -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/service -run='^$$' -fuzz=FuzzBindSurfaces -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/population -run='^$$' -fuzz=FuzzSeveritySort -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/lfrand -run='^$$' -fuzz=FuzzSeedState -fuzztime=$(FUZZTIME)
 
 # Coverage over the internal packages with a hard floor.
 cover:

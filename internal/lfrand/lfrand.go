@@ -8,10 +8,13 @@
 // sweep row hashes and the dvfs frontier all depend on them), so they
 // cannot switch to a cheaper generator family. What they CAN shed is
 // math/rand's fixed overhead: the Source interface dispatch on every
-// draw, the heap allocation per rand.New, and most of the seeding cost
-// (Seed reduces 48271·x mod 2³¹−1 with two integer divisions per step,
-// 1841 steps per seed; the Mersenne-prime shift-add reduction below is
-// ~3× cheaper and exactly equal).
+// draw, the heap allocation per rand.New, and most of the seeding cost.
+// math/rand's Seed walks the chain x ← 48271·x mod 2³¹−1 for 1841
+// dependent steps, two integer divisions each. Its k-th value is
+// 48271ᵏ·x₀ mod 2³¹−1, so Seed here multiplies x₀ by the 1821 powers
+// the state words read (a table built once at init) instead: three
+// independent Mersenne-prime multiply-reduces per state word, which
+// the CPU overlaps, and exactly the same residues.
 //
 // Exactness contract: for every seed, a Source produces the identical
 // value stream to rand.New(rand.NewSource(seed)) for the replicated
@@ -21,11 +24,13 @@
 // math/rand streams across several seeds; if the verification fails on
 // some future Go runtime, every Source transparently falls back to
 // delegating to a *rand.Rand, trading speed for unconditional
-// equality. TestSourceMatchesMathRand holds the replica to the
+// equality. TestReplicated fails loudly when that happens, and
+// TestSourceMatchesMathRand and FuzzSeedState hold the replica to the
 // contract.
 package lfrand
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 )
@@ -36,7 +41,30 @@ const (
 	rngMask = 1<<63 - 1
 
 	int32max = 1<<31 - 1
+
+	// seedWarmup is the number of chain steps math/rand's Seed discards
+	// before the first state word.
+	seedWarmup = 20
 )
+
+// seedPow[i] holds 48271ᵏ mod 2³¹−1 for the three chain steps k that
+// build state word i: k = seedWarmup+3i+1, +2 and +3. Built at package
+// initialization, before init recovers and verifies the cooked table.
+var seedPow = seedPowers()
+
+func seedPowers() (t [rngLen][3]uint32) {
+	x := int32(1)
+	for k := 0; k < seedWarmup; k++ {
+		x = seedrand(x)
+	}
+	for i := range t {
+		for j := range t[i] {
+			x = seedrand(x)
+			t[i][j] = uint32(x)
+		}
+	}
+	return t
+}
 
 // cooked is math/rand's rngCooked table: the state its Seed XORs into
 // the replayable seed chain. Recovered at init; valid only when
@@ -72,7 +100,7 @@ func recoverCooked() (ok bool) {
 	// Replay the documented x-chain: 20 warmup steps, then three steps
 	// per state word building u = x₁<<40 ^ x₂<<20 ^ x₃.
 	x := seedInit(probeSeed)
-	for i := -20; i < rngLen; i++ {
+	for i := -seedWarmup; i < rngLen; i++ {
 		x = seedrand(x)
 		if i >= 0 {
 			u := uint64(x) << 40
@@ -88,9 +116,12 @@ func recoverCooked() (ok bool) {
 
 // verify checks the replica against live math/rand streams: several
 // seeds, enough draws to wrap the lag window, and every replicated
-// method including Intn's power-of-two and rejection paths.
+// method including Intn's power-of-two and rejection paths. The seeds
+// cover seedInit's branches the power table relies on: 0 and 2³¹−1
+// (both reduce to 0 and start the chain at 89482311), negative seeds
+// (which wrap) and math.MinInt64.
 func verify() bool {
-	for _, seed := range []int64{1, 7, -3, 424242, 1 << 40} {
+	for _, seed := range []int64{1, 7, -3, 424242, 1 << 40, 0, int32max, math.MinInt64} {
 		ref := rand.New(rand.NewSource(seed))
 		var s Source
 		s.seedDirect(seed)
@@ -118,7 +149,7 @@ func verify() bool {
 }
 
 // seedInit reduces a 64-bit seed to the chain's starting value exactly
-// as rngSource.Seed does.
+// as rngSource.Seed does. The result is in [1, 2³¹−2].
 func seedInit(seed int64) int32 {
 	seed = seed % int32max
 	if seed < 0 {
@@ -130,18 +161,25 @@ func seedInit(seed int64) int32 {
 	return int32(seed)
 }
 
-// seedrand advances the seed chain: x ← 48271·x mod 2³¹−1, computed
-// with the Mersenne-prime reduction (2³¹ ≡ 1 mod 2³¹−1, so a 47-bit
-// product folds with one shift-add and at most one subtract) instead
-// of math/rand's two-division Schrage split. Both compute the exact
-// residue, so the chains are identical.
-func seedrand(x int32) int32 {
-	p := uint64(48271) * uint64(uint32(x))
+// seedrand is one step of the documented seed chain, x ← 48271·x mod
+// 2³¹−1. Seed reads the chain through seedPow instead; recoverCooked
+// replays it step by step to strip it from math/rand's state, and
+// seedPowers walks it from x = 1 to tabulate the powers of 48271.
+func seedrand(x int32) int32 { return int32(mulMod(48271, uint32(x))) }
+
+// mulMod returns a·b mod 2³¹−1 for a, b in [1, 2³¹−2], with the
+// Mersenne-prime reduction instead of math/rand's two-division Schrage
+// split: 2³¹ ≡ 1 mod 2³¹−1, so the product (below 2⁶²) folds with one
+// shift-add to at most 2·(2³¹−1) and one conditional subtract finishes
+// it. The subtract cannot leave 2³¹−1 itself, since the modulus is
+// prime and neither factor is ≡ 0. Both compute the exact residue.
+func mulMod(a, b uint32) uint32 {
+	p := uint64(a) * uint64(b)
 	y := (p & int32max) + (p >> 31)
 	if y >= int32max {
 		y -= int32max
 	}
-	return int32(y)
+	return uint32(y)
 }
 
 // Source is one deterministic stream. The zero value is not seeded;
@@ -175,21 +213,19 @@ func (s *Source) Seed(seed int64) {
 }
 
 // seedDirect is the pure-Go replica of rngSource.Seed over the
-// recovered cooked table.
+// recovered cooked table. State word i takes chain steps
+// seedWarmup+3i+1..+3, each x₀ times one power from seedPow, so no
+// word waits on the one before it.
 func (s *Source) seedDirect(seed int64) {
 	s.tap = 0
 	s.feed = rngLen - rngTap
-	x := seedInit(seed)
-	for i := -20; i < rngLen; i++ {
-		x = seedrand(x)
-		if i >= 0 {
-			u := uint64(x) << 40
-			x = seedrand(x)
-			u ^= uint64(x) << 20
-			x = seedrand(x)
-			u ^= uint64(x)
-			s.vec[i] = u ^ cooked[i]
-		}
+	x := uint32(seedInit(seed))
+	for i := range s.vec {
+		pw := &seedPow[i]
+		u := uint64(mulMod(pw[0], x))<<40 ^
+			uint64(mulMod(pw[1], x))<<20 ^
+			uint64(mulMod(pw[2], x))
+		s.vec[i] = u ^ cooked[i]
 	}
 }
 

@@ -1,16 +1,19 @@
 package lfrand
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
 // TestReplicated pins the fast path: on every supported Go runtime the
-// cooked-table recovery and stream verification must succeed. If this
-// fails after a toolchain upgrade the package still behaves correctly
-// (every Source delegates to math/rand), but the hot paths lose their
-// speedup — which should be a loud, investigated event, not a silent
-// one.
+// cooked-table recovery and stream verification must succeed, so a
+// wrong seed power table fails here instead of quietly slowing every
+// Source down. If this fails after a toolchain upgrade the package
+// still behaves correctly (every Source delegates to math/rand), but
+// the hot paths lose their speedup — which should be a loud,
+// investigated event, not a silent one.
 func TestReplicated(t *testing.T) {
 	if !Replicated() {
 		t.Fatal("lfrand: cooked-table recovery or verification failed; sources are falling back to math/rand")
@@ -49,6 +52,68 @@ func TestSourceMatchesMathRand(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mathRandState reads the state rand.NewSource(seed) seeds itself to,
+// through reflection as recoverCooked does: the lag-607 vector and the
+// tap and feed cursors.
+func mathRandState(t testing.TB, seed int64) (vec [rngLen]uint64, tap, feed int32) {
+	t.Helper()
+	v := reflect.ValueOf(rand.NewSource(seed)).Elem()
+	vv := v.FieldByName("vec")
+	if !vv.IsValid() || vv.Len() != rngLen {
+		t.Fatalf("math/rand source has no %d-word vec field", rngLen)
+	}
+	for i := range vec {
+		vec[i] = uint64(vv.Index(i).Int())
+	}
+	return vec, int32(v.FieldByName("tap").Int()), int32(v.FieldByName("feed").Int())
+}
+
+// checkSeedState requires the state Seed writes for seed to be math/rand's
+// own, word for word.
+func checkSeedState(t testing.TB, seed int64) {
+	t.Helper()
+	var s Source
+	s.Seed(seed)
+	if s.fb != nil {
+		t.Fatalf("seed %d: Seed fell back to math/rand", seed)
+	}
+	vec, tap, feed := mathRandState(t, seed)
+	if s.tap != tap || s.feed != feed {
+		t.Fatalf("seed %d: tap, feed = %d, %d, want %d, %d", seed, s.tap, s.feed, tap, feed)
+	}
+	for i := range vec {
+		if s.vec[i] != vec[i] {
+			t.Fatalf("seed %d: state word %d = %#x, want %#x", seed, i, s.vec[i], vec[i])
+		}
+	}
+}
+
+// seedStateSeeds covers each branch of seedInit the power table relies
+// on: 0 and multiples of 2³¹−1 reduce to 0 and start the chain at
+// 89482311 (itself a seed here), negative seeds wrap, and the int64
+// extremes.
+var seedStateSeeds = []int64{
+	0, 1, -1, int32max, -int32max, 2 * int32max, 89482311, 1 << 40,
+	math.MinInt64, math.MaxInt64,
+}
+
+// TestSeedStateDifferential holds the power-table seeding to
+// math/rand's serial chain on the seeds that exercise seedInit.
+func TestSeedStateDifferential(t *testing.T) {
+	for _, seed := range seedStateSeeds {
+		checkSeedState(t, seed)
+	}
+}
+
+// FuzzSeedState holds the power-table seeding to math/rand's serial
+// chain for any int64 seed.
+func FuzzSeedState(f *testing.F) {
+	for _, seed := range seedStateSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) { checkSeedState(t, seed) })
 }
 
 // TestReseedEqualsFresh proves Seed fully resets the stream: reseeding

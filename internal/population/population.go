@@ -301,8 +301,11 @@ type prober struct {
 
 	// Reused random stream: one lfrand source reseeded in place per
 	// die (no per-die generator allocation or math/rand reseeding
-	// cost), wrapped once in a rand.Rand so NormFloat64 and Float64
-	// are the stdlib's own code over the replicated stream.
+	// cost). The gap and severity uniforms come straight from
+	// src.Float64, which replicates rand.Rand.Float64 (rand.Rand keeps
+	// no state between those draws). rng wraps src once so the wafer
+	// and die normals are the stdlib's own NormFloat64 over the
+	// replicated stream.
 	src lfrand.Source
 	rng *rand.Rand
 
@@ -412,7 +415,7 @@ func (p *prober) draw(d int) {
 	total := p.spec.Geom.TotalCells()
 	if p.pflr >= 1 {
 		for c := 0; c < total; c++ {
-			p.flt = append(p.flt, latentFault{sev: p.rng.Float64(), cell: int32(c)})
+			p.flt = append(p.flt, latentFault{sev: p.src.Float64(), cell: int32(c)})
 		}
 		p.sortBySeverity()
 		return
@@ -420,7 +423,7 @@ func (p *prober) draw(d int) {
 	logQ := math.Log1p(-p.pflr)
 	cell := -1
 	for {
-		u := p.rng.Float64()
+		u := p.src.Float64()
 		if u == 0 {
 			u = math.SmallestNonzeroFloat64
 		}
@@ -429,7 +432,7 @@ func (p *prober) draw(d int) {
 			p.sortBySeverity()
 			return
 		}
-		p.flt = append(p.flt, latentFault{sev: p.rng.Float64(), cell: int32(cell)})
+		p.flt = append(p.flt, latentFault{sev: p.src.Float64(), cell: int32(cell)})
 	}
 }
 
@@ -465,8 +468,10 @@ func (p *prober) sortBySeverity() {
 	for _, f := range p.flt {
 		start[min(int(f.sev*fn), n-1)+1]++
 	}
+	sum := start[0]
 	for b := 1; b < n; b++ {
-		start[b] += start[b-1]
+		sum += start[b]
+		start[b] = sum
 	}
 	out := p.swap[:n]
 	for _, f := range p.flt {
