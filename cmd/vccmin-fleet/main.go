@@ -71,31 +71,22 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 }
 
 // task constructs the fleet sweep or, with -predict, the prediction
-// study over the same fleet.
+// study over the same fleet. A fleet-only flag given with -predict is
+// an error that names it.
 func (o *options) task() (engine.Task, error) {
 	if o.predict <= 0 {
 		t, err := tasks.NewFleetTask(o.req)
 		return t, err
 	}
-	r := o.req
-	if len(r.Schemes) > 1 {
-		return nil, fmt.Errorf("-predict takes one scheme, got %d", len(r.Schemes))
-	}
-	req := tasks.PredictRequest{
-		Dies:          r.Dies,
-		DiesPerWafer:  r.DiesPerWafer,
-		WaferSigma:    r.WaferSigma,
-		Gradient:      r.Gradient,
-		DieSigma:      r.DieSigma,
-		CapacityFloor: r.CapacityFloor,
-		Geometry:      r.Geometry,
-		Seed:          r.Seed,
-		K:             o.predict,
-		Sample:        o.sample,
-		Workers:       r.Workers,
-	}
-	if len(r.Schemes) == 1 {
-		req.Scheme = r.Schemes[0]
+	req := tasks.PredictRequest{K: o.predict, Sample: o.sample}
+	for _, name := range cliflag.Copy(&req, &o.req) {
+		if name != "schemes" {
+			return nil, fmt.Errorf("-predict does not take -%s", name)
+		}
+		if n := len(o.req.Schemes); n > 1 {
+			return nil, fmt.Errorf("-predict takes one scheme, got %d", n)
+		}
+		req.Scheme = o.req.Schemes[0]
 	}
 	t, err := tasks.NewPredictTask(req)
 	return t, err

@@ -50,3 +50,18 @@ func TestPredictTakesOneScheme(t *testing.T) {
 		t.Fatalf("err %v", err)
 	}
 }
+
+// TestPredictRejectsFleetFlags: a fleet-sweep flag the prediction study
+// has no field for fails by name instead of being dropped.
+func TestPredictRejectsFleetFlags(t *testing.T) {
+	for args, want := range map[string]string{
+		"-predict 6 -vsteps 17":                     "-predict does not take -vsteps",
+		"-predict 6 -include-dies":                  "-predict does not take -include-dies",
+		"-predict 6 -vsteps 17 -schemes word,block": "-predict takes one scheme, got 2",
+		"-predict 6 -sample -3":                     "sample -3 negative",
+	} {
+		if _, err := parseArgs(t, args).task(); err == nil || err.Error() != want {
+			t.Errorf("%s: err %v, want %q", args, err, want)
+		}
+	}
+}

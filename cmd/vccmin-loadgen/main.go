@@ -39,86 +39,92 @@ import (
 	"syscall"
 	"time"
 
+	"vccmin/internal/cliflag"
 	"vccmin/internal/clirun"
 	"vccmin/internal/loadgen"
 	"vccmin/internal/service"
 )
 
+// options is the parsed command line: the load generator's config plus
+// the flags that are not config fields.
+type options struct {
+	cfg               loadgen.Config
+	self              bool
+	mix               string
+	jsonOut, benchOut string
+	selfRate          float64
+	selfShed          int
+	version           *bool
+}
+
+// parseFlags registers the command's flags on fs and parses args. The
+// config flags default to loadgen.Config.WithDefaults; only the rate
+// and request count, which the library requires, are defaulted here.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{cfg: loadgen.Config{Rate: 100, Requests: 1000}.WithDefaults()}
+	cliflag.Bind(fs, &o.cfg)
+	fs.BoolVar(&o.self, "self", false, "host the service in-process on a loopback port with a throwaway data dir")
+	fs.StringVar(&o.mix, "mix", "", "endpoint mix: empty = default, \"extended\" adds fleet+query, or name=weight[,name=weight...] over the extended set (unlisted names drop out)")
+	fs.StringVar(&o.jsonOut, "json", "", "write the full JSON report (with histogram buckets) to this file")
+	fs.StringVar(&o.benchOut, "bench-out", "", "write go test -bench format result lines to this file (for vccmin-bench -extra)")
+	fs.Float64Var(&o.selfRate, "self-rate-limit", 0, "with -self: per-client rate limit of the hosted service (0 disables)")
+	fs.IntVar(&o.selfShed, "self-shed-watermark", 0, "with -self: admission watermark of the hosted service (0 = default)")
+	o.version = clirun.VersionFlag(fs)
+	return o, fs.Parse(args)
+}
+
 func main() {
-	var (
-		base     = flag.String("base", "", "base URL of a running service (e.g. http://127.0.0.1:8780)")
-		self     = flag.Bool("self", false, "host the service in-process on a loopback port with a throwaway data dir")
-		rate     = flag.Float64("rate", 100, "open-loop arrival rate, requests/second")
-		requests = flag.Int("requests", 1000, "total requests to launch")
-		mixSpec  = flag.String("mix", "", "endpoint mix: empty = default, \"extended\" adds fleet+query, or name=weight[,name=weight...] over the extended set (unlisted names drop out)")
-		seed     = flag.Int64("seed", 1, "endpoint-pick PRNG seed")
-		timeout  = flag.Duration("timeout", 30*time.Second, "per-request timeout")
-		apiKey   = flag.String("api-key", "", "X-API-Key sent with every request (the rate limiter's client key)")
-		jsonOut  = flag.String("json", "", "write the full JSON report (with histogram buckets) to this file")
-		benchOut = flag.String("bench-out", "", "write go test -bench format result lines to this file (for vccmin-bench -extra)")
-		selfRate = flag.Float64("self-rate-limit", 0, "with -self: per-client rate limit of the hosted service (0 disables)")
-		selfShed = flag.Int("self-shed-watermark", 0, "with -self: admission watermark of the hosted service (0 = default)")
-		version  = clirun.VersionFlag(flag.CommandLine)
-	)
-	flag.Parse()
-	if clirun.HandleVersion(version) {
+	o, _ := parseFlags(flag.CommandLine, os.Args[1:]) // exits on a parse error
+	if clirun.HandleVersion(o.version) {
 		return
 	}
-	if err := run(*base, *self, *rate, *requests, *mixSpec, *seed, *timeout, *apiKey,
-		*jsonOut, *benchOut, *selfRate, *selfShed); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "vccmin-loadgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(base string, self bool, rate float64, requests int, mixSpec string, seed int64,
-	timeout time.Duration, apiKey, jsonOut, benchOut string, selfRate float64, selfShed int) error {
+func run(o *options) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if self == (base != "") {
+	cfg := o.cfg
+	if o.self == (cfg.BaseURL != "") {
 		return fmt.Errorf("exactly one of -base and -self is required")
 	}
-	if self {
-		url, shutdown, err := startSelf(selfRate, selfShed)
+	if o.self {
+		url, shutdown, err := startSelf(o.selfRate, o.selfShed)
 		if err != nil {
 			return err
 		}
 		defer shutdown()
-		base = url
-		fmt.Fprintln(os.Stderr, "vccmin-loadgen: self-hosted service at", base)
+		cfg.BaseURL = url
+		fmt.Fprintln(os.Stderr, "vccmin-loadgen: self-hosted service at", cfg.BaseURL)
 	}
 
-	mix, err := buildMix(mixSpec)
+	mix, err := buildMix(o.mix)
 	if err != nil {
 		return err
 	}
-	rep, err := loadgen.Run(ctx, loadgen.Config{
-		BaseURL:  base,
-		Mix:      mix,
-		Rate:     rate,
-		Requests: requests,
-		Timeout:  timeout,
-		Seed:     seed,
-		APIKey:   apiKey,
-	})
+	cfg.Mix = mix
+	rep, err := loadgen.Run(ctx, cfg)
 	if err != nil {
 		return err
 	}
 	rep.Summary(os.Stderr)
 
-	if jsonOut != "" {
+	if o.jsonOut != "" {
 		b, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(jsonOut, append(b, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(o.jsonOut, append(b, '\n'), 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintln(os.Stderr, "wrote", jsonOut)
+		fmt.Fprintln(os.Stderr, "wrote", o.jsonOut)
 	}
-	if benchOut != "" {
-		f, err := os.Create(benchOut)
+	if o.benchOut != "" {
+		f, err := os.Create(o.benchOut)
 		if err != nil {
 			return err
 		}
@@ -129,7 +135,7 @@ func run(base string, self bool, rate float64, requests int, mixSpec string, see
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintln(os.Stderr, "wrote", benchOut)
+		fmt.Fprintln(os.Stderr, "wrote", o.benchOut)
 	} else {
 		rep.WriteBenchFormat(os.Stdout)
 	}

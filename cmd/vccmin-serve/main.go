@@ -44,61 +44,49 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"vccmin/internal/buildinfo"
+	"vccmin/internal/cliflag"
 	"vccmin/internal/clirun"
 	"vccmin/internal/service"
 )
 
+// options is the parsed command line: the service config plus the
+// flags that are not config fields.
+type options struct {
+	cfg     service.Config
+	pprof   string
+	version *bool
+}
+
+// parseFlags registers the command's flags on fs and parses args. Each
+// config flag's default is the config's own, so -h prints what
+// service.Config.WithDefaults sets; only the rate limit, which the
+// library leaves off, is defaulted here.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{cfg: service.Config{RateLimit: 50}.WithDefaults()}
+	cliflag.Bind(fs, &o.cfg)
+	fs.StringVar(&o.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
+	o.version = clirun.VersionFlag(fs)
+	return o, fs.Parse(args)
+}
+
 func main() {
-	var (
-		addr       = flag.String("addr", ":8780", "listen address")
-		data       = flag.String("data", "vccmin-serve-data", "directory for sweep-job specs, row checkpoints and the engine result store")
-		workers    = flag.Int("workers", 2, "concurrently running sweep jobs")
-		iworkers   = flag.Int("interactive-workers", 0, "workers reserved for synchronous endpoints (0 = GOMAXPROCS)")
-		rateLimit  = flag.Float64("rate-limit", 50, "per-client requests/second budget (0 disables rate limiting)")
-		rateBurst  = flag.Float64("rate-burst", 0, "per-client token-bucket depth (0 = 2x rate-limit)")
-		watermark  = flag.Int("shed-watermark", 64, "queued batch items beyond which new batch work is shed with 503")
-		cache      = flag.Int("cache", 512, "in-memory result-tier entries for synchronous endpoints")
-		maxGrid    = flag.Int("max-grid", 4096, "largest accepted sweep grid (cells)")
-		maxBatch   = flag.Int("max-batch", 64, "largest accepted POST /v1/batch request (items)")
-		drain      = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight jobs")
-		hdrTimeout = flag.Duration("read-header-timeout", 10*time.Second, "slowloris guard: how long a connection may take to send its header")
-		maxHeader  = flag.Int("max-header-bytes", 1<<20, "largest accepted request-header block")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
-		version    = clirun.VersionFlag(flag.CommandLine)
-	)
-	flag.Parse()
-	if clirun.HandleVersion(version) {
+	o, _ := parseFlags(flag.CommandLine, os.Args[1:]) // exits on a parse error
+	if clirun.HandleVersion(o.version) {
 		return
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *pprofAddr != "" {
-		go servePprof(*pprofAddr)
+	if o.pprof != "" {
+		go servePprof(o.pprof)
 	}
 
 	fmt.Fprintf(os.Stderr, "vccmin-serve: %s listening on %s, data in %s\n",
-		buildinfo.String(), *addr, *data)
-	err := service.Serve(ctx, service.Config{
-		Addr:               *addr,
-		DataDir:            *data,
-		Workers:            *workers,
-		InteractiveWorkers: *iworkers,
-		RateLimit:          *rateLimit,
-		RateBurst:          *rateBurst,
-		ShedWatermark:      *watermark,
-		CacheEntries:       *cache,
-		MaxGridCells:       *maxGrid,
-		MaxBatchItems:      *maxBatch,
-		DrainTimeout:       *drain,
-		ReadHeaderTimeout:  *hdrTimeout,
-		MaxHeaderBytes:     *maxHeader,
-	})
-	if err != nil {
+		buildinfo.String(), o.cfg.Addr, o.cfg.DataDir)
+	if err := service.Serve(ctx, o.cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "vccmin-serve:", err)
 		os.Exit(1)
 	}

@@ -1,7 +1,7 @@
 // Package branch implements the front-end predictors of the simulated
 // core (Table II): an 8 KB gshare direction predictor with 15 bits of
-// global history, a branch target buffer standing in for the line
-// predictor, and a 16-entry return address stack.
+// global history and a branch target buffer standing in for the line
+// predictor.
 package branch
 
 import "fmt"
@@ -149,53 +149,3 @@ func (b *BTB) Reset() {
 	}
 	b.Lookups, b.Hits = 0, 0
 }
-
-// RAS is the return address stack. Overflow wraps (overwriting the oldest
-// entry) and underflow returns no prediction, matching hardware behavior.
-type RAS struct {
-	stack []uint64
-	top   int // next push slot
-	depth int // valid entries, capped at len(stack)
-}
-
-// NewRAS builds a return address stack with n entries.
-func NewRAS(n int) (*RAS, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("branch: RAS size %d must be positive", n)
-	}
-	return &RAS{stack: make([]uint64, n)}, nil
-}
-
-// MustNewRAS is NewRAS but panics on error.
-func MustNewRAS(n int) *RAS {
-	r, err := NewRAS(n)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// Push records a return address (on a call).
-func (r *RAS) Push(addr uint64) {
-	r.stack[r.top] = addr
-	r.top = (r.top + 1) % len(r.stack)
-	if r.depth < len(r.stack) {
-		r.depth++
-	}
-}
-
-// Pop predicts the return address (on a return). ok is false on underflow.
-func (r *RAS) Pop() (addr uint64, ok bool) {
-	if r.depth == 0 {
-		return 0, false
-	}
-	r.top = (r.top - 1 + len(r.stack)) % len(r.stack)
-	r.depth--
-	return r.stack[r.top], true
-}
-
-// Depth returns the number of valid entries.
-func (r *RAS) Depth() int { return r.depth }
-
-// Reset clears the stack.
-func (r *RAS) Reset() { r.top, r.depth = 0, 0 }

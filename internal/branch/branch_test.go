@@ -3,7 +3,6 @@ package branch
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestGshareLearnsBias(t *testing.T) {
@@ -132,68 +131,5 @@ func TestBTBValidation(t *testing.T) {
 	}
 	if _, err := NewBTB(100); err == nil {
 		t.Error("accepted non-power-of-two size")
-	}
-}
-
-func TestRASLIFO(t *testing.T) {
-	r := MustNewRAS(16)
-	r.Push(1)
-	r.Push(2)
-	r.Push(3)
-	for want := uint64(3); want >= 1; want-- {
-		got, ok := r.Pop()
-		if !ok || got != want {
-			t.Errorf("Pop = %d,%v want %d,true", got, ok, want)
-		}
-	}
-	if _, ok := r.Pop(); ok {
-		t.Error("empty RAS should underflow")
-	}
-}
-
-func TestRASOverflowWraps(t *testing.T) {
-	r := MustNewRAS(4)
-	for i := uint64(1); i <= 6; i++ {
-		r.Push(i)
-	}
-	if r.Depth() != 4 {
-		t.Errorf("depth = %d, want 4", r.Depth())
-	}
-	// Oldest two (1, 2) were overwritten; pops yield 6,5,4,3.
-	for want := uint64(6); want >= 3; want-- {
-		got, ok := r.Pop()
-		if !ok || got != want {
-			t.Errorf("Pop = %d,%v want %d,true", got, ok, want)
-		}
-	}
-}
-
-func TestRASValidation(t *testing.T) {
-	if _, err := NewRAS(0); err == nil {
-		t.Error("accepted zero-size RAS")
-	}
-}
-
-func TestRASPushPopProperty(t *testing.T) {
-	// Pushing n <= capacity addresses then popping returns them reversed.
-	f := func(addrs []uint64) bool {
-		if len(addrs) > 16 {
-			addrs = addrs[:16]
-		}
-		r := MustNewRAS(16)
-		for _, a := range addrs {
-			r.Push(a)
-		}
-		for i := len(addrs) - 1; i >= 0; i-- {
-			got, ok := r.Pop()
-			if !ok || got != addrs[i] {
-				return false
-			}
-		}
-		_, ok := r.Pop()
-		return !ok
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

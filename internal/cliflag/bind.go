@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // Walk calls fn for each field of the struct v points to that carries a
@@ -41,8 +42,8 @@ func walk(rv reflect.Value, fn func(string, reflect.StructTag, reflect.Value) er
 // []string (comma list, see Split); []float64 (ParsePfails, so lo:hi:n
 // works); int; int64 (full 64-bit range, so seeds never truncate);
 // float64 and *float64 (finite only; a pointer gets a fresh value, never
-// written through); bool (1/0/true/false); map[string]string (comma
-// list of key=value).
+// written through); time.Duration (time.ParseDuration); bool
+// (1/0/true/false); map[string]string (comma list of key=value).
 func Set(f reflect.Value, raw string) error {
 	var err error
 	switch p := f.Addr().Interface().(type) {
@@ -62,6 +63,8 @@ func Set(f reflect.Value, raw string) error {
 		var x float64
 		x, err = parseFloat(raw)
 		*p = &x
+	case *time.Duration:
+		*p, err = time.ParseDuration(raw)
 	case *bool:
 		*p, err = strconv.ParseBool(raw)
 	case *map[string]string:
@@ -101,14 +104,38 @@ func parseWhere(s string) (map[string]string, error) {
 // when given, so a nil pointer field stays nil unless its flag is.
 func Bind(fs *flag.FlagSet, v any) {
 	Walk(v, func(name string, tag reflect.StructTag, f reflect.Value) error {
-		if n := tag.Get("flag"); n != "" {
-			name = n
-		} else {
-			name = strings.ReplaceAll(name, "_", "-")
-		}
-		fs.Var(field{f}, name, tag.Get("help"))
+		fs.Var(field{f}, flagName(name, tag), tag.Get("help"))
 		return nil
 	})
+}
+
+func flagName(name string, tag reflect.StructTag) string {
+	if n := tag.Get("flag"); n != "" {
+		return n
+	}
+	return strings.ReplaceAll(name, "_", "-")
+}
+
+// Copy sets each field Walk visits in the struct dst points to from the
+// field of the same json name in the struct src points to, and returns
+// the flag names (as Bind names them) of src's non-zero fields that dst
+// has no field for, in declaration order. Fields sharing a json name
+// must share a type.
+func Copy(dst, src any) (unmatched []string) {
+	into := map[string]reflect.Value{}
+	Walk(dst, func(name string, _ reflect.StructTag, f reflect.Value) error {
+		into[name] = f
+		return nil
+	})
+	Walk(src, func(name string, tag reflect.StructTag, f reflect.Value) error {
+		if d, ok := into[name]; ok {
+			d.Set(f)
+		} else if !f.IsZero() {
+			unmatched = append(unmatched, flagName(name, tag))
+		}
+		return nil
+	})
+	return unmatched
 }
 
 // field is one bound struct field as a flag.Value.

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 type inner struct {
@@ -120,4 +121,43 @@ func TestSetPanicsOnUnsupportedType(t *testing.T) {
 	}()
 	var v []int
 	Set(reflect.ValueOf(&v).Elem(), "1")
+}
+
+func TestSetDuration(t *testing.T) {
+	var d time.Duration
+	f := reflect.ValueOf(&d).Elem()
+	if err := Set(f, "1m30s"); err != nil || d != 90*time.Second {
+		t.Fatalf("Set 1m30s: %v, %v", d, err)
+	}
+	if got := (field{f}).String(); got != "1m30s" {
+		t.Errorf("duration default prints %q, want 1m30s", got)
+	}
+	if err := Set(f, "30"); err == nil {
+		t.Fatal("a duration without a unit was accepted")
+	}
+}
+
+// TestCopy pins Copy's contract: fields match by json name, a nested
+// struct's fields count as the outer struct's, and src's set fields
+// dst lacks come back as flag names.
+func TestCopy(t *testing.T) {
+	type small struct {
+		N      int      `json:"n"`
+		Seed   int64    `json:"base_seed"`
+		Min    *float64 `json:"pfail_min,omitempty"`
+		Absent string   `json:"absent"`
+	}
+	half := 0.5
+	src := outer{Grid: inner{Seed: 9}, N: 3, Min: &half, GroupBy: []string{"a"}, Runs: true}
+	var dst small
+	unmatched := Copy(&dst, &src)
+	if want := (small{N: 3, Seed: 9, Min: &half}); !reflect.DeepEqual(dst, want) {
+		t.Errorf("copied %+v, want %+v", dst, want)
+	}
+	if want := []string{"group-by", "runs"}; !reflect.DeepEqual(unmatched, want) {
+		t.Errorf("unmatched %v, want %v", unmatched, want)
+	}
+	if unmatched := Copy(&src, &dst); unmatched != nil {
+		t.Errorf("zero absent field reported: %v", unmatched)
+	}
 }

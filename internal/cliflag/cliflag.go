@@ -1,9 +1,9 @@
-// Package cliflag binds text to the internal/tasks request structs,
-// so each request field is declared once, in its struct, for every
-// text surface: Walk visits a struct's json-tagged fields, Set parses
-// one text value into a field, and both the service's GET query binder
-// and Bind, which registers a struct's fields as command-line flags, go
-// through them. List syntax cannot drift between surfaces: empty
+// Package cliflag binds text to the internal/tasks request structs
+// and to the service and load-generator configs, so each field is
+// declared once, in its struct, for every text surface: Walk visits a
+// struct's json-tagged fields, Set parses one text value into a field,
+// and both the service's GET query binder and Bind, which registers a
+// struct's fields as command-line flags, go through them. List syntax cannot drift between surfaces: empty
 // elements are skipped, surrounding whitespace is trimmed, and element
 // parsing stops at the first error.
 package cliflag

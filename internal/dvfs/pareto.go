@@ -316,11 +316,3 @@ func Explore(spec ExploreSpec) (*ExploreResult, error) {
 	MarkFrontier(points)
 	return &ExploreResult{Points: points, Runs: runs}, nil
 }
-
-// SortByPerformance orders points by descending performance (stable on
-// the original order for ties) — the presentation order of the frontier.
-func SortByPerformance(points []Point) {
-	sort.SliceStable(points, func(i, j int) bool {
-		return points[i].Performance > points[j].Performance
-	})
-}

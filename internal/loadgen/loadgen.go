@@ -45,23 +45,39 @@ type Endpoint struct {
 // Config parameterizes one run.
 type Config struct {
 	// BaseURL roots every request, e.g. "http://127.0.0.1:8780".
-	BaseURL string
+	BaseURL string `json:"base_url" flag:"base" help:"base URL of a running service (e.g. http://127.0.0.1:8780)"`
 	// Mix is the weighted endpoint set; DefaultMix() when empty.
 	Mix []Endpoint
 	// Rate is the open-loop arrival rate in requests per second.
-	Rate float64
+	Rate float64 `json:"rate" help:"open-loop arrival rate, requests/second"`
 	// Requests is the total number of requests to launch.
-	Requests int
+	Requests int `json:"requests" help:"total requests to launch"`
 	// Timeout bounds each request; default 30s.
-	Timeout time.Duration
+	Timeout time.Duration `json:"timeout" help:"per-request timeout"`
 	// Seed drives the endpoint-pick PRNG; default 1.
-	Seed int64
+	Seed int64 `json:"seed" help:"endpoint-pick PRNG seed"`
 	// APIKey, when set, is sent as X-API-Key (the rate limiter's
 	// per-client key) on every request.
-	APIKey string
+	APIKey string `json:"api_key" help:"X-API-Key sent with every request (the rate limiter's client key)"`
 	// Client overrides the HTTP client (tests); default is a fresh
 	// client with the configured timeout.
 	Client *http.Client
+}
+
+// WithDefaults returns the config with Mix, Timeout and Seed defaulted
+// when unset. Its json-tagged fields are vccmin-loadgen's flags
+// (cliflag.Bind), which take their defaults from here.
+func (c Config) WithDefaults() Config {
+	if len(c.Mix) == 0 {
+		c.Mix = DefaultMix()
+	}
+	if c.Timeout <= 0 {
+		c.Timeout = 30 * time.Second
+	}
+	if c.Seed == 0 {
+		c.Seed = 1
+	}
+	return c
 }
 
 // DefaultMix is a mixed interactive/batch workload over the service's
@@ -146,10 +162,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Requests <= 0 {
 		return nil, fmt.Errorf("loadgen: Requests must be positive, got %d", cfg.Requests)
 	}
+	cfg = cfg.WithDefaults()
 	mix := cfg.Mix
-	if len(mix) == 0 {
-		mix = DefaultMix()
-	}
 	var totalWeight float64
 	for _, e := range mix {
 		if e.Weight > 0 {
@@ -158,13 +172,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	if totalWeight <= 0 {
 		return nil, fmt.Errorf("loadgen: mix has no positive weights")
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 30 * time.Second
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
 	}
 	client := cfg.Client
 	if client == nil {
@@ -186,7 +193,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		acc += e.Weight
 		cums = append(cums, cum{upTo: acc, idx: i})
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	pick := func() int {
 		x := rng.Float64() * totalWeight
 		for _, c := range cums {
@@ -294,7 +301,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		Requests:    total.Sent,
 		OfferedRate: cfg.Rate,
 		ElapsedSec:  elapsed.Seconds(),
-		Seed:        seed,
+		Seed:        cfg.Seed,
 		Total:       total,
 		Endpoints:   eps,
 	}

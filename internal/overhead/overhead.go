@@ -137,27 +137,3 @@ func RowFor(s Scheme, p Params) Row {
 	r.Total = r.TagTransistors + r.DisableTransistors + r.VictimTransistors
 	return r
 }
-
-// RelativeCacheIncrease returns the scheme's storage overhead as a fraction
-// of the total cache storage (data + tag cells), the basis of the paper's
-// "0.4% vs 10%" comparison between block- and word-disabling.
-func RelativeCacheIncrease(s Scheme, p Params) float64 {
-	g := p.Geometry
-	baseCells := g.Blocks() * g.CellsPerBlock()
-	switch s {
-	case WordDisable:
-		// One 10T mask bit per word (≈2x the area of a 6T cell) plus the
-		// tag array upgraded from 6T to 10T (+1x its area). For the
-		// reference cache: (2*16 + 25)*512 / 274944 ≈ 10.6%, the paper's
-		// "10%".
-		wordsPerBlock := g.DataBits() / p.WordBits
-		mask := 2 * wordsPerBlock * g.Blocks()
-		tagExtra := (g.TagBits() + g.ValidBits) * g.Blocks()
-		return float64(mask+tagExtra) / float64(baseCells)
-	case BlockDisable:
-		// One 10T bit per block ≈ two 6T-cell equivalents of area.
-		return float64(2*g.Blocks()) / float64(baseCells)
-	default:
-		return 0
-	}
-}

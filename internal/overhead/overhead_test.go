@@ -50,26 +50,6 @@ func TestBlockDisableCheapestLowVoltageScheme(t *testing.T) {
 	}
 }
 
-func TestRelativeIncrease(t *testing.T) {
-	// "an overall cache increase of 0.4% ... smaller by more than an order
-	// of magnitude than what is required by word-disabling (0.4% vs 10%)."
-	p := ReferenceParams()
-	bd := RelativeCacheIncrease(BlockDisable, p)
-	wd := RelativeCacheIncrease(WordDisable, p)
-	if bd < 0.002 || bd > 0.006 {
-		t.Errorf("block disable relative increase = %v, want ≈0.004", bd)
-	}
-	if wd < 0.08 || wd > 0.16 {
-		t.Errorf("word disable relative increase = %v, want ≈0.10", wd)
-	}
-	if wd/bd < 10 {
-		t.Errorf("word/block overhead ratio = %v, want > 10x", wd/bd)
-	}
-	if got := RelativeCacheIncrease(Baseline, p); got != 0 {
-		t.Errorf("baseline relative increase = %v, want 0", got)
-	}
-}
-
 func TestSchemeString(t *testing.T) {
 	if Baseline.String() != "Baseline" {
 		t.Errorf("Baseline.String() = %q", Baseline.String())

@@ -59,7 +59,6 @@ type Config struct {
 
 	HistoryBits int // gshare history length
 	BTBSize     int
-	RASEntries  int
 }
 
 // TableII returns the paper's fixed core configuration.
@@ -72,7 +71,6 @@ func TableII() Config {
 		MispredictPenalty: 11,
 		HistoryBits:       15,
 		BTBSize:           4096,
-		RASEntries:        16,
 	}
 }
 
@@ -92,7 +90,7 @@ func (c Config) Check() error {
 		return fmt.Errorf("pipeline: execution latencies must be positive")
 	case c.MispredictPenalty < 0:
 		return fmt.Errorf("pipeline: negative mispredict penalty")
-	case c.HistoryBits <= 0 || c.BTBSize <= 0 || c.RASEntries <= 0:
+	case c.HistoryBits <= 0 || c.BTBSize <= 0:
 		return fmt.Errorf("pipeline: predictor sizes must be positive")
 	}
 	return nil
@@ -134,7 +132,6 @@ type CPU struct {
 	dcache *cache.Cache
 	gshare *branch.Gshare
 	btb    *branch.BTB
-	ras    *branch.RAS
 
 	// Per-instruction event times.
 	completeAt [robRing]uint64
@@ -207,7 +204,6 @@ func New(cfg Config, icache, dcache *cache.Cache) (*CPU, error) {
 		dcache: dcache,
 		gshare: branch.MustNewGshare(cfg.HistoryBits),
 		btb:    branch.MustNewBTB(cfg.BTBSize),
-		ras:    branch.MustNewRAS(cfg.RASEntries),
 	}
 	c.intALU.n, c.intMult.n = cfg.IntALUs, cfg.IntMults
 	c.fpALU.n, c.fpMult.n = cfg.FPALUs, cfg.FPMults
@@ -249,7 +245,6 @@ func (c *CPU) Reset() {
 	c.stats = Stats{}
 	c.gshare.Reset()
 	c.btb.Reset()
-	c.ras.Reset()
 }
 
 // Run simulates n instructions from gen and returns statistics for this

@@ -62,29 +62,3 @@ func (m Model) OperatingPointForPfail(pfail float64) Point {
 	}
 	return m.pointAt(m.FreqForVoltage(v), v, zone)
 }
-
-// EnergySavingVsClassic returns the fractional energy-per-work saving of
-// the most efficient below-Vcc-min point against the most efficient
-// classic-DVS point, both meeting minPerformance. ok is false if either
-// curve cannot meet the constraint.
-func (m Model) EnergySavingVsClassic(minPerformance float64, n int) (float64, bool) {
-	below, okB := m.MostEfficientPoint(minPerformance, n)
-	if !okB {
-		return 0, false
-	}
-	bestClassic := math.Inf(1)
-	foundC := false
-	for _, p := range m.CurveClassic(n) {
-		if p.Performance < minPerformance {
-			continue
-		}
-		if e := EnergyPerWork(p); e < bestClassic {
-			bestClassic = e
-			foundC = true
-		}
-	}
-	if !foundC {
-		return 0, false
-	}
-	return 1 - below.EnergyPerWork/bestClassic, true
-}

@@ -109,6 +109,10 @@ func TestEntryPointsAgree(t *testing.T) {
 			`{"seed":-4}`, "-seed -4", false, "seed -4 negative"},
 		{"negative predict seed", "", tasks.KindVccminPredict,
 			`{"seed":-4}`, "", false, "seed -4 negative"},
+		{"negative predict k", "", tasks.KindVccminPredict,
+			`{"k":-5,"dies":64}`, "", false, "k -5 negative"},
+		{"negative predict sample", "", tasks.KindVccminPredict,
+			`{"sample":-3,"dies":64}`, "", false, "sample -3 negative"},
 		{"negative capacity seed", "/v1/capacity?seed=-4", tasks.KindCapacity,
 			`{"seed":-4}`, "", false, "seed -4 negative"},
 		{"negative trials", "/v1/capacity?trials=-1", tasks.KindCapacity,

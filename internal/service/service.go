@@ -65,66 +65,70 @@ import (
 	"vccmin/internal/tasks"
 )
 
-// Config sizes the service.
+// Config sizes the service. Its json-tagged fields are vccmin-serve's
+// flags (cliflag.Bind), so each is declared, described and defaulted
+// only here.
 type Config struct {
 	// Addr is the listen address for Serve; default ":8780".
-	Addr string
+	Addr string `json:"addr" help:"listen address"`
 
 	// DataDir holds sweep-job specs, row checkpoints and the engine's
 	// content-addressed result store (under results/). Jobs found there
 	// resume on startup; results found there serve without recompute.
 	// Default "vccmin-serve-data".
-	DataDir string
+	DataDir string `json:"data_dir" flag:"data" help:"directory for sweep-job specs, row checkpoints and the engine result store"`
 
 	// Workers bounds concurrently running sweep jobs (the pool's batch
 	// tier); default 2. Cell parallelism inside a job is the spec's own
 	// Workers field.
-	Workers int
+	Workers int `json:"workers" help:"concurrently running sweep jobs"`
 
 	// InteractiveWorkers are additional pool workers reserved for the
 	// synchronous endpoints' compute, so sweep saturation never starves
 	// them; default GOMAXPROCS (at least 2).
-	InteractiveWorkers int
+	InteractiveWorkers int `json:"interactive_workers" help:"workers reserved for synchronous endpoints (0 = GOMAXPROCS)"`
 
 	// InteractiveBacklog bounds queued synchronous compute; submissions
 	// beyond it are shed with 503. Default 256.
-	InteractiveBacklog int
+	InteractiveBacklog int `json:"-"`
 
 	// ShedWatermark is the admission threshold: once this many batch
 	// items (sweep jobs, batch requests) are queued and not yet running,
 	// new batch-shaped work is shed with 503 + Retry-After while
 	// interactive endpoints keep flowing. Default 64.
-	ShedWatermark int
+	ShedWatermark int `json:"shed_watermark" help:"queued batch items beyond which new batch work is shed with 503"`
 
 	// RateLimit is the per-client request budget in requests per second
 	// (clients are keyed by X-API-Key, falling back to remote IP).
 	// Zero disables rate limiting.
-	RateLimit float64
+	RateLimit float64 `json:"rate_limit" help:"per-client requests/second budget (0 disables rate limiting)"`
 
 	// RateBurst is the token-bucket depth; default 2×RateLimit.
-	RateBurst float64
+	RateBurst float64 `json:"rate_burst" help:"per-client token-bucket depth (0 = 2x rate-limit)"`
 
 	// CacheEntries bounds the engine's in-memory result tier; default 512.
-	CacheEntries int
+	CacheEntries int `json:"cache_entries" flag:"cache" help:"in-memory result-tier entries for synchronous endpoints"`
 
 	// MaxGridCells rejects sweep specs whose grids exceed it; default 4096.
-	MaxGridCells int
+	MaxGridCells int `json:"max_grid_cells" flag:"max-grid" help:"largest accepted sweep grid (cells)"`
 
 	// MaxBatchItems bounds one POST /v1/batch request; default 64.
-	MaxBatchItems int
+	MaxBatchItems int `json:"max_batch_items" flag:"max-batch" help:"largest accepted POST /v1/batch request (items)"`
 
 	// DrainTimeout bounds the graceful half of shutdown; default 30s.
-	DrainTimeout time.Duration
+	DrainTimeout time.Duration `json:"drain_timeout" help:"graceful-shutdown budget for in-flight jobs"`
 
 	// ReadHeaderTimeout bounds how long a connection may dribble its
 	// request header (slowloris hardening); default 10s.
-	ReadHeaderTimeout time.Duration
+	ReadHeaderTimeout time.Duration `json:"read_header_timeout" help:"slowloris guard: how long a connection may take to send its header"`
 
 	// MaxHeaderBytes bounds a request's header block; default 1 MiB.
-	MaxHeaderBytes int
+	MaxHeaderBytes int `json:"max_header_bytes" help:"largest accepted request-header block"`
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns the config with every unset field defaulted.
+// RateLimit has no default: zero disables rate limiting.
+func (c Config) WithDefaults() Config {
 	if c.Addr == "" {
 		c.Addr = ":8780"
 	}
@@ -209,7 +213,7 @@ type Server struct {
 // and two-tier pool over the sweep checkpoints in DataDir, and the
 // per-client rate limiter when cfg.RateLimit is set.
 func New(cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	eng, err := engine.New(engine.Options{
 		MemEntries: cfg.CacheEntries,
 		Dir:        filepath.Join(cfg.DataDir, "results"),
@@ -342,7 +346,7 @@ func (s *Server) Close() { s.jobs.Close() }
 // cfg.DrainTimeout, cancel the rest (their checkpoints keep them
 // resumable).
 func Serve(ctx context.Context, cfg Config) error {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	s, err := New(cfg)
 	if err != nil {
 		return err

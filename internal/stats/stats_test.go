@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -53,121 +52,6 @@ func TestMinMaxMeanProperties(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 4}); math.Abs(g-2) > 1e-12 {
-		t.Errorf("GeoMean(1,4) = %v, want 2", g)
-	}
-	if g := GeoMean([]float64{0.5, 2}); math.Abs(g-1) > 1e-12 {
-		t.Errorf("GeoMean(0.5,2) = %v, want 1", g)
-	}
-	if g := GeoMean([]float64{1, 0}); g != 0 {
-		t.Errorf("GeoMean with zero = %v, want 0", g)
-	}
-	if g := GeoMean(nil); g != 0 {
-		t.Errorf("GeoMean(nil) = %v, want 0", g)
-	}
-}
-
-func TestGeoMeanLeqArithMean(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 100; trial++ {
-		vals := make([]float64, 10)
-		for i := range vals {
-			vals[i] = 0.1 + rng.Float64()
-		}
-		if GeoMean(vals) > Mean(vals)+1e-12 {
-			t.Fatalf("AM-GM violated: geo %v > arith %v", GeoMean(vals), Mean(vals))
-		}
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	vals := []float64{10, 20, 30, 40, 50}
-	cases := []struct{ p, want float64 }{
-		{0, 10}, {1, 50}, {0.5, 30}, {0.25, 20}, {0.125, 15},
-	}
-	for _, c := range cases {
-		if got := Percentile(vals, c.p); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if got := Percentile(nil, 0.5); got != 0 {
-		t.Errorf("Percentile(nil) = %v, want 0", got)
-	}
-	// Must not mutate the input.
-	orig := []float64{3, 1, 2}
-	Percentile(orig, 0.5)
-	if orig[0] != 3 || orig[1] != 1 || orig[2] != 2 {
-		t.Errorf("Percentile mutated input: %v", orig)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	vals := []float64{-1, 0, 0.1, 0.5, 0.5, 0.99, 1.0, 2.0}
-	h, err := NewHistogram(vals, 0, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Under != 1 {
-		t.Errorf("Under = %d, want 1", h.Under)
-	}
-	if h.Over != 2 {
-		t.Errorf("Over = %d, want 2 (1.0 and 2.0)", h.Over)
-	}
-	wantCounts := []int{2, 1, 2, 1} // [0,.25): 0,0.1; [.25,.5): none... recompute
-	// bins: [0,0.25): {0, 0.1} = 2; [0.25,0.5): {} = 0; [0.5,0.75): {0.5,0.5} = 2; [0.75,1): {0.99} = 1
-	wantCounts = []int{2, 0, 2, 1}
-	for i, w := range wantCounts {
-		if h.Counts[i] != w {
-			t.Errorf("bin %d = %d, want %d", i, h.Counts[i], w)
-		}
-	}
-	if h.Total != len(vals) {
-		t.Errorf("Total = %d, want %d", h.Total, len(vals))
-	}
-	if c := h.BinCenter(0); math.Abs(c-0.125) > 1e-12 {
-		t.Errorf("BinCenter(0) = %v, want 0.125", c)
-	}
-	if f := h.Fraction(0); math.Abs(f-0.25) > 1e-12 {
-		t.Errorf("Fraction(0) = %v, want 0.25", f)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(nil, 0, 1, 0); err == nil {
-		t.Error("accepted zero bins")
-	}
-	if _, err := NewHistogram(nil, 1, 1, 4); err == nil {
-		t.Error("accepted empty range")
-	}
-}
-
-func TestHistogramConservesSamples(t *testing.T) {
-	f := func(raw []float64) bool {
-		vals := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) {
-				vals = append(vals, v)
-			}
-		}
-		h, err := NewHistogram(vals, -10, 10, 7)
-		if err != nil {
-			return false
-		}
-		inBins := 0
-		for _, c := range h.Counts {
-			inBins += c
-		}
-		return inBins+h.Under+h.Over == len(vals) && h.Total == len(vals)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestQuantileRank pins the nearest-rank index two ways: QuantileSorted
-// must read exactly the element QuantileRank names, and that index must
-// be the smallest rank k (1-based) with k ≥ q·n, found by counting up.
 func TestQuantileRank(t *testing.T) {
 	for n := 1; n <= 1000; n++ {
 		sorted := make([]float64, n)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"vccmin/internal/cliflag"
 	"vccmin/internal/geom"
 	"vccmin/internal/population"
 	"vccmin/internal/sim"
@@ -178,7 +179,9 @@ func geomString(g geom.Geometry) string {
 
 // PredictRequest is the data-efficient Vcc-min prediction study's JSON
 // shape: the same population parameters as a fleet sweep, one scheme,
-// the per-die measurement budget K and the sample size.
+// the per-die measurement budget K and the sample size. A field it
+// shares with FleetRequest has that field's json name and type, so
+// cliflag.Copy maps one request onto the other.
 type PredictRequest struct {
 	Dies          int      `json:"dies,omitempty"`           // default 1000
 	DiesPerWafer  int      `json:"dies_per_wafer,omitempty"` // default 64
@@ -226,23 +229,17 @@ func (r PredictRequest) normalized() PredictRequest {
 }
 
 // PredictSpec converts the request into the population layer's spec,
-// validating every field.
+// validating every field. The population parameters go through the
+// fleet sweep's own conversion, copied field by field by json name.
 func (r PredictRequest) PredictSpec() (population.PredictSpec, error) {
 	n := r.normalized()
-	fleet := FleetRequest{
-		Dies:          n.Dies,
-		DiesPerWafer:  n.DiesPerWafer,
-		Schemes:       []string{n.Scheme},
-		WaferSigma:    n.WaferSigma,
-		Gradient:      n.Gradient,
-		DieSigma:      n.DieSigma,
-		CapacityFloor: n.CapacityFloor,
-		Geometry:      n.Geometry,
-		Seed:          n.Seed,
-		Workers:       r.Workers,
-	}
+	fleet := FleetRequest{Schemes: []string{n.Scheme}}
+	cliflag.Copy(&fleet, &r)
 	fspec, err := fleet.FleetSpec()
 	if err != nil {
+		return population.PredictSpec{}, err
+	}
+	if err := nonNegative(field{"k", int64(r.K)}, field{"sample", int64(r.Sample)}); err != nil {
 		return population.PredictSpec{}, err
 	}
 	spec := population.PredictSpec{

@@ -95,6 +95,8 @@ func TestConstructorsRejectNegatives(t *testing.T) {
 		"workers -1 negative":        func() error { _, err := NewFleetTask(FleetRequest{Workers: -1}); return err },
 		"seed -7 negative":           func() error { _, err := NewPredictTask(PredictRequest{Seed: -7}); return err },
 		"dies -2 negative":           func() error { _, err := NewPredictTask(PredictRequest{Dies: -2}); return err },
+		"k -5 negative":              func() error { _, err := NewPredictTask(PredictRequest{K: -5, Dies: 64}); return err },
+		"sample -3 negative":         func() error { _, err := NewPredictTask(PredictRequest{Sample: -3, Dies: 64}); return err },
 	} {
 		if err := build(); err == nil || err.Error() != want {
 			t.Errorf("got %v, want %q", err, want)

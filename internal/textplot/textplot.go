@@ -102,37 +102,6 @@ type XY struct {
 	X, Y  []float64
 }
 
-// Bar renders labelled horizontal bars scaled to the maximum value.
-// Values must be non-negative; negative values are clamped to zero.
-func Bar(opt Options, labels []string, values []float64) string {
-	opt = opt.withDefaults()
-	if len(labels) != len(values) || len(labels) == 0 {
-		return "(no data)\n"
-	}
-	maxV := 0.0
-	maxLabel := 0
-	for i, v := range values {
-		if v > maxV {
-			maxV = v
-		}
-		if len(labels[i]) > maxLabel {
-			maxLabel = len(labels[i])
-		}
-	}
-	if maxV == 0 {
-		maxV = 1
-	}
-	var b strings.Builder
-	for i, v := range values {
-		if v < 0 {
-			v = 0
-		}
-		n := int(math.Round(v / maxV * float64(opt.Width)))
-		fmt.Fprintf(&b, "%-*s |%s %.4g\n", maxLabel, labels[i], strings.Repeat("=", n), values[i])
-	}
-	return b.String()
-}
-
 // GroupedBar renders one row per label with several named series, the shape
 // of the paper's per-benchmark figures (Figs. 8-12). Values are expected in
 // [0, ~1.1] (normalized performance); the scale covers [lo, hi].

@@ -49,25 +49,6 @@ func TestLineDegenerate(t *testing.T) {
 	}
 }
 
-func TestBar(t *testing.T) {
-	out := Bar(Options{Width: 20}, []string{"aa", "b"}, []float64{2, 1})
-	if !strings.Contains(out, "aa") || !strings.Contains(out, "====") {
-		t.Errorf("bar output = %q", out)
-	}
-	longer := strings.Index(out, "\n")
-	first, second := out[:longer], out[longer+1:]
-	if strings.Count(first, "=") <= strings.Count(second, "=") {
-		t.Error("larger value should render a longer bar")
-	}
-	if out := Bar(Options{}, []string{"x"}, nil); !strings.Contains(out, "no data") {
-		t.Error("mismatched bars should report no data")
-	}
-	// All-zero values must not divide by zero.
-	if out := Bar(Options{}, []string{"z"}, []float64{0}); !strings.Contains(out, "z") {
-		t.Error("zero bar should render label")
-	}
-}
-
 func TestGroupedBar(t *testing.T) {
 	out := GroupedBar(Options{Width: 30},
 		[]string{"bzip", "crafty"},

@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // A MultiPhase workload is a piecewise sequence of the single-benchmark
 // Profiles: each Phase runs one profile for a dynamic instruction budget,
@@ -147,11 +144,4 @@ func MultiPhaseNames() []string {
 		names[i] = m.Name
 	}
 	return names
-}
-
-// MultiPhaseNamesSorted returns the builtin names alphabetically.
-func MultiPhaseNamesSorted() []string {
-	n := MultiPhaseNames()
-	sort.Strings(n)
-	return n
 }

@@ -35,9 +35,6 @@ func TestMultiPhaseByName(t *testing.T) {
 	if _, err := MultiPhaseByName("nope"); err == nil {
 		t.Fatal("unknown name accepted")
 	}
-	if got, want := len(MultiPhaseNamesSorted()), len(MultiPhaseNames()); got != want {
-		t.Fatalf("sorted names length %d != %d", got, want)
-	}
 }
 
 func TestMultiPhaseCheckErrors(t *testing.T) {

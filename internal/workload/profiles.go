@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // The profile table below encodes the qualitative behaviour of the 26 SPEC
 // CPU 2000 benchmarks the paper simulates, in the terms our generator
@@ -136,11 +133,4 @@ func Names() []string {
 		names[i] = p.Name
 	}
 	return names
-}
-
-// NamesSorted returns all benchmark names alphabetically.
-func NamesSorted() []string {
-	n := Names()
-	sort.Strings(n)
-	return n
 }
