@@ -34,7 +34,7 @@ bench-gate:
 # The differential equivalence suites under the race detector: the frozen
 # pre-optimization reference implementations (the one-at-a-time sparse
 # fault-map stream, oracle DP, probe measurement, the live phased dvfs
-# schedule, frontier marking, the naive row-wise query evaluator, the
+# schedule, the naive row-wise query evaluator, the
 # concatenate-and-sort query aggregate, the rebuild-per-probe fleet
 # prober, the per-run sweep cell evaluation, the live instruction stream
 # against its recording and replay, the map-and-recency-list cache
@@ -43,11 +43,12 @@ bench-gate:
 # optimized hot paths, plus the worker-invariance tests of every caller
 # of internal/par (results identical at workers 1 and up, the figure
 # drivers' with every worker replaying one shared recording) and par's
-# own ordering and error contract. The engine registry
+# own ordering and error contract, and the dvfs frontier marking's
+# defining properties. The engine registry
 # test runs three times in one process: the task registry is
 # process-wide, so a repeat must not register its kind twice.
 diff-race:
-	$(GO) test -race -run 'Differential|Model|FUPoolDifferential|SamplerBatched|ProbeCacheHit|MarkFrontierMatchesRebuild|FrontierSet|RecordingReplayMatchesLive|MeasuredCapacityWorkerInvariance|PairsParallelismInvariance|FleetWorkerInvariance|PredictWorkerInvariance|WorkersByteIdentical|ExploreDeterministicAcrossWorkers|RegistryAndBatch|FigureDriversWorkerInvariance|RunTraceMatchesRun' ./internal/faults ./internal/dvfs ./internal/colstore ./internal/population ./internal/workload ./internal/sweep ./internal/experiments ./internal/engine ./internal/cache ./internal/pipeline ./internal/sim ./internal/lfrand
+	$(GO) test -race -run 'Differential|Model|FUPoolDifferential|SamplerBatched|ProbeCacheHit|MarkFrontierProperties|RecordingReplayMatchesLive|MeasuredCapacityWorkerInvariance|PairsParallelismInvariance|FleetWorkerInvariance|PredictWorkerInvariance|WorkersByteIdentical|ExploreDeterministicAcrossWorkers|RegistryAndBatch|FigureDriversWorkerInvariance|RunTraceMatchesRun' ./internal/faults ./internal/dvfs ./internal/colstore ./internal/population ./internal/workload ./internal/sweep ./internal/experiments ./internal/engine ./internal/cache ./internal/pipeline ./internal/sim ./internal/lfrand
 	$(GO) test -race ./internal/par
 	$(GO) test -race -count=3 -run RegistryAndBatch ./internal/engine
 

@@ -15,6 +15,7 @@ import (
 	"vccmin/internal/experiments"
 	"vccmin/internal/faults"
 	"vccmin/internal/geom"
+	"vccmin/internal/overhead"
 	"vccmin/internal/pipeline"
 	"vccmin/internal/power"
 	"vccmin/internal/prob"
@@ -52,7 +53,7 @@ func BenchmarkFig1VoltageScaling(b *testing.B) {
 
 func BenchmarkTable1Overhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.TableI()
+		rows := overhead.TableI()
 		if rows[3].Total != 81920 {
 			b.Fatal("block-disable overhead drifted")
 		}

@@ -71,10 +71,16 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 }
 
 // task constructs the fleet sweep or, with -predict, the prediction
-// study over the same fleet. A fleet-only flag given with -predict is
-// an error that names it.
+// study over the same fleet. A flag the chosen task does not take — a
+// fleet-only flag with -predict, -sample without it — is an error that
+// names it.
 func (o *options) task() (engine.Task, error) {
-	if o.predict <= 0 {
+	switch {
+	case o.predict < 0:
+		return nil, fmt.Errorf("-predict %d negative", o.predict)
+	case o.predict == 0 && o.sample != 0:
+		return nil, fmt.Errorf("-sample needs -predict")
+	case o.predict == 0:
 		t, err := tasks.NewFleetTask(o.req)
 		return t, err
 	}

@@ -52,13 +52,16 @@ func TestPredictTakesOneScheme(t *testing.T) {
 }
 
 // TestPredictRejectsFleetFlags: a fleet-sweep flag the prediction study
-// has no field for fails by name instead of being dropped.
+// has no field for, -sample without -predict and a negative -predict
+// fail by name instead of being dropped.
 func TestPredictRejectsFleetFlags(t *testing.T) {
 	for args, want := range map[string]string{
 		"-predict 6 -vsteps 17":                     "-predict does not take -vsteps",
 		"-predict 6 -include-dies":                  "-predict does not take -include-dies",
 		"-predict 6 -vsteps 17 -schemes word,block": "-predict takes one scheme, got 2",
 		"-predict 6 -sample -3":                     "sample -3 negative",
+		"-dies 20 -sample 5":                        "-sample needs -predict",
+		"-dies 20 -predict -3":                      "-predict -3 negative",
 	} {
 		if _, err := parseArgs(t, args).task(); err == nil || err.Error() != want {
 			t.Errorf("%s: err %v, want %q", args, err, want)

@@ -191,8 +191,8 @@ func refSchedule(t *testing.T, cfg Config) Result {
 	t.Helper()
 	cfg = cfg.withDefaults()
 	model := power.Default()
-	r := &runner{cfg: cfg, model: model}
-	r.freq[sim.HighVoltage], r.freq[sim.LowVoltage] = 1, cfg.LowFreq
+	r := &runner{cfg: cfg}
+	r.freq[sim.HighVoltage], r.freq[sim.LowVoltage] = 1, lowFreq
 	r.volt[sim.HighVoltage], r.volt[sim.LowVoltage] = 1, model.OperatingPointForPfail(cfg.Pfail).Voltage
 	for _, m := range []sim.Mode{sim.HighVoltage, sim.LowVoltage} {
 		sys, err := sim.Build(cfg.modeOptions(m))
@@ -414,8 +414,8 @@ func TestOracleChunkLoopAllocs(t *testing.T) {
 		Seed:     11,
 	}.withDefaults()
 	model := power.Default()
-	r := &runner{cfg: cfg, model: model}
-	r.freq[sim.HighVoltage], r.freq[sim.LowVoltage] = 1, cfg.LowFreq
+	r := &runner{cfg: cfg}
+	r.freq[sim.HighVoltage], r.freq[sim.LowVoltage] = 1, lowFreq
 	r.volt[sim.HighVoltage], r.volt[sim.LowVoltage] = 1, model.OperatingPointForPfail(cfg.Pfail).Voltage
 	for _, m := range []sim.Mode{sim.HighVoltage, sim.LowVoltage} {
 		sys, err := sim.Build(cfg.modeOptions(m))
@@ -461,66 +461,5 @@ func TestOracleChunkLoopAllocs(t *testing.T) {
 	if res.HighInstructions+res.LowInstructions != res.TotalInstructions {
 		t.Fatalf("replayed loop lost instructions: %d+%d != %d",
 			res.HighInstructions, res.LowInstructions, res.TotalInstructions)
-	}
-}
-
-// refMarkFrontier is the historical all-pairs frontier marking, frozen
-// as the reference for the incremental FrontierSet rewrite.
-func refMarkFrontier(points []Point) {
-	for i := range points {
-		points[i].Pareto = true
-		for j := range points {
-			if i != j && points[i].Workload == points[j].Workload && dominates(points[j], points[i]) {
-				points[i].Pareto = false
-				break
-			}
-		}
-	}
-}
-
-func TestMarkFrontierMatchesRebuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	workloads := []string{"a", "b", "c"}
-	for trial := 0; trial < 300; trial++ {
-		n := rng.Intn(60)
-		points := make([]Point, n)
-		for i := range points {
-			// A coarse value grid makes exact duplicates and single-axis
-			// ties common — the cases where frontier semantics are subtle.
-			points[i] = Point{
-				Workload:             workloads[rng.Intn(len(workloads))],
-				Performance:          float64(rng.Intn(8)) / 4,
-				EnergyPerInstruction: float64(rng.Intn(8)) / 4,
-			}
-			if trial%3 == 0 { // continuous trials too
-				points[i].Performance = rng.Float64()
-				points[i].EnergyPerInstruction = rng.Float64()
-			}
-		}
-		got := append([]Point(nil), points...)
-		want := append([]Point(nil), points...)
-		MarkFrontier(got)
-		refMarkFrontier(want)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: incremental frontier differs from all-pairs reference\n got %+v\nwant %+v",
-				trial, got, want)
-		}
-	}
-}
-
-func TestFrontierSetStaircaseInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	var fs FrontierSet
-	for i := 0; i < 500; i++ {
-		fs.Insert(Point{
-			Performance:          float64(rng.Intn(30)) / 8,
-			EnergyPerInstruction: float64(rng.Intn(30)) / 8,
-		})
-		for j := 1; j < fs.Len(); j++ {
-			if fs.perf[j] >= fs.perf[j-1] || fs.epi[j] >= fs.epi[j-1] {
-				t.Fatalf("after %d inserts the staircase is broken at %d: perf %v epi %v",
-					i+1, j, fs.perf, fs.epi)
-			}
-		}
 	}
 }

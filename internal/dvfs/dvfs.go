@@ -14,9 +14,11 @@
 // sim.Systems — one per mode, each keeping its own cache and predictor
 // state — charging a configurable switch penalty (pipeline drain plus
 // low-voltage cache re-certification) on every transition, and accounts
-// time and energy per phase with the internal/power Fig. 1 model:
-// a mode's cycles cost V²·cycles normalized energy and cycles/f
-// normalized time.
+// time and energy per phase with the internal/power Fig. 1 model
+// (power.Default()): a mode's cycles cost V²·cycles normalized energy
+// and cycles/f normalized time, the high mode at V = f = 1 and the low
+// mode at the Fig. 1 voltage for its pfail and f = 0.2 (Table III's
+// 600 MHz against 3 GHz).
 //
 // A stream that is replayed is recorded once: each phase's stream is
 // drawn into a workload.Recording at the start of a run, and the
@@ -52,7 +54,12 @@ import (
 	"vccmin/internal/workload"
 )
 
-// Config describes one scheduled run.
+// Config describes one scheduled run. The mode economics the paper
+// fixes are not options: the low mode clocks at lowFreq = 0.2 (Table
+// III's 600 MHz against 3 GHz), the reactive policy's bar rises by
+// lowIPCScale = 2.5 at low voltage, the oracle's λ is always the static
+// schedules' exchange rate, and time and energy are priced with the
+// Fig. 1 model, power.Default().
 type Config struct {
 	// Workload is the multi-phase instruction stream to schedule.
 	Workload workload.MultiPhase
@@ -96,29 +103,24 @@ type Config struct {
 	// bands of the synthetic profiles at reproduction scale).
 	IPCThreshold float64
 
-	// LowIPCScale multiplies IPCThreshold while running at low voltage,
-	// where memory stalls shrink in cycle terms (51 versus 255 cycles)
-	// and every profile's IPC rises: a low-mode chunk must beat
-	// IPCThreshold·LowIPCScale to earn the switch back up. Default 2.5.
-	LowIPCScale float64
-
-	// PerfWeight is the oracle's λ: the time-versus-energy exchange rate
-	// of its DP objective energy + λ·time. 0 (default) auto-calibrates λ
-	// to the exchange rate between the two static schedules.
-	PerfWeight float64
-
-	// LowFreq is the low-voltage mode's normalized frequency. Default
-	// 0.2 (Table III: 600 MHz against the 3 GHz high-voltage clock).
-	LowFreq float64
-
 	// Warmup instructions executed on each mode's system before the
 	// measured run (drawn from dedicated warmup streams, not the
 	// workload's). Default: half the first phase. Set -1 to disable.
 	Warmup int
-
-	// Model is the Fig. 1 power model; zero value means power.Default().
-	Model *power.Model
 }
+
+// The low-voltage mode's fixed economics.
+const (
+	// lowFreq is the low mode's normalized clock: Table III's 600 MHz
+	// against the 3 GHz high-voltage clock.
+	lowFreq = 0.2
+
+	// lowIPCScale multiplies IPCThreshold while running at low voltage,
+	// where memory stalls shrink in cycle terms (51 versus 255 cycles)
+	// and every profile's IPC rises: a low-mode chunk must beat
+	// IPCThreshold·lowIPCScale to earn the switch back up.
+	lowIPCScale = 2.5
+)
 
 // Default switch economics, shared by Config.withDefaults and
 // ExploreSpec.withDefaults so a spec spelling out the defaults hashes
@@ -141,12 +143,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IPCThreshold == 0 {
 		c.IPCThreshold = DefaultIPCThreshold
-	}
-	if c.LowIPCScale == 0 {
-		c.LowIPCScale = 2.5
-	}
-	if c.LowFreq <= 0 {
-		c.LowFreq = 0.2
 	}
 	if c.Warmup == 0 && len(c.Workload.Phases) > 0 {
 		c.Warmup = c.Workload.Phases[0].Instructions / 2
@@ -215,8 +211,7 @@ type Result struct {
 // runner bundles the per-mode machines, the recorded phase streams and
 // the accounting of one run.
 type runner struct {
-	cfg   Config
-	model power.Model
+	cfg Config
 
 	systems [2]*sim.System // indexed by sim.Mode
 	freq    [2]float64
@@ -277,17 +272,13 @@ func Run(cfg Config) (Result, error) {
 	if err := cfg.Check(); err != nil {
 		return Result{}, err
 	}
-	model := power.Default()
-	if cfg.Model != nil {
-		model = *cfg.Model
-	}
 	// The low mode sits at the Fig. 1 operating point for this pfail —
 	// the same (clamped) voltage every sweep cell and /v1/operating-point
 	// report, so the layers can never disagree on what "low" costs.
-	lowV := model.OperatingPointForPfail(cfg.Pfail).Voltage
+	lowV := power.Default().OperatingPointForPfail(cfg.Pfail).Voltage
 
-	r := &runner{cfg: cfg, model: model}
-	r.freq[sim.HighVoltage], r.freq[sim.LowVoltage] = 1, cfg.LowFreq
+	r := &runner{cfg: cfg}
+	r.freq[sim.HighVoltage], r.freq[sim.LowVoltage] = 1, lowFreq
 	r.volt[sim.HighVoltage], r.volt[sim.LowVoltage] = 1, lowV
 
 	for _, m := range []sim.Mode{sim.HighVoltage, sim.LowVoltage} {
@@ -458,10 +449,10 @@ func (r *runner) policy() (policyFunc, error) {
 			}
 			// The bar rises at low voltage: shrunken memory stalls lift
 			// every profile's IPC, so earning the switch back up takes
-			// LowIPCScale times the high-mode threshold.
+			// lowIPCScale times the high-mode threshold.
 			threshold := cfg.IPCThreshold
 			if d.Mode == sim.LowVoltage {
-				threshold *= cfg.LowIPCScale
+				threshold *= lowIPCScale
 			}
 			if d.LastIPC < threshold {
 				return sim.LowVoltage
@@ -473,23 +464,19 @@ func (r *runner) policy() (policyFunc, error) {
 		if err != nil {
 			return nil, err
 		}
-		lambda := cfg.PerfWeight
-		if lambda <= 0 {
-			// Exchange rate between the static schedules: the energy a
-			// joule-per-second the all-low schedule trades against the
-			// all-high one. Degenerate gaps fall back to 1.
-			var eH, eL, tH, tL float64
-			for p := range cfg.Workload.Phases {
-				eH += energy[sim.HighVoltage][p]
-				eL += energy[sim.LowVoltage][p]
-				tH += time[sim.HighVoltage][p]
-				tL += time[sim.LowVoltage][p]
-			}
-			if tL > tH && eH > eL {
-				lambda = (eH - eL) / (tL - tH)
-			} else {
-				lambda = 1
-			}
+		// λ is the exchange rate between the static schedules: the
+		// energy the all-low schedule saves per unit of time it loses
+		// against the all-high one. Degenerate gaps fall back to 1.
+		var eH, eL, tH, tL float64
+		for p := range cfg.Workload.Phases {
+			eH += energy[sim.HighVoltage][p]
+			eL += energy[sim.LowVoltage][p]
+			tH += time[sim.HighVoltage][p]
+			tL += time[sim.LowVoltage][p]
+		}
+		lambda := 1.0
+		if tL > tH && eH > eL {
+			lambda = (eH - eL) / (tL - tH)
 		}
 		pen := float64(cfg.SwitchPenalty)
 		plan := planOracle(len(cfg.Workload.Phases), lambda,

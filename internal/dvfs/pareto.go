@@ -4,7 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
+	"slices"
 
 	"vccmin/internal/par"
 	"vccmin/internal/sim"
@@ -43,87 +43,18 @@ func dominates(a, b Point) bool {
 	return a.Performance > b.Performance || a.EnergyPerInstruction < b.EnergyPerInstruction
 }
 
-// FrontierSet maintains a Pareto frontier over (maximize performance,
-// minimize energy-per-instruction) incrementally: points are inserted
-// one at a time, and at every moment the set holds exactly the
-// non-dominated points seen so far, deduplicated, as a staircase sorted
-// by strictly decreasing performance — which, on the frontier, forces
-// strictly decreasing energy too (a cheaper point at equal-or-higher
-// performance would dominate). Insert and Dominated are O(log n) plus
-// the amortized O(1) removal of newly dominated members, replacing the
-// all-pairs rescan MarkFrontier used to run over the full point set.
-type FrontierSet struct {
-	perf []float64
-	epi  []float64
-}
-
-// Len returns the number of distinct frontier members.
-func (f *FrontierSet) Len() int { return len(f.perf) }
-
-// lastGE returns the index of the last member with performance >= perf,
-// or -1. Members are sorted by strictly decreasing performance.
-func (f *FrontierSet) lastGE(perf float64) int {
-	return sort.Search(len(f.perf), func(i int) bool { return f.perf[i] < perf }) - 1
-}
-
-// Dominated reports whether some inserted point strictly dominates p
-// (better or equal on both axes, strictly better on one). A point equal
-// to a member on both axes is NOT dominated — equal points share the
-// frontier, exactly as under the pairwise dominates relation.
-func (f *FrontierSet) Dominated(p Point) bool {
-	// Among members at performance >= p's, the last one has the lowest
-	// energy (staircase), so it dominates p iff any member does.
-	i := f.lastGE(p.Performance)
-	if i < 0 || f.epi[i] > p.EnergyPerInstruction {
-		return false
-	}
-	return f.perf[i] > p.Performance || f.epi[i] < p.EnergyPerInstruction
-}
-
-// Insert adds p to the set, dropping it if dominated (or an exact
-// duplicate) and evicting any members p newly dominates.
-func (f *FrontierSet) Insert(p Point) {
-	if f.Dominated(p) {
-		return
-	}
-	lo := f.lastGE(p.Performance) + 1 // first member with perf < p's
-	if i := lo - 1; i >= 0 && f.perf[i] == p.Performance {
-		if f.epi[i] == p.EnergyPerInstruction {
-			return // exact duplicate of a member
-		}
-		// Not dominated and not equal at the same performance: the member
-		// pays strictly more energy, so p evicts it too.
-		lo = i
-	}
-	// Members from lo on have performance <= p's; the prefix of them with
-	// energy >= p's is dominated by p (energies decrease, so the doomed
-	// run is contiguous).
-	hi := lo
-	for hi < len(f.perf) && f.epi[hi] >= p.EnergyPerInstruction {
-		hi++
-	}
-	f.perf = append(f.perf[:lo], append([]float64{p.Performance}, f.perf[hi:]...)...)
-	f.epi = append(f.epi[:lo], append([]float64{p.EnergyPerInstruction}, f.epi[hi:]...)...)
-}
-
-// MarkFrontier sets Pareto on every non-dominated point, comparing only
-// points of the same workload (cross-workload comparisons mix different
+// MarkFrontier sets Pareto on every point that no point of the same
+// workload dominates (cross-workload comparisons mix different
 // instruction streams and mean nothing). The slice is modified in place.
-// One incremental FrontierSet per workload replaces the historical
-// all-pairs scan; TestMarkFrontierMatchesRebuild holds the two to
-// identical markings on random point sets.
+// The scan is pairwise: an Explore grid holds at most
+// |schemes|×|policies| points per workload, each the product of a full
+// Run.
 func MarkFrontier(points []Point) {
-	frontiers := make(map[string]*FrontierSet)
 	for i := range points {
-		fs := frontiers[points[i].Workload]
-		if fs == nil {
-			fs = &FrontierSet{}
-			frontiers[points[i].Workload] = fs
-		}
-		fs.Insert(points[i])
-	}
-	for i := range points {
-		points[i].Pareto = !frontiers[points[i].Workload].Dominated(points[i])
+		p := points[i]
+		points[i].Pareto = !slices.ContainsFunc(points, func(q Point) bool {
+			return q.Workload == p.Workload && dominates(q, p)
+		})
 	}
 }
 
@@ -132,8 +63,13 @@ func MarkFrontier(points []Point) {
 func Frontier(points []Point) []Point {
 	cp := append([]Point(nil), points...)
 	MarkFrontier(cp)
+	return marked(cp)
+}
+
+// marked returns the points whose Pareto flag is set, in order.
+func marked(points []Point) []Point {
 	var out []Point
-	for _, p := range cp {
+	for _, p := range points {
 		if p.Pareto {
 			out = append(out, p)
 		}
@@ -142,7 +78,10 @@ func Frontier(points []Point) []Point {
 }
 
 // ExploreSpec is a (workload × scheme × policy) grid for the explorer.
-// Empty axes take defaults; scalar knobs flow into every run's Config.
+// Empty axes take defaults; scalar knobs flow into every run's Config,
+// whose fixed mode economics (the 0.2 low-mode clock of Table III, the
+// reactive policy's 2.5 low-voltage scale, the auto-calibrated oracle λ
+// and the Fig. 1 power model) every run shares.
 type ExploreSpec struct {
 	Workloads []string       // multi-phase workload names; default: all builtins
 	Schemes   []sim.Scheme   // default: BlockDisable, WordDisable
@@ -154,13 +93,10 @@ type ExploreSpec struct {
 	Workers   int            // bounds concurrent runs; 0 = GOMAXPROCS
 
 	// Switch economics applied to every run (zero = the Config
-	// defaults). Unlike the Config hook these are result-defining fields
-	// CanonicalHash digests.
+	// defaults); result-defining, so CanonicalHash digests them.
 	SwitchPenalty int
 	Interval      int
 	IPCThreshold  float64
-
-	Config func(*Config) // optional per-run Config hook; NOT hashed — callers using it must extend the cache key themselves
 }
 
 // WithDefaults returns the spec with every zero-valued axis and scalar
@@ -202,8 +138,7 @@ func (s ExploreSpec) withDefaults() ExploreSpec {
 
 // CanonicalHash digests the spec's result-defining fields — the explorer
 // analogue of sweep.Spec.CanonicalHash, and the /v1/dvfs response-cache
-// key. Workers is excluded (scheduling only); the Config hook is the
-// caller's responsibility to reflect in the key if it uses one.
+// key. Workers is excluded (scheduling only).
 func (s ExploreSpec) CanonicalHash() string {
 	s = s.withDefaults()
 	h := sha256.New()
@@ -229,15 +164,7 @@ type ExploreResult struct {
 }
 
 // ParetoPoints returns just the frontier points, in grid order.
-func (r ExploreResult) ParetoPoints() []Point {
-	var out []Point
-	for _, p := range r.Points {
-		if p.Pareto {
-			out = append(out, p)
-		}
-	}
-	return out
-}
+func (r ExploreResult) ParetoPoints() []Point { return marked(r.Points) }
 
 // Explore evaluates the grid: one scheduled run per (workload, scheme,
 // policy) cell, in parallel up to Workers, then marks each workload's
@@ -279,9 +206,6 @@ func Explore(spec ExploreSpec) (*ExploreResult, error) {
 			SwitchPenalty: spec.SwitchPenalty,
 			Interval:      spec.Interval,
 			IPCThreshold:  spec.IPCThreshold,
-		}
-		if spec.Config != nil {
-			spec.Config(&cfg)
 		}
 		r, err := Run(cfg)
 		if err != nil {

@@ -1,6 +1,7 @@
 package dvfs
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -27,6 +28,68 @@ func TestMarkFrontier(t *testing.T) {
 	fr := Frontier(pts)
 	if len(fr) != 3 {
 		t.Fatalf("Frontier returned %d points, want 3", len(fr))
+	}
+}
+
+// TestMarkFrontierProperties holds MarkFrontier to the properties that
+// define a per-workload Pareto frontier, on random point sets: no marked
+// point dominates another of its workload, every unmarked point is
+// dominated by a marked one of its workload, equal points share a
+// marking, and the marking does not depend on the input order.
+func TestMarkFrontierProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	workloads := []string{"a", "b", "c"}
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(60)
+		points := make([]Point, n)
+		for i := range points {
+			// A coarse value grid makes exact duplicates and single-axis
+			// ties common — the cases where frontier semantics are subtle.
+			points[i] = Point{
+				Workload:             workloads[rng.Intn(len(workloads))],
+				Performance:          float64(rng.Intn(8)) / 4,
+				EnergyPerInstruction: float64(rng.Intn(8)) / 4,
+			}
+			if trial%3 == 0 { // continuous trials too
+				points[i].Performance = rng.Float64()
+				points[i].EnergyPerInstruction = rng.Float64()
+			}
+		}
+		MarkFrontier(points)
+		for i, p := range points {
+			covered := false
+			for j, q := range points {
+				if q.Workload != p.Workload {
+					continue
+				}
+				if p.Pareto && q.Pareto && dominates(p, q) {
+					t.Fatalf("trial %d: marked point %d %+v dominates marked point %d %+v", trial, i, p, j, q)
+				}
+				if q.Performance == p.Performance && q.EnergyPerInstruction == p.EnergyPerInstruction && q.Pareto != p.Pareto {
+					t.Fatalf("trial %d: equal points %d and %d marked %v and %v", trial, i, j, p.Pareto, q.Pareto)
+				}
+				covered = covered || q.Pareto && dominates(q, p)
+			}
+			if !p.Pareto && !covered {
+				t.Fatalf("trial %d: unmarked point %d %+v is dominated by no marked point", trial, i, p)
+			}
+		}
+
+		// Shuffle with a stream of its own (the point sets stay those of
+		// the seed above) and invert every flag, so the marking must be
+		// recomputed rather than carried over.
+		perm := rand.New(rand.NewSource(int64(trial))).Perm(n)
+		shuffled := make([]Point, n)
+		for k, i := range perm {
+			shuffled[k] = points[i]
+			shuffled[k].Pareto = !points[i].Pareto
+		}
+		MarkFrontier(shuffled)
+		for k, i := range perm {
+			if shuffled[k].Pareto != points[i].Pareto {
+				t.Fatalf("trial %d: point %d marked %v in input order, %v shuffled", trial, i, points[i].Pareto, shuffled[k].Pareto)
+			}
+		}
 	}
 }
 

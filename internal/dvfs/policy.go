@@ -35,7 +35,7 @@ const (
 	// low voltage when it falls below the threshold (a stalling,
 	// memory-bound region gains little from the fast clock), back to
 	// high when it rises above the mode-scaled threshold — a realizable
-	// online policy. See Config.IPCThreshold and Config.LowIPCScale.
+	// online policy. See Config.IPCThreshold and lowIPCScale.
 	PolicyReactive
 
 	// PolicyInterval alternates modes at a fixed instruction interval

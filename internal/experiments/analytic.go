@@ -6,7 +6,6 @@ package experiments
 
 import (
 	"vccmin/internal/geom"
-	"vccmin/internal/overhead"
 	"vccmin/internal/power"
 	"vccmin/internal/prob"
 )
@@ -77,11 +76,6 @@ func Fig7(points int) prob.Series {
 	return prob.Sweep("incremental word-disable capacity (Eq.6)", 0, 0.010, points, func(pf float64) float64 {
 		return prob.IncrementalWDCapacity(g.DataBits(), 8, 32, pf)
 	})
-}
-
-// TableI returns the overhead comparison rows.
-func TableI() []overhead.Row {
-	return overhead.TableI(overhead.ReferenceParams())
 }
 
 // FigGranularity (extension) applies the Section IV methodology to the

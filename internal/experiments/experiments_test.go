@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"vccmin/internal/overhead"
 	"vccmin/internal/workload"
 )
 
@@ -107,7 +108,7 @@ func TestFigCluster(t *testing.T) {
 }
 
 func TestTableIRows(t *testing.T) {
-	rows := TableI()
+	rows := overhead.TableI()
 	if len(rows) != 6 {
 		t.Fatalf("TableI has %d rows", len(rows))
 	}

@@ -59,9 +59,6 @@ type Config struct {
 	// APIKey, when set, is sent as X-API-Key (the rate limiter's
 	// per-client key) on every request.
 	APIKey string `json:"api_key" help:"X-API-Key sent with every request (the rate limiter's client key)"`
-	// Client overrides the HTTP client (tests); default is a fresh
-	// client with the configured timeout.
-	Client *http.Client
 }
 
 // WithDefaults returns the config with Mix, Timeout and Seed defaulted
@@ -173,10 +170,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if totalWeight <= 0 {
 		return nil, fmt.Errorf("loadgen: mix has no positive weights")
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: cfg.Timeout}
-	}
+	client := &http.Client{Timeout: cfg.Timeout}
 	base := strings.TrimRight(cfg.BaseURL, "/")
 
 	// Cumulative-weight pick table.

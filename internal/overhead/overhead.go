@@ -66,21 +66,14 @@ type Row struct {
 	Total              int
 }
 
-// Params configures the Table I computation.
-type Params struct {
-	Geometry      geom.Geometry
-	VictimEntries int // 16 in the paper
-	WordBits      int // 32 in the paper
-}
+// The paper's Table I configuration: the reference L1, a 16-entry
+// victim cache and 32-bit words.
+var reference = geom.MustNew(32*1024, 8, 64)
 
-// ReferenceParams returns the paper's Table I configuration.
-func ReferenceParams() Params {
-	return Params{
-		Geometry:      geom.MustNew(32*1024, 8, 64),
-		VictimEntries: 16,
-		WordBits:      32,
-	}
-}
+const (
+	victimEntries = 16
+	wordBits      = 32
+)
 
 // victimCells reproduces the paper's victim-cache cell accounting:
 // (victim tag bits + entries * block data bits). The victim tag covers the
@@ -88,26 +81,26 @@ func ReferenceParams() Params {
 // reference geometry). Note the paper's printed formula charges the tag
 // once rather than per entry; we reproduce the printed arithmetic so the
 // table matches the publication.
-func victimCells(p Params) int {
-	victimTag := p.Geometry.AddrBits - p.Geometry.OffsetBits() + 1
-	return victimTag + p.VictimEntries*p.Geometry.DataBits()
+func victimCells() int {
+	victimTag := reference.AddrBits - reference.OffsetBits() + 1
+	return victimTag + victimEntries*reference.DataBits()
 }
 
-// TableI computes every row of Table I for the given parameters.
-func TableI(p Params) []Row {
+// TableI computes every row of Table I.
+func TableI() []Row {
 	rows := make([]Row, 0, 6)
 	for _, s := range Schemes() {
-		rows = append(rows, RowFor(s, p))
+		rows = append(rows, RowFor(s))
 	}
 	return rows
 }
 
 // RowFor computes a single Table I row.
-func RowFor(s Scheme, p Params) Row {
-	g := p.Geometry
+func RowFor(s Scheme) Row {
+	g := reference
 	blocks := g.Blocks()
-	tagCells := (g.TagBits() + g.ValidBits) * blocks // 25*512 for the reference
-	wordsPerBlock := g.DataBits() / p.WordBits
+	tagCells := (g.TagBits() + g.ValidBits) * blocks // 25*512
+	wordsPerBlock := g.DataBits() / wordBits
 
 	r := Row{Scheme: s}
 	switch s {
@@ -115,7 +108,7 @@ func RowFor(s Scheme, p Params) Row {
 		r.TagTransistors = tagCells * SixT
 	case BaselineVC:
 		r.TagTransistors = tagCells * SixT
-		r.VictimTransistors = victimCells(p) * SixT
+		r.VictimTransistors = victimCells() * SixT
 	case WordDisable:
 		// Tag array and per-word fault mask both in 10T cells.
 		r.TagTransistors = tagCells * TenT
@@ -127,12 +120,12 @@ func RowFor(s Scheme, p Params) Row {
 	case BlockDisableVC10T:
 		r.TagTransistors = tagCells * SixT
 		r.DisableTransistors = 1 * blocks * TenT
-		r.VictimTransistors = victimCells(p) * TenT
+		r.VictimTransistors = victimCells() * TenT
 	case BlockDisableVC6T:
 		r.TagTransistors = tagCells * SixT
 		r.DisableTransistors = 1 * blocks * TenT
 		// 6T victim storage plus one 10T disable bit per victim entry.
-		r.VictimTransistors = victimCells(p)*SixT + p.VictimEntries*TenT
+		r.VictimTransistors = victimCells()*SixT + victimEntries*TenT
 	}
 	r.Total = r.TagTransistors + r.DisableTransistors + r.VictimTransistors
 	return r

@@ -12,8 +12,7 @@ func TestTableITotals(t *testing.T) {
 		BlockDisableVC10T: 164150,
 		BlockDisableVC6T:  131418,
 	}
-	p := ReferenceParams()
-	for _, row := range TableI(p) {
+	for _, row := range TableI() {
 		if got := row.Total; got != want[row.Scheme] {
 			t.Errorf("%s: total = %d transistors, want %d", row.Scheme, got, want[row.Scheme])
 		}
@@ -21,8 +20,7 @@ func TestTableITotals(t *testing.T) {
 }
 
 func TestTableIStructure(t *testing.T) {
-	p := ReferenceParams()
-	rows := TableI(p)
+	rows := TableI()
 	if len(rows) != 6 {
 		t.Fatalf("TableI has %d rows, want 6", len(rows))
 	}
@@ -38,13 +36,12 @@ func TestTableIStructure(t *testing.T) {
 
 func TestBlockDisableCheapestLowVoltageScheme(t *testing.T) {
 	// "It is evident that in all cases block-disabling has lower overhead."
-	p := ReferenceParams()
-	bd := RowFor(BlockDisable, p).Total
-	wd := RowFor(WordDisable, p).Total
+	bd := RowFor(BlockDisable).Total
+	wd := RowFor(WordDisable).Total
 	if bd >= wd {
 		t.Errorf("block disable (%d) should cost less than word disable (%d)", bd, wd)
 	}
-	bdVC := RowFor(BlockDisableVC10T, p).Total
+	bdVC := RowFor(BlockDisableVC10T).Total
 	if bdVC >= wd {
 		t.Errorf("block disable + 10T V$ (%d) should still cost less than word disable (%d)", bdVC, wd)
 	}

@@ -106,6 +106,10 @@ type Manager struct {
 	dedupHits atomic.Uint64
 }
 
+// interactiveBacklog bounds the synchronous endpoints' queued compute;
+// submissions beyond it are shed with 503.
+const interactiveBacklog = 256
+
 // NewManagerTiered starts the job manager over the data directory,
 // creating it if needed, re-registering finished jobs and re-enqueueing
 // unfinished ones found there. Its pool has two tiers: batchWorkers
@@ -113,7 +117,7 @@ type Manager struct {
 // idle), while interactiveWorkers additional workers are reserved for
 // the interactive tier the service's synchronous endpoints submit to —
 // so saturating the sweep queue can never starve a sync request.
-func NewManagerTiered(dir string, batchWorkers, interactiveWorkers, interactiveBacklog int) (*Manager, error) {
+func NewManagerTiered(dir string, batchWorkers, interactiveWorkers int) (*Manager, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("service: job manager needs a data directory")
 	}

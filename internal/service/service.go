@@ -88,10 +88,6 @@ type Config struct {
 	// them; default GOMAXPROCS (at least 2).
 	InteractiveWorkers int `json:"interactive_workers" help:"workers reserved for synchronous endpoints (0 = GOMAXPROCS)"`
 
-	// InteractiveBacklog bounds queued synchronous compute; submissions
-	// beyond it are shed with 503. Default 256.
-	InteractiveBacklog int `json:"-"`
-
 	// ShedWatermark is the admission threshold: once this many batch
 	// items (sweep jobs, batch requests) are queued and not yet running,
 	// new batch-shaped work is shed with 503 + Retry-After while
@@ -143,9 +139,6 @@ func (c Config) WithDefaults() Config {
 		if c.InteractiveWorkers < 2 {
 			c.InteractiveWorkers = 2
 		}
-	}
-	if c.InteractiveBacklog <= 0 {
-		c.InteractiveBacklog = 256
 	}
 	if c.ShedWatermark <= 0 {
 		c.ShedWatermark = 64
@@ -221,7 +214,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	jobs, err := NewManagerTiered(cfg.DataDir, cfg.Workers, cfg.InteractiveWorkers, cfg.InteractiveBacklog)
+	jobs, err := NewManagerTiered(cfg.DataDir, cfg.Workers, cfg.InteractiveWorkers)
 	if err != nil {
 		return nil, err
 	}

@@ -363,7 +363,7 @@ func TestRestartResume(t *testing.T) {
 // and re-run forever.
 func TestFailedJobSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	m, err := NewManagerTiered(dir, 1, 0, 0)
+	m, err := NewManagerTiered(dir, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestFailedJobSurvivesRestart(t *testing.T) {
 	}
 	m.Close()
 
-	m2, err := NewManagerTiered(dir, 1, 0, 0)
+	m2, err := NewManagerTiered(dir, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

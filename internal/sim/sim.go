@@ -152,11 +152,9 @@ type Options struct {
 	// Seed for the workload generator.
 	Seed int64
 
-	// Machine overrides; zero value means Reference(Mode).
+	// Machine overrides; zero value means Reference(Mode). The core is
+	// always pipeline.TableII().
 	Machine *TableIII
-
-	// Core overrides; zero value means pipeline.TableII().
-	Core *pipeline.Config
 
 	// L2Map applies block-disabling to the L2 as well at low voltage
 	// (extension). It must have the L2's geometry.
@@ -219,10 +217,6 @@ func assemble(opts Options, prev *System) (*System, error) {
 	machine := Reference(opts.Mode)
 	if opts.Machine != nil {
 		machine = *opts.Machine
-	}
-	coreCfg := pipeline.TableII()
-	if opts.Core != nil {
-		coreCfg = *opts.Core
 	}
 
 	mem := &cache.Memory{Latency: machine.MemLatency}
@@ -326,7 +320,7 @@ func assemble(opts Options, prev *System) (*System, error) {
 		dc.Victim = v
 	}
 
-	cpu, err := pipeline.New(coreCfg, ic, dc)
+	cpu, err := pipeline.New(pipeline.TableII(), ic, dc)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 
 	"vccmin/internal/experiments"
 	"vccmin/internal/geom"
+	"vccmin/internal/overhead"
 	"vccmin/internal/power"
 	"vccmin/internal/prob"
 )
@@ -270,7 +271,7 @@ func (OverheadTask) CanonicalHash() string { return hashJSON(KindOverhead, struc
 
 // Run implements engine.Task.
 func (OverheadTask) Run(ctx context.Context) (any, error) {
-	rows := experiments.TableI()
+	rows := overhead.TableI()
 	out := make([]OverheadRow, 0, len(rows))
 	for _, row := range rows {
 		out = append(out, OverheadRow{

@@ -172,9 +172,10 @@ func WordDisableFit(m *FaultMap) bool {
 // OverheadRow is one row of Table I.
 type OverheadRow = overhead.Row
 
-// TableI computes the transistor-overhead comparison for the reference
-// configuration.
-func TableI() []OverheadRow { return experiments.TableI() }
+// TableI computes the transistor-overhead comparison for the paper's
+// reference L1: 32 KB, 8-way, 64 B blocks, a 16-entry victim cache and
+// 32-bit words.
+func TableI() []OverheadRow { return overhead.TableI() }
 
 // ---- DVFS model (Fig. 1) ----
 
@@ -217,7 +218,8 @@ const (
 	Victim6T  = sim.Victim6T
 )
 
-// SimOptions configures a single simulation run.
+// SimOptions configures a single simulation run; the core is always
+// the Table II pipeline.
 type SimOptions = sim.Options
 
 // SimResult reports a single simulation run.
@@ -274,7 +276,10 @@ func DVFSPolicies() []DVFSPolicy { return dvfs.Policies() }
 
 // DVFSConfig describes one scheduled dual-mode run: the multi-phase
 // workload, the low-voltage mitigation scheme, the policy and the switch
-// economics.
+// economics. The mode economics the paper fixes are not fields: the low
+// mode clocks at Table III's 600 MHz against 3 GHz, the oracle's λ is
+// the static schedules' exchange rate and the power model is
+// DefaultPowerModel().
 type DVFSConfig = dvfs.Config
 
 // DVFSResult is one scheduled run's accounting: per-phase time/energy,
@@ -290,7 +295,8 @@ func RunDVFS(cfg DVFSConfig) (DVFSResult, error) { return dvfs.Run(cfg) }
 type DVFSPoint = dvfs.Point
 
 // DVFSExploreSpec is a (workload × scheme × policy) grid for the Pareto
-// explorer.
+// explorer; every run in it is a DVFSConfig built from the spec's
+// fields.
 type DVFSExploreSpec = dvfs.ExploreSpec
 
 // DVFSExploreResult carries every explored point plus the runs behind
