@@ -36,7 +36,8 @@ bench-gate:
 # fault-map stream, oracle DP, probe measurement, the live phased dvfs
 # schedule, the naive row-wise query evaluator, the
 # concatenate-and-sort query aggregate, the rebuild-per-probe fleet
-# prober, the per-run sweep cell evaluation, the live instruction stream
+# prober against the kill-severity steps, predictor and per-scheme kill
+# severities, the per-run sweep cell evaluation, the live instruction stream
 # against its recording and replay, the map-and-recency-list cache
 # model, the scan-based functional-unit pool, math/rand's serial seed
 # chain against lfrand's power table) held identical to the
@@ -103,7 +104,8 @@ check: vet fmt doc-check link-check api-check clean-check
 # Short fuzz smoke over the checkpoint reader (ReadRows and resume's
 # loader, FuzzLoadCompleted, both read through it), the batched sparse
 # sampler, the colv1 shard codec, the query aggregation paths, the
-# GET-versus-CLI request binding, the fleet prober's severity sort and
+# GET-versus-CLI request binding, the fleet prober's kill severities
+# against the frozen oracle, and
 # lfrand's power-table seeding against math/rand's state (go test
 # allows one fuzz target per invocation, hence the separate runs).
 fuzz:
@@ -114,7 +116,7 @@ fuzz:
 	$(GO) test ./internal/colstore -run='^$$' -fuzz=FuzzVarintColumn -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/colstore -run='^$$' -fuzz=FuzzAggregate -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/service -run='^$$' -fuzz=FuzzBindSurfaces -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/population -run='^$$' -fuzz=FuzzSeveritySort -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/population -run='^$$' -fuzz=FuzzKillSeverity -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/lfrand -run='^$$' -fuzz=FuzzSeedState -fuzztime=$(FUZZTIME)
 
 # Coverage over the internal packages with a hard floor.

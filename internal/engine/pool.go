@@ -70,21 +70,11 @@ var (
 
 // NewTieredPool starts interactiveWorkers workers dedicated to the
 // interactive queue plus batchWorkers dual workers serving both queues,
-// over per-tier backlogs. batchWorkers <= 0 defaults to 2; backlogs
-// <= 0 default to 1024.
+// over per-tier backlogs. Every size is taken as given: callers pass
+// at least one batch worker and positive backlogs (the service's job
+// manager sizes them from its defaulted config), and zero interactive
+// workers leaves the interactive queue to the dual workers.
 func NewTieredPool(interactiveWorkers, batchWorkers, interactiveBacklog, batchBacklog int) *Pool {
-	if batchWorkers <= 0 {
-		batchWorkers = 2
-	}
-	if interactiveWorkers < 0 {
-		interactiveWorkers = 0
-	}
-	if interactiveBacklog <= 0 {
-		interactiveBacklog = 1024
-	}
-	if batchBacklog <= 0 {
-		batchBacklog = 1024
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &Pool{
 		interactive: make(chan func(context.Context), interactiveBacklog),

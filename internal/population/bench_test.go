@@ -8,7 +8,7 @@ import (
 
 // BenchmarkFleetDieVccmin measures one die end to end: multiplier +
 // fault-population draw, then resolving the Vcc-min grid step under
-// the two default schemes in one incremental grid walk. This is the
+// the two default schemes from their kill severities. This is the
 // fleet sweep's unit of work.
 func BenchmarkFleetDieVccmin(b *testing.B) {
 	spec := FleetSpec{Seed: 7}.WithDefaults()

@@ -1,14 +1,14 @@
 package population
 
-// The frozen pre-campaign prober, kept verbatim as the differential
-// oracle for the incremental grid walk (the PR 7 / PR 9 pattern, run
-// under `make diff-race`): a full O(F) fault-map rebuild at every
-// probed voltage, bisected independently per scheme, with the
-// per-scheme predicates evaluated by the core package's whole-cache
-// walks. The optimized prober must match it decision-for-decision —
-// same steps, same thresholds, same estimates — over randomized fleet
-// specs covering every scheme, odd-way geometries, degenerate
-// multipliers and saturated pfail.
+// The frozen pre-campaign prober, kept as the differential oracle for
+// the kill-severity prober (run under `make diff-race`): a full O(F)
+// fault-map rebuild at every probed voltage, bisected independently
+// per scheme, with the per-scheme predicates evaluated by the core
+// package's whole-cache walks. The optimized prober must match it
+// decision-for-decision — same steps, same thresholds, same estimates
+// — over randomized fleet specs covering every scheme, odd-way
+// geometries, degenerate multipliers, saturated pfail and a
+// default-geometry fleet.
 
 import (
 	"math"
@@ -82,15 +82,21 @@ func (p *oracleProber) draw(d int) {
 }
 
 func (p *oracleProber) build(v float64) {
+	if p.pflr <= 0 {
+		p.activate(math.Inf(-1))
+		return
+	}
+	p.activate(p.spec.pfailAt(p.mult, v) / p.pflr)
+}
+
+// activate rebuilds the map from scratch holding the active set
+// {sev <= ratio} of the drawn population.
+func (p *oracleProber) activate(ratio float64) {
 	for _, b := range p.dirty {
 		p.m.Blocks[b] = faults.BlockFaults{}
 	}
 	p.dirty = p.dirty[:0]
 	p.m.Total = 0
-	if p.pflr <= 0 {
-		return
-	}
-	ratio := p.spec.pfailAt(p.mult, v) / p.pflr
 	k := p.spec.Geom.CellsPerBlock()
 	for i, c := range p.cells {
 		if p.sev[i] <= ratio {
@@ -105,6 +111,11 @@ func (p *oracleProber) build(v float64) {
 
 func (p *oracleProber) passAt(scheme sim.Scheme, v float64) bool {
 	p.build(v)
+	return p.verdict(scheme)
+}
+
+// verdict evaluates the scheme's pass predicate on the current map.
+func (p *oracleProber) verdict(scheme sim.Scheme) bool {
 	switch scheme {
 	case sim.Baseline:
 		return p.m.Total == 0
@@ -186,7 +197,7 @@ func (p *oracleProber) estimateAndTruth(scheme sim.Scheme, k int) (est, truth fl
 	return est, truth
 }
 
-// allSchemes exercises every predicate the walk maintains.
+// allSchemes exercises every scheme's kill-severity rule.
 var allSchemes = []sim.Scheme{
 	sim.Baseline, sim.BlockDisable, sim.WordDisable,
 	sim.IncrementalWordDisable, sim.BitFix,
@@ -196,7 +207,11 @@ var allSchemes = []sim.Scheme{
 // tests share: every scheme, several geometries (including odd ways,
 // which leave the last way unpaired under incremental word-disable),
 // wafer sigmas wide enough to reach pfail saturation, multipliers
-// small enough to activate nothing, and varying grids and floors.
+// small enough to activate nothing, and varying grids and floors —
+// plus one default fleet (the paper's 32 KB L1, default variation,
+// floor and grid) large enough that the ranks near the capacity floor
+// and the fifth faulty word or second faulty pair are actually
+// reached (fewer dies under -short and the race detector).
 func diffSpecs(t *testing.T) []FleetSpec {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
@@ -232,10 +247,15 @@ func diffSpecs(t *testing.T) []FleetSpec {
 		}
 		specs = append(specs, spec)
 	}
+	dies := 1000
+	if raceEnabled || testing.Short() {
+		dies = 64
+	}
+	specs = append(specs, FleetSpec{Dies: dies, Schemes: allSchemes, Seed: rng.Int63()}.WithDefaults())
 	return specs
 }
 
-// TestDifferentialProberWalk holds the incremental grid walk
+// TestDifferentialProberWalk holds the kill-severity grid steps
 // bit-identical to the frozen per-scheme bisection prober over the
 // randomized spec battery.
 func TestDifferentialProberWalk(t *testing.T) {
@@ -265,7 +285,7 @@ func TestDifferentialProberWalk(t *testing.T) {
 	}
 }
 
-// TestDifferentialProberPredict holds the critical-count predictor —
+// TestDifferentialProberPredict holds the kill-severity predictor —
 // thresholdVoltage and the K-measurement estimate — bit-identical to
 // the frozen rebuild-per-probe bisection.
 func TestDifferentialProberPredict(t *testing.T) {

@@ -76,10 +76,11 @@ type FleetResult struct {
 
 // RunFleet measures every die of the fleet: each die draws its latent
 // fault population from its own derived seed and resolves its Vcc-min
-// grid step under every spec scheme in one incremental grid walk. Dies
-// fan out over spec.Workers goroutines (par.Do) into die-indexed slots
-// and are reduced serially, so the result is bit-identical at every
-// worker count. The spec is defaulted and validated here, so callers may
+// grid step under every spec scheme from the schemes' kill severities,
+// found in one pass over that population. Dies fan out over
+// spec.Workers goroutines (par.Do) into die-indexed slots and are
+// reduced serially, so the result is bit-identical at every worker
+// count. The spec is defaulted and validated here, so callers may
 // pass a sparse one.
 func RunFleet(spec FleetSpec) (*FleetResult, error) {
 	spec = spec.WithDefaults()

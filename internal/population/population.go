@@ -23,7 +23,8 @@
 // severity falls below pfail(v)/pfail(floor), so fault sets are nested
 // as voltage falls — exactly the monotone pass/fail structure real
 // Vcc-min characterization relies on, and what lets both the fleet
-// sweep and the predictor bisect instead of scanning.
+// sweep and the predictor resolve a die under a scheme from the one
+// severity at which the scheme first fails.
 package population
 
 import (
@@ -31,6 +32,8 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
+	"sort"
 	"strconv"
 
 	"vccmin/internal/faults"
@@ -241,61 +244,47 @@ func scaledPfail(mult, modelPfail float64) float64 {
 
 // Scheme parameters the prober hardcodes, matching the reference
 // configurations the frozen oracle evaluated with
-// (core.ReferenceWordDisable and core.ReferenceBitFix).
+// (core.ReferenceWordDisable and core.ReferenceBitFix): a subblock of
+// 8 32-bit words fails with more than 4 faulty words, a fix group of 8
+// 2-bit pairs with more than 1 faulty pair.
 const (
 	mapWordBits      = 32
 	wordsPerSubblock = 8
+	pairBits         = 2
 	pairsPerGroup    = 8
 	repairsPerGroup  = 1
 )
 
-// Incremental word-disable pair states, ordered so a pair's state only
-// ever increases as faults accumulate (core.PairState values).
-const (
-	pairFullState uint8 = iota
-	pairHalfState
-	pairDisabledState
-)
+// selectBuckets is the number of equal-width severity buckets
+// rankSeverity counts into before sorting the one bucket that holds
+// the wanted rank.
+const selectBuckets = 128
 
-// prober measures one die at a time, reusing its buffers across dies
-// and voltages; each concurrent worker owns one.
+// prober measures one die at a time, reusing its buffers across dies;
+// each concurrent worker owns one.
 //
-// The measurement is a single incremental walk: draw orders the latent
-// population ascending by severity (an expected O(F) bucket sort, see
-// sortBySeverity), so the fault set active at any voltage is a prefix
-// of the sorted order (the nested-severity construction above).
-// Walking the descending voltage grid, each fault enters the reused map
-// exactly once as the prefix grows, and every scheme's pass predicate
-// is maintained incrementally alongside:
-// baseline passes while the prefix is empty; block-disable keeps a
-// running faulty-block count; incremental word-disable keeps per-pair
-// full/half/disabled counts, reclassifying only the pair a fault lands
-// in; word-disable and bit-fix fitness are monotone-sticky (once
-// unfit, unfit forever), re-checking only the subblock or fix group
-// the fault lands in. The frozen pre-walk prober — a full O(F) map
-// rebuild at every probed voltage, bisected per scheme — lives in
-// differential_test.go as the oracle this walk is held bit-identical
-// to.
+// A die is resolved from per-scheme kill severities (see
+// killSeverities): the smallest latent-fault severity at which the
+// scheme fails on the active set {sev <= t}. Every pass predicate is
+// monotone in the fault set and the active set at voltage v is
+// {sev <= pfail(v)/pfail(floor)}, so the die passes at v iff that
+// ratio is below the kill severity: one pass over the population
+// settles every grid step and every bisection probe. The frozen
+// rebuild-per-probe prober in differential_test.go is the oracle this
+// is held bit-identical to.
 type prober struct {
 	spec FleetSpec
 
 	// The die's latent fault population at the voltage floor: linear
-	// cell indices plus iid severities, sorted ascending by severity
-	// (ties by cell index) after the draw. A cell is active at voltage
-	// v iff its severity is at most pfail(v)/pfail(floor), so the
-	// active set is always a prefix of the sorted order.
+	// cell indices in ascending order, as draw emits them, plus iid
+	// severities. A cell is active at voltage v iff its severity is at
+	// most pfail(v)/pfail(floor).
 	flt  []latentFault
 	mult float64
 	pflr float64 // effective pfail at the voltage floor
 
-	// sortBySeverity's scratch, reused across dies: per-bucket start
-	// offsets and the slice the faults are scattered into (swapped
-	// with flt after each sort).
-	bucketStart []int32
-	swap        []latentFault
-
 	// Model.Pfail at each point of spec.Grid(), computed once per
-	// prober: the walk scales it by the die multiplier instead of
+	// prober: the steps scale it by the die multiplier instead of
 	// re-evaluating the model's exponential at every step of every die.
 	gridPfail []float64
 
@@ -314,33 +303,31 @@ type prober struct {
 	cachedWafer int
 	waferMu     float64
 
-	// Reused fault-map buffer. Built without the internal faulty-block
-	// bitset (the accessors fall back to scanning Blocks), so clearing
-	// is just zeroing the dirty block records.
-	m     *faults.Map
-	dirty []int32
-
-	// Geometry constants hoisted out of the walk.
+	// Geometry constants hoisted out of the pass. A cell's block is
+	// cell·blockMul >> blockShift, exactly cell/cellsPerBlock for every
+	// cell below 2^31 (see newProber).
+	blockMul      uint64
+	blockShift    uint
 	cellsPerBlock int
 	dataBits      int
 	subPerBlock   int // word-disable subblocks per block
 	groupsPerLine int // bit-fix fix groups per line
-	pairsPerSet   int // incremental-WD pairs per set (Ways/2)
-	totalPairs    int // Sets() * pairsPerSet
 
-	// Which schemes the current walk maintains state for.
-	needWD, needBF, needIWD bool
+	// The capacity schemes' smallest failing counts, fixed per prober:
+	// faulty blocks under block-disable, half-unit pair events under
+	// incremental word-disable. 0 means the scheme fails fault-free;
+	// one past the largest possible count means it never fails.
+	blockFailAt int
+	pairFailAt  int
 
-	// Incremental per-scheme state, reset by resetWalk.
-	faultyBlocks int  // blocks with at least one faulty cell
-	wdFit        bool // word-disable fitness (sticky once false)
-	bfFit        bool // bit-fix fitness (sticky once false)
-	pairFull     int  // incremental-WD pair-state counts
-	pairHalf     int
-	pairState    []uint8 // lazily allocated, one state per pair
-	dirtyPairs   []int32
-
-	alive     []bool // per-scheme liveness during a grid walk
+	// Scratch reused across dies: the per-faulty-block minimum
+	// severities, the incremental word-disable pair events, the bucket
+	// rankSeverity sorts, and the kill severities themselves.
+	acc       killAcc
+	blockMin  []float64
+	events    []float64
+	bucket    []float64
+	kill      []float64
 	oneScheme [1]sim.Scheme
 }
 
@@ -354,45 +341,48 @@ type latentFault struct {
 func newProber(spec FleetSpec) *prober {
 	g := spec.Geom
 	p := &prober{
-		spec: spec,
-		m: &faults.Map{
-			Geom:     g,
-			WordBits: mapWordBits,
-			Blocks:   make([]faults.BlockFaults, g.Blocks()),
-		},
+		spec:          spec,
 		cellsPerBlock: g.CellsPerBlock(),
 		dataBits:      g.DataBits(),
 		subPerBlock:   g.DataBits() / mapWordBits / wordsPerSubblock,
-		groupsPerLine: g.DataBits() / 2 / pairsPerGroup,
-		pairsPerSet:   g.Ways / 2,
+		groupsPerLine: g.DataBits() / pairBits / pairsPerGroup,
 		cachedWafer:   -1,
 	}
-	p.totalPairs = g.Sets() * p.pairsPerSet
+	// Division by the invariant cellsPerBlock d as a multiply and
+	// shift (Granlund and Montgomery): with l = ceil(log2 d), shift
+	// 31+l and multiplier floor(2^(31+l)/d)+1, the rounding error stays
+	// below 1/d for every 31-bit cell index, so the floor is exact, and
+	// the product (below 2^31·(2^32+1)) fits in 64 bits.
+	l := uint(bits.Len(uint(p.cellsPerBlock - 1)))
+	p.blockShift = 31 + l
+	p.blockMul = (uint64(1)<<p.blockShift)/uint64(p.cellsPerBlock) + 1
 	p.rng = rand.New(&p.src)
 	p.gridPfail = spec.Grid() // voltages, mapped in place to Model.Pfail
 	for i, v := range p.gridPfail {
 		p.gridPfail[i] = spec.Model.Pfail(v)
 	}
+	// The pass expressions are float-for-float the oracle's:
+	// faults.Map.CapacityFraction for blocks, and IncrementalWDResult's
+	// (full + 0.5·half)/pairs for pairs, where full + 0.5·half is
+	// exactly pairs − e/2 after e half-unit events. Both fall
+	// monotonically with the count, so the first failing count is a
+	// binary search.
+	blocks, pairs := g.Blocks(), g.Sets()*(g.Ways/2)
+	floor := spec.CapacityFloor
+	p.blockFailAt = sort.Search(blocks+1, func(n int) bool {
+		return !(1-float64(n)/float64(blocks) >= floor)
+	})
+	p.pairFailAt = sort.Search(2*pairs+1, func(e int) bool {
+		if pairs == 0 {
+			return !(0 >= floor)
+		}
+		return !((float64(pairs)-0.5*float64(e))/float64(pairs) >= floor)
+	})
 	return p
 }
 
-// compareFaults orders the latent population ascending by severity,
-// ties by cell index. Tie order cannot change any active set
-// (membership is a pure severity comparison), but a deterministic
-// order keeps walks reproducible.
-func compareFaults(a, b latentFault) int {
-	switch {
-	case a.sev < b.sev:
-		return -1
-	case a.sev > b.sev:
-		return 1
-	}
-	return int(a.cell) - int(b.cell)
-}
-
 // draw fills the prober with die d's multiplier and latent fault
-// population, then sorts the population by severity so later walks can
-// treat active sets as prefixes. The random streams are exactly
+// population, in ascending cell order. The random streams are exactly
 // DieMultiplier's: the wafer mean from ("wafer", w) — cached, since
 // consecutive dies share a wafer — and the die's own ("fleet-die", d)
 // stream: one normal for the die noise, then geometric gap sampling at
@@ -417,7 +407,6 @@ func (p *prober) draw(d int) {
 		for c := 0; c < total; c++ {
 			p.flt = append(p.flt, latentFault{sev: p.src.Float64(), cell: int32(c)})
 		}
-		p.sortBySeverity()
 		return
 	}
 	logQ := math.Log1p(-p.pflr)
@@ -429,333 +418,294 @@ func (p *prober) draw(d int) {
 		}
 		cell += 1 + int(math.Log(u)/logQ)
 		if cell >= total || cell < 0 {
-			p.sortBySeverity()
 			return
 		}
 		p.flt = append(p.flt, latentFault{sev: p.src.Float64(), cell: int32(cell)})
 	}
 }
 
-// sortBySeverity orders p.flt by compareFaults in expected O(F) time,
-// producing exactly the order slices.SortFunc(p.flt, compareFaults)
-// would (the order is strict and total, so the sorted sequence is
-// unique). Severities are iid uniform on [0,1), so scattering the F
-// faults into F equal-width buckets by int(sev·F) leaves O(1) expected
-// faults per bucket (for sev < 1 the rounded product stays below F;
-// the min with F-1 only guards the slice bound). The bucket index is
-// monotone in severity, so faults in different buckets are already in
-// order and one insertion pass over the scattered slice finishes the
-// sort; the scatter is stable and draw emits ascending cells, so equal
-// severities also arrive in order and that pass moves only the
-// in-bucket inversions. The scratch is reused across dies: the scatter
-// target becomes flt and the old flt the next die's scatter target.
-func (p *prober) sortBySeverity() {
-	n := len(p.flt)
-	if n < 2 {
-		return
-	}
-	if cap(p.bucketStart) < n+1 {
-		p.bucketStart = make([]int32, n+1, cap(p.flt)+1)
-	}
-	if cap(p.swap) < n {
-		p.swap = make([]latentFault, cap(p.flt))
-	}
-	// start[b+1] counts bucket b, then the prefix sum turns start[b]
-	// into bucket b's first slot.
-	start := p.bucketStart[:n+1]
-	clear(start)
-	fn := float64(n)
-	for _, f := range p.flt {
-		start[min(int(f.sev*fn), n-1)+1]++
-	}
-	sum := start[0]
-	for b := 1; b < n; b++ {
-		sum += start[b]
-		start[b] = sum
-	}
-	out := p.swap[:n]
-	for _, f := range p.flt {
-		b := min(int(f.sev*fn), n-1)
-		out[start[b]] = f
-		start[b]++
-	}
-	for i := 1; i < n; i++ {
-		f := out[i]
-		j := i
-		for ; j > 0 && compareFaults(f, out[j-1]) < 0; j-- {
-			out[j] = out[j-1]
-		}
-		out[j] = f
-	}
-	p.flt, p.swap = out, p.flt
-}
-
-// setNeeds prepares a walk over the given schemes: which incremental
-// predicates to maintain, plus the lazily sized scratch buffers.
-func (p *prober) setNeeds(schemes []sim.Scheme) {
-	p.needWD, p.needBF, p.needIWD = false, false, false
+// killSeverities returns each scheme's kill severity on the drawn
+// population, in schemes order: the smallest fault severity t at which
+// the scheme fails on the active set {sev <= t}, +Inf if it never
+// fails and -Inf if it fails even fault-free. The population arrives in
+// ascending cell order, so blocks, words, pairs, fix groups and
+// way-pairs are each contiguous and one pass over it suffices:
+//   - baseline: the minimum severity;
+//   - block-disable: the blockFailAt-th smallest per-block minimum
+//     (tag cells count);
+//   - word-disable: over every subblock, the smallest 5th-smallest
+//     per-word minimum (the severity its fifth faulty word activates);
+//   - bit-fix: over every fix group, the smallest 2nd-smallest
+//     per-pair minimum;
+//   - incremental word-disable: the pairFailAt-th smallest pair event,
+//     a way-pair losing half a unit at its minimum data severity (full
+//     to half) and the other half at its blocks' smallest subblock
+//     kill (half to disabled).
+//
+// Tag cells are ignored by all but the first two, as the core
+// evaluators ignore them. The returned slice is reused by the next
+// call.
+func (p *prober) killSeverities(schemes []sim.Scheme) []float64 {
+	inf := math.Inf(1)
+	acc := &p.acc
+	*acc = killAcc{wd: inf, bf: inf, pair: -1, half: inf, dis: inf}
+	// Blocks with fewer data faults than heavy cannot change the
+	// data-array schemes' results and skip endBlock.
+	needBlock, heavy := false, math.MaxInt
 	for _, s := range schemes {
 		switch s {
+		case sim.BlockDisable:
+			needBlock = true
 		case sim.WordDisable:
-			p.needWD = true
+			acc.needWD = true
+			heavy = min(heavy, wordsPerSubblock/2+1)
 		case sim.BitFix:
-			p.needBF = true
+			acc.needBF = true
+			heavy = min(heavy, repairsPerGroup+1)
 		case sim.IncrementalWordDisable:
-			p.needIWD = true
+			acc.needIWD = true
+			heavy = 1
 		}
 	}
-	if p.needIWD && p.pairState == nil && p.totalPairs > 0 {
-		p.pairState = make([]uint8, p.totalPairs)
-	}
-	if len(p.alive) < len(schemes) {
-		p.alive = make([]bool, len(schemes))
-	}
-}
-
-// resetWalk returns the map and every incremental predicate to the
-// fault-free state, touching only the blocks and pairs the previous
-// walk dirtied.
-func (p *prober) resetWalk() {
-	for _, b := range p.dirty {
-		p.m.Blocks[b] = faults.BlockFaults{}
-	}
-	p.dirty = p.dirty[:0]
-	p.m.Total = 0
-	p.faultyBlocks = 0
-	p.wdFit = true
-	p.bfFit = true
-	for _, q := range p.dirtyPairs {
-		p.pairState[q] = pairFullState
-	}
-	p.dirtyPairs = p.dirtyPairs[:0]
-	p.pairFull = p.totalPairs
-	p.pairHalf = 0
-}
-
-// addNext admits the next fault of the severity prefix into the map
-// and updates every maintained predicate. The map mutation mirrors
-// faults.Map.AddFault exactly, so the map state at any prefix equals
-// the oracle's full rebuild of the same active set.
-func (p *prober) addNext(cell int32) {
-	c := int(cell)
-	b := c / p.cellsPerBlock
-	off := c - b*p.cellsPerBlock
-	bf := &p.m.Blocks[b]
-	if bf.Cells == 0 {
-		p.faultyBlocks++
-		p.dirty = append(p.dirty, int32(b))
-	}
-	if off < p.dataBits {
-		w := off / mapWordBits
-		bf.WordMask |= 1 << uint(w)
-		pair := off / 2
-		bf.PairMask[pair/64] |= 1 << uint(pair%64)
-		if p.needWD && p.wdFit {
-			// Only the subblock this fault lands in can newly exceed
-			// the faulty-word budget.
-			if s := w / wordsPerSubblock; s < p.subPerBlock {
-				mask := (uint64(1)<<wordsPerSubblock - 1) << uint(s*wordsPerSubblock)
-				if bits.OnesCount64(bf.WordMask&mask) > wordsPerSubblock/2 {
-					p.wdFit = false
+	base, blockMin := inf, p.blockMin[:0]
+	p.events = p.events[:0]
+	// The block being accumulated: its index, the index of its first
+	// fault, its data-fault count (data cells come before tag cells,
+	// so those are flt[first:first+nd]), the end of its data cells,
+	// and its minimum severity over all cells and over data cells.
+	b, first, nd, dataEnd, bmin, dmin := -1, 0, 0, 0, inf, inf
+	// A sentinel fault at the largest int32 cell, past every block of
+	// a geometry draw can index, closes the last real block (and opens
+	// one that is never closed).
+	flt := append(p.flt, latentFault{cell: math.MaxInt32})
+	p.flt = flt[:len(flt)-1]
+	for i, f := range flt {
+		if nb := int(uint64(f.cell) * p.blockMul >> p.blockShift); nb != b {
+			if b >= 0 {
+				base = min(base, bmin)
+				if needBlock {
+					blockMin = append(blockMin, bmin)
+				}
+				if nd >= heavy {
+					p.endBlock(b, flt[first:first+nd], dmin)
 				}
 			}
+			b, first, nd, dataEnd, bmin, dmin = nb, i, 0, nb*p.cellsPerBlock+p.dataBits, inf, inf
 		}
-		if p.needBF && p.bfFit {
-			// Fix groups are 8 pairs, so a group never straddles a
-			// PairMask word; only the landed group can newly overflow.
-			if grp := pair / pairsPerGroup; grp < p.groupsPerLine {
-				start := grp * pairsPerGroup
-				n := bits.OnesCount64(bf.PairMask[start/64] >> uint(start%64) & (1<<pairsPerGroup - 1))
-				if n > repairsPerGroup {
-					p.bfFit = false
-				}
-			}
+		bmin = min(bmin, f.sev)
+		if int(f.cell) < dataEnd {
+			nd++
+			dmin = min(dmin, f.sev)
 		}
-		if p.needIWD {
-			way := b % p.spec.Geom.Ways
-			if way/2 < p.pairsPerSet { // odd-way geometries leave the last way unpaired
-				set := b / p.spec.Geom.Ways
-				q := set*p.pairsPerSet + way/2
-				if st := p.classifyPair(set, way/2); st != p.pairState[q] {
-					switch p.pairState[q] {
-					case pairFullState:
-						p.pairFull--
-						p.dirtyPairs = append(p.dirtyPairs, int32(q))
-					case pairHalfState:
-						p.pairHalf--
-					}
-					if st == pairHalfState {
-						p.pairHalf++
-					}
-					p.pairState[q] = st
-				}
-			}
-		}
-	} else {
-		bf.TagFaulty = true
 	}
-	bf.Cells++
-	p.m.Total++
+	p.blockMin = blockMin
+	p.addPairEvents()
+
+	kill := p.kill[:0]
+	for _, s := range schemes {
+		k := math.Inf(-1) // an unknown scheme fails fault-free, as the oracle's does
+		switch s {
+		case sim.Baseline:
+			k = base
+		case sim.BlockDisable:
+			k = p.rankSeverity(p.blockMin, p.blockFailAt)
+		case sim.WordDisable:
+			k = acc.wd
+		case sim.BitFix:
+			k = acc.bf
+		case sim.IncrementalWordDisable:
+			k = p.rankSeverity(p.events, p.pairFailAt)
+		}
+		kill = append(kill, k)
+	}
+	p.kill = kill
+	return kill
 }
 
-// classifyPair mirrors core's incremental word-disable pair
-// classification (tag faults ignored): fault-free pairs run at full
-// capacity, pairs whose subblocks are all repairable merge to half,
-// the rest are disabled.
-func (p *prober) classifyPair(set, pairInSet int) uint8 {
-	b0 := set*p.spec.Geom.Ways + 2*pairInSet
-	w0 := p.m.Blocks[b0].WordMask
-	w1 := p.m.Blocks[b0+1].WordMask
-	if w0 == 0 && w1 == 0 {
-		return pairFullState
-	}
-	for s := 0; s < p.subPerBlock; s++ {
-		mask := (uint64(1)<<wordsPerSubblock - 1) << uint(s*wordsPerSubblock)
-		if bits.OnesCount64(w0&mask) > wordsPerSubblock/2 ||
-			bits.OnesCount64(w1&mask) > wordsPerSubblock/2 {
-			return pairDisabledState
-		}
-	}
-	return pairHalfState
+// killAcc is killSeverities' state for the data-array schemes.
+type killAcc struct {
+	needWD, needBF, needIWD bool
+	// The word-disable and bit-fix kill severities so far.
+	wd, bf float64
+	// The way-pair being accumulated (identified by its even way's
+	// block index) and its two event severities so far.
+	pair      int
+	half, dis float64
 }
 
-// passIncr evaluates a scheme's pass predicate from the incremental
-// state — O(1), and float-for-float the expression the oracle's full
-// evaluation computes on the same fault set.
-func (p *prober) passIncr(scheme sim.Scheme) bool {
-	switch scheme {
-	case sim.Baseline:
-		return p.m.Total == 0
-	case sim.WordDisable:
-		return p.wdFit
-	case sim.BlockDisable:
-		return 1-float64(p.faultyBlocks)/float64(len(p.m.Blocks)) >= p.spec.CapacityFloor
-	case sim.IncrementalWordDisable:
-		if p.totalPairs == 0 {
-			return 0 >= p.spec.CapacityFloor
-		}
-		return (float64(p.pairFull)+0.5*float64(p.pairHalf))/float64(p.totalPairs) >= p.spec.CapacityFloor
-	case sim.BitFix:
-		return p.bfFit
+// endBlock folds block b's data faults into the data-array schemes;
+// dmin is their minimum severity.
+func (p *prober) endBlock(b int, data []latentFault, dmin float64) {
+	acc := &p.acc
+	sub := math.Inf(1)
+	if (acc.needWD || acc.needIWD) && len(data) > wordsPerSubblock/2 {
+		sub = rankedGroupKill(data, b*p.cellsPerBlock, mapWordBits, wordsPerSubblock, p.subPerBlock, wordsPerSubblock/2+1)
+		acc.wd = min(acc.wd, sub)
 	}
-	return false
+	if acc.needBF && len(data) > repairsPerGroup {
+		acc.bf = min(acc.bf, rankedGroupKill(data, b*p.cellsPerBlock, pairBits, pairsPerGroup, p.groupsPerLine, repairsPerGroup+1))
+	}
+	if !acc.needIWD {
+		return
+	}
+	// Odd-way geometries leave the last way of each set unpaired.
+	ways := p.spec.Geom.Ways
+	if way := b % ways; way < ways&^1 {
+		if q := b - way%2; q != acc.pair {
+			p.addPairEvents()
+			acc.pair, acc.half, acc.dis = q, dmin, sub
+		} else {
+			acc.half, acc.dis = min(acc.half, dmin), min(acc.dis, sub)
+		}
+	}
+}
+
+// addPairEvents records the accumulated way-pair's finite event
+// severities; a pair with no data fault (half = +Inf) adds none.
+func (p *prober) addPairEvents() {
+	if !math.IsInf(p.acc.half, 1) {
+		p.events = append(p.events, p.acc.half)
+	}
+	if !math.IsInf(p.acc.dis, 1) {
+		p.events = append(p.events, p.acc.dis)
+	}
+}
+
+// rankedGroupKill returns the severity at which some group of one
+// block's data array first holds rank faulty units: the smallest, over
+// the first groups groups of unitsPerGroup units of unitBits cells, of
+// the rank-th smallest per-unit minimum severity (+Inf if no group
+// reaches rank faulty units). data holds the block's data faults in
+// ascending cell order and start is the block's first cell.
+func rankedGroupKill(data []latentFault, start, unitBits, unitsPerGroup, groups, rank int) float64 {
+	kill := math.Inf(1)
+	groupBits := unitBits * unitsPerGroup
+	var mins [max(wordsPerSubblock, pairsPerGroup)]float64
+	for i := 0; i < len(data); {
+		g := (int(data[i].cell) - start) / groupBits
+		if g >= groups {
+			break
+		}
+		n, unit := 0, -1
+		for ; i < len(data) && (int(data[i].cell)-start)/groupBits == g; i++ {
+			u, s := (int(data[i].cell)-start)/unitBits, data[i].sev
+			if u != unit {
+				mins[n], unit = s, u
+				n++
+			} else if s < mins[n-1] {
+				mins[n-1] = s
+			}
+		}
+		if n < rank {
+			continue
+		}
+		for a := 1; a < n; a++ { // insertion sort: n <= 8
+			for b := a; b > 0 && mins[b] < mins[b-1]; b-- {
+				mins[b], mins[b-1] = mins[b-1], mins[b]
+			}
+		}
+		if mins[rank-1] < kill {
+			kill = mins[rank-1]
+		}
+	}
+	return kill
+}
+
+// rankSeverity returns the r-th smallest of xs (1-based): -Inf when r
+// is 0 (the scheme fails fault-free), +Inf when xs holds fewer than r
+// values (it never fails). Severities lie in [0,1), so counting them
+// into selectBuckets equal-width buckets finds the bucket holding rank
+// r, and only that bucket is gathered and sorted.
+func (p *prober) rankSeverity(xs []float64, r int) float64 {
+	switch {
+	case r == 0:
+		return math.Inf(-1)
+	case len(xs) < r:
+		return math.Inf(1)
+	}
+	var count [selectBuckets]int32
+	for _, x := range xs {
+		count[min(int(x*selectBuckets), selectBuckets-1)]++
+	}
+	b := 0
+	for ; r > int(count[b]); b++ {
+		r -= int(count[b])
+	}
+	sel := p.bucket[:0]
+	for _, x := range xs {
+		if min(int(x*selectBuckets), selectBuckets-1) == b {
+			sel = append(sel, x)
+		}
+	}
+	slices.Sort(sel)
+	p.bucket = sel
+	return sel[r-1]
+}
+
+// killSeverity is killSeverities for one scheme.
+func (p *prober) killSeverity(scheme sim.Scheme) float64 {
+	p.oneScheme[0] = scheme
+	return p.killSeverities(p.oneScheme[:])[0]
 }
 
 // gridSteps computes every spec scheme's deepest passing grid index —
 // -1 when the die fails at the nominal Vcc-min (grid index 0),
-// len(grid)-1 when it reaches the floor — in one walk down the grid:
-// the severity prefix grows monotonically with the grid index, each
-// fault is admitted exactly once, and a scheme that fails is dead for
-// the rest of the walk (every predicate is monotone in the fault set).
-// The walk exits early once every scheme has failed. steps must have
-// length len(spec.Schemes); the grid is the prober's own spec.Grid().
+// len(grid)-1 when it reaches the floor. A scheme passes at grid index
+// i iff no ratio up to i reaches its kill severity (the active set
+// only grows down the grid), so its step is one before the first
+// index whose ratio does. steps must have length len(spec.Schemes);
+// the grid is the prober's own spec.Grid().
 func (p *prober) gridSteps(steps []int) {
-	schemes := p.spec.Schemes
-	p.setNeeds(schemes)
-	p.resetWalk()
-	for k := range steps {
+	last := len(p.gridPfail) - 1
+	for k, s := range p.killSeverities(p.spec.Schemes) {
 		steps[k] = -1
-	}
-	if p.pflr <= 0 || len(p.flt) == 0 {
-		// No latent fault is active at any voltage: each scheme holds
-		// its fault-free verdict across the whole grid.
-		last := len(p.gridPfail) - 1
-		for k, scheme := range schemes {
-			if p.passIncr(scheme) {
+		if math.IsInf(s, 0) {
+			// Never or always failing: the fault-free verdict holds
+			// across the whole grid.
+			if s > 0 {
 				steps[k] = last
 			}
+			continue
 		}
-		return
-	}
-	alive := p.alive
-	remaining := len(schemes)
-	for k := range schemes {
-		alive[k] = true
-	}
-	idx := 0
-	for i, pf := range p.gridPfail {
-		ratio := scaledPfail(p.mult, pf) / p.pflr
-		for idx < len(p.flt) && p.flt[idx].sev <= ratio {
-			p.addNext(p.flt[idx].cell)
-			idx++
-		}
-		for k, scheme := range schemes {
-			if !alive[k] {
-				continue
+		// A finite kill severity means a drawn fault, so pflr > 0.
+		for i, pf := range p.gridPfail {
+			if !(scaledPfail(p.mult, pf)/p.pflr < s) {
+				break
 			}
-			if p.passIncr(scheme) {
-				steps[k] = i
-			} else {
-				alive[k] = false
-				remaining--
-			}
-		}
-		if remaining == 0 {
-			return
+			steps[k] = i
 		}
 	}
 }
 
-// criticalCount returns the largest sorted-prefix length n such that
-// the scheme still passes with the first n faults present: len(cells)
-// when it never fails, -1 when it fails even fault-free (degenerate
-// specs). Because every predicate is monotone in the fault set and the
-// active set at any voltage is a severity prefix, pass-at-voltage
-// reduces to comparing the prefix length at that voltage against this
-// single count — see passAtCount.
-func (p *prober) criticalCount(scheme sim.Scheme) int {
-	p.oneScheme[0] = scheme
-	p.setNeeds(p.oneScheme[:])
-	p.resetWalk()
-	if !p.passIncr(scheme) {
-		return -1
-	}
-	if p.pflr <= 0 {
-		return len(p.flt)
-	}
-	for i, f := range p.flt {
-		p.addNext(f.cell)
-		if !p.passIncr(scheme) {
-			return i
-		}
-	}
-	return len(p.flt)
-}
-
-// passAtCount reports whether the die passes at voltage v given the
-// scheme's critical count c: the active prefix at v stays within the
-// passing region iff the (c+1)-th sorted severity (if any) is not yet
-// active. Boolean-identical to the oracle's rebuild-and-evaluate
+// passAt reports whether the drawn die passes at voltage v under a
+// scheme with kill severity s: the active set {sev <= ratio} at v
+// stays below s. Boolean-identical to the oracle's rebuild-and-evaluate
 // passAt, at O(1) per probe.
-func (p *prober) passAtCount(c int, v float64) bool {
-	if c < 0 {
-		return false
+func (p *prober) passAt(s, v float64) bool {
+	if math.IsInf(s, 0) {
+		return s > 0
 	}
-	if p.pflr <= 0 || c >= len(p.flt) {
-		return true
-	}
-	ratio := p.spec.pfailAt(p.mult, v) / p.pflr
-	return !(p.flt[c].sev <= ratio)
+	return !(s <= p.spec.pfailAt(p.mult, v)/p.pflr)
 }
 
 // thresholdVoltage bisects the continuous pass/fail boundary of the
 // drawn die under the scheme to iters halvings of [VFloor, VccMin] —
 // the predictor's ground truth. The boundary exists and is unique
-// because pass-at-voltage is monotone; after one incremental walk for
-// the critical count, each probe is an O(1) severity comparison.
+// because pass-at-voltage is monotone; after one pass for the kill
+// severity, each probe is an O(1) comparison.
 func (p *prober) thresholdVoltage(scheme sim.Scheme, iters int) float64 {
-	c := p.criticalCount(scheme)
+	s := p.killSeverity(scheme)
 	lo, hi := p.spec.Model.VFloor, p.spec.Model.VccMin
-	if !p.passAtCount(c, hi) {
+	if !p.passAt(s, hi) {
 		return hi
 	}
-	if p.passAtCount(c, lo) {
+	if p.passAt(s, lo) {
 		return lo
 	}
 	// Invariant: pass at hi, fail at lo; the threshold is in (lo, hi].
 	for i := 0; i < iters; i++ {
 		mid := (lo + hi) / 2
-		if p.passAtCount(c, mid) {
+		if p.passAt(s, mid) {
 			hi = mid
 		} else {
 			lo = mid

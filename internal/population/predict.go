@@ -133,18 +133,17 @@ func RunPredict(spec PredictSpec) (*PredictResult, error) {
 // estimateAndTruth measures the drawn die once: the K-measurement
 // estimate and the deep ground truth come from the same bisection
 // trajectory, so the estimate's bracket always contains the truth and
-// |est - truth| <= span/2^(K+1). One incremental walk resolves the
-// scheme's critical fault count, after which every simulated
-// measurement is an O(1) severity comparison instead of a fault-map
-// rebuild.
+// |est - truth| <= span/2^(K+1). One pass resolves the scheme's kill
+// severity, after which every simulated measurement is an O(1)
+// severity comparison instead of a fault-map rebuild.
 func (p *prober) estimateAndTruth(scheme sim.Scheme, k int) (est, truth float64) {
-	c := p.criticalCount(scheme)
+	s := p.killSeverity(scheme)
 	lo, hi := p.spec.Model.VFloor, p.spec.Model.VccMin
-	if !p.passAtCount(c, hi) {
+	if !p.passAt(s, hi) {
 		// Unusable even at nominal: both report the top of the range.
 		return hi, hi
 	}
-	if p.passAtCount(c, lo) {
+	if p.passAt(s, lo) {
 		return lo, lo
 	}
 	est = math.NaN()
@@ -153,7 +152,7 @@ func (p *prober) estimateAndTruth(scheme sim.Scheme, k int) (est, truth float64)
 			est = (lo + hi) / 2
 		}
 		mid := (lo + hi) / 2
-		if p.passAtCount(c, mid) {
+		if p.passAt(s, mid) {
 			hi = mid
 		} else {
 			lo = mid

@@ -1,12 +1,13 @@
 package population
 
-// Edge cases the incremental grid walk must preserve from the frozen
+// Edge cases the kill-severity grid steps must preserve from the frozen
 // prober: saturated pfail (full-population draw), vanishing pfail
 // (empty draw), populations whose severities only activate at the very
 // bottom of the grid, and independence of the per-die steps from the
 // scheme evaluation order.
 
 import (
+	"math"
 	"testing"
 
 	"vccmin/internal/sim"
@@ -61,8 +62,8 @@ func TestWalkZeroPfailEmptyDraw(t *testing.T) {
 		if steps[k] != last {
 			t.Fatalf("scheme %v: step %d, want %d (fault-free die reaches the floor)", scheme, steps[k], last)
 		}
-		if c := p.criticalCount(scheme); c != 0 {
-			t.Fatalf("scheme %v: critical count %d, want 0 on an empty population", scheme, c)
+		if s := p.killSeverity(scheme); !math.IsInf(s, 1) {
+			t.Fatalf("scheme %v: kill severity %v, want +Inf on an empty population", scheme, s)
 		}
 		if est, truth := p.estimateAndTruth(scheme, 4); est != spec.Model.VFloor || truth != spec.Model.VFloor {
 			t.Fatalf("scheme %v: estimate (%v,%v), want the floor voltage", scheme, est, truth)
@@ -98,9 +99,9 @@ func TestWalkSeveritiesActivateOnlyAtFloor(t *testing.T) {
 	}
 }
 
-// TestWalkStepsIndependentOfSchemeOrder re-runs the walk under
+// TestWalkStepsIndependentOfSchemeOrder re-runs the steps under
 // permuted scheme lists: a die's step under a scheme must not depend
-// on which other schemes share the walk or their order.
+// on which other schemes share the pass or their order.
 func TestWalkStepsIndependentOfSchemeOrder(t *testing.T) {
 	orders := [][]sim.Scheme{
 		{sim.Baseline, sim.BlockDisable, sim.WordDisable, sim.IncrementalWordDisable, sim.BitFix},
