@@ -6,7 +6,7 @@ COVER_FLOOR ?= 80
 # Per-target budget for the `make fuzz` smoke run.
 FUZZTIME ?= 10s
 
-.PHONY: build test race bench bench-json bench-gate diff-race fmt vet doc-check link-check api-check clean-check check fuzz cover serve sweep-demo loadgen-smoke fleet-smoke query-smoke ci
+.PHONY: build test race bench bench-json bench-gate diff-race fmt vet doc-check link-check api-check clean-check reachcheck check fuzz cover serve sweep-demo loadgen-smoke fleet-smoke query-smoke ci
 
 build:
 	$(GO) build ./...
@@ -61,7 +61,6 @@ fmt:
 
 vet:
 	$(GO) vet ./...
-	$(GO) vet ./examples/...
 
 # Every internal package must carry a proper package comment ("Package
 # <name> ..." — or "Command <name> ..." for main packages under
@@ -89,6 +88,13 @@ link-check:
 api-check:
 	$(GO) run ./internal/tools/apicheck
 
+# Every func and method declared outside _test.go files must be reached
+# by some binary (a CLI, an example, a tool, perfbench, or the facade's
+# exported funcs), or be allowlisted with a reason in
+# internal/tools/reachcheck/allowlist.txt.
+reachcheck:
+	$(GO) run ./internal/tools/reachcheck
+
 # No tracked file may match .gitignore: build artifacts (cover.out,
 # BENCH_ci.json, serve data) must never be committed.
 clean-check:
@@ -99,7 +105,7 @@ clean-check:
 	echo "clean-check: no gitignored path is tracked"
 
 # The static quality gate CI runs before the test jobs.
-check: vet fmt doc-check link-check api-check clean-check
+check: vet fmt doc-check link-check api-check clean-check reachcheck
 
 # Short fuzz smoke over the checkpoint reader (ReadRows and resume's
 # loader, FuzzLoadCompleted, both read through it), the batched sparse

@@ -306,8 +306,9 @@ func BenchmarkCacheAccessMix(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	const n = 1 << 18
 	var rec workload.Recording
-	if err := rec.Record(prof, 1, 1<<18); err != nil {
+	if err := rec.Record(prof, 1, n); err != nil {
 		b.Fatal(err)
 	}
 	type access struct {
@@ -317,7 +318,7 @@ func BenchmarkCacheAccessMix(b *testing.B) {
 	var stream []access
 	rp := rec.Replay()
 	var ins trace.Instr
-	for i := 0; i < rec.Len(); i++ {
+	for i := 0; i < n; i++ {
 		rp.Next(&ins)
 		switch ins.Class {
 		case trace.Load:

@@ -69,14 +69,6 @@ func (g *Gshare) Update(pc uint64, taken bool) {
 	g.history = (g.history<<1 | b2u(taken)) & (1<<uint(g.historyBits) - 1)
 }
 
-// MispredictRate returns mispredictions/predictions.
-func (g *Gshare) MispredictRate() float64 {
-	if g.Predictions == 0 {
-		return 0
-	}
-	return float64(g.Mispredicts) / float64(g.Predictions)
-}
-
 // Reset clears all state.
 func (g *Gshare) Reset() {
 	for i := range g.counters {

@@ -5,6 +5,14 @@ import (
 	"testing"
 )
 
+// MispredictRate returns mispredictions/predictions.
+func (g *Gshare) MispredictRate() float64 {
+	if g.Predictions == 0 {
+		return 0
+	}
+	return float64(g.Mispredicts) / float64(g.Predictions)
+}
+
 func TestGshareLearnsBias(t *testing.T) {
 	g := MustNewGshare(15)
 	const pc = 0x400100

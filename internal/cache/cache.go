@@ -71,15 +71,6 @@ type Stats struct {
 	PrefetchHits uint64 // demand hits on prefetched-but-unused lines
 }
 
-// MissRate returns misses/accesses (victim hits count as misses of the
-// main array but do not propagate downstream).
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // line is the state of one frame beyond its tag and valid bit.
 type line struct {
 	stamp      uint64
@@ -298,21 +289,6 @@ func (c *Cache) rebuildAddr(set int, tag uint64) geom.Addr {
 	return geom.Addr(tag)<<c.tagShift | geom.Addr(set)<<c.offsetShift
 }
 
-// Contains reports whether addr's block is present in an enabled way —
-// used by tests and invariant checks, not the access path.
-func (c *Cache) Contains(a geom.Addr) bool {
-	return c.find(c.split(a)) >= 0
-}
-
-// ValidLines returns the number of valid lines in enabled ways.
-func (c *Cache) ValidLines() int {
-	n := 0
-	for set, v := range c.valid {
-		n += (v & c.mask(set)).Count()
-	}
-	return n
-}
-
 // ResetStats clears the counters while keeping cache contents — used at
 // the end of a warmup phase.
 func (c *Cache) ResetStats() {
@@ -332,27 +308,4 @@ func (c *Cache) Reset() {
 	if c.Victim != nil {
 		c.Victim.Reset()
 	}
-}
-
-// CheckInvariants verifies structural invariants: no duplicate tags within
-// a set's enabled ways, and no valid data in disabled ways. Tests call it.
-func (c *Cache) CheckInvariants() error {
-	for set, v := range c.valid {
-		seen := map[uint64]bool{}
-		mask := c.mask(set)
-		for w := 0; w < c.ways; w++ {
-			if !v.Enabled(w) {
-				continue
-			}
-			if !mask.Enabled(w) {
-				return fmt.Errorf("cache %s: set %d way %d disabled but valid", c.Name, set, w)
-			}
-			tag := c.tags[set*c.ways+w]
-			if seen[tag] {
-				return fmt.Errorf("cache %s: set %d holds tag %#x twice", c.Name, set, tag)
-			}
-			seen[tag] = true
-		}
-	}
-	return nil
 }

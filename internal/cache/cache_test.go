@@ -365,7 +365,7 @@ func TestFullyEnabledMatchesNilMask(t *testing.T) {
 	memA, memB := &Memory{Latency: 17}, &Memory{Latency: 17}
 	a := newL1(t, refGeom, memA)
 	b := newL1(t, refGeom, memB)
-	b.Enable = core.FullyEnabled(refGeom)
+	b.Enable = core.BuildBlockDisable(faults.NewEmpty(refGeom, 32))
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 30000; i++ {
 		addr := geom.Addr(rng.Uint64() & (1<<22 - 1))

@@ -47,8 +47,11 @@ func (r *refCache) ways(set int) int {
 // access returns (hit, victimHit).
 func (r *refCache) access(a geom.Addr) (bool, bool) {
 	r.stamp++
-	set := r.g.SetOf(a)
-	tag := r.g.TagOf(a)
+	// Division rather than the cache's shifts and masks: the same split
+	// for power-of-two geometries, computed independently.
+	frame := uint64(a) / uint64(r.g.BlockBytes)
+	set := int(frame % uint64(r.g.Sets()))
+	tag := frame / uint64(r.g.Sets())
 	if _, ok := r.sets[set][tag]; ok {
 		r.sets[set][tag] = r.stamp
 		return true, false

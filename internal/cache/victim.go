@@ -47,15 +47,6 @@ func NewVictim(entries, latency, blockBytes int) (*VictimCache, error) {
 	return &VictimCache{Entries: entries, Latency: latency, lines: make([]vline, entries), block: blockBytes}, nil
 }
 
-// MustNewVictim is NewVictim but panics on error.
-func MustNewVictim(entries, latency, blockBytes int) *VictimCache {
-	v, err := NewVictim(entries, latency, blockBytes)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
 func (v *VictimCache) align(a geom.Addr) geom.Addr { return a &^ geom.Addr(v.block-1) }
 
 // Probe looks up addr's block; on a hit the entry is removed (it moves
@@ -117,17 +108,6 @@ func (v *VictimCache) Insert(a geom.Addr, dirty bool) {
 		}
 	}
 	v.lines[victim] = vline{addr: a, valid: true, dirty: dirty, stamp: v.clock}
-}
-
-// Valid returns the number of valid entries.
-func (v *VictimCache) Valid() int {
-	n := 0
-	for _, l := range v.lines {
-		if l.valid {
-			n++
-		}
-	}
-	return n
 }
 
 // HitRate returns hits/probes.

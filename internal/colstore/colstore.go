@@ -139,9 +139,6 @@ type Shard struct {
 	opts   map[string]optCol
 }
 
-// NumRows returns the shard's row count.
-func (s *Shard) NumRows() int { return s.rows }
-
 // appendCellKey appends r's canonical cell key, reconstructed from its
 // axis fields, to b — the exact sweep.Cell.Key spelling, which is part
 // of the on-disk contract there and therefore here too. Appending into

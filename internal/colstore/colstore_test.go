@@ -151,6 +151,19 @@ func TestRoundTripJSONEquivalence(t *testing.T) {
 	}
 }
 
+// allRows materializes every shard's rows in order.
+func allRows(t *testing.T, src Source) []sweep.Row {
+	t.Helper()
+	var out []sweep.Row
+	if err := src.Shards(func(s *Shard) error {
+		out = append(out, s.Rows()...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func jsonl(t *testing.T, rows []sweep.Row) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -234,15 +247,11 @@ func TestShardsOf(t *testing.T) {
 		t.Fatalf("25 rows in 7-row shards: %d shards, want 4", len(src))
 	}
 	for i, want := range []int{7, 7, 7, 4} {
-		if src[i].NumRows() != want {
-			t.Fatalf("shard %d has %d rows, want %d", i, src[i].NumRows(), want)
+		if src[i].rows != want {
+			t.Fatalf("shard %d has %d rows, want %d", i, src[i].rows, want)
 		}
 	}
-	back, err := Rows(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, rows) {
+	if back := allRows(t, src); !reflect.DeepEqual(back, rows) {
 		t.Fatal("concatenated shard rows differ from the input")
 	}
 }
@@ -277,11 +286,7 @@ func TestWriteDirFold(t *testing.T) {
 	if len(d.files) != 4 {
 		t.Fatalf("100 rows in 32-row shards: %d files, want 4", len(d.files))
 	}
-	back, err := Rows(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, rows) {
+	if back := allRows(t, d); !reflect.DeepEqual(back, rows) {
 		t.Fatal("folded rows differ from the checkpoint (order must be preserved)")
 	}
 

@@ -2,7 +2,6 @@ package colstore
 
 import (
 	"encoding/binary"
-	"io"
 	"math"
 	"math/bits"
 )
@@ -189,12 +188,6 @@ func (s *Shard) EncodeBytes() []byte {
 		off += plans[i].size
 	}
 	return binary.LittleEndian.AppendUint64(buf, footerStart)
-}
-
-// Encode writes the canonical bytes to w.
-func (s *Shard) Encode(w io.Writer) error {
-	_, err := w.Write(s.EncodeBytes())
-	return err
 }
 
 // floatDict builds a first-appearance dictionary over the values' bit

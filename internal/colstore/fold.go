@@ -206,14 +206,3 @@ func (d *Dir) ShardsColumns(need map[string]bool, fn func(*Shard) error) error {
 	}
 	return nil
 }
-
-// Rows materializes every shard's rows in order — the cross-check and
-// CLI convenience path, not the query path (Query never calls it).
-func Rows(src Source) ([]sweep.Row, error) {
-	var out []sweep.Row
-	err := src.Shards(func(s *Shard) error {
-		out = append(out, s.Rows()...)
-		return nil
-	})
-	return out, err
-}

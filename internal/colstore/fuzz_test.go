@@ -47,8 +47,8 @@ func FuzzShardDecode(f *testing.F) {
 		}
 		// A decodable shard must also materialize and re-shard cleanly:
 		// Rows reconstructs canonical keys by construction.
-		if rows := s.Rows(); len(rows) != s.NumRows() {
-			t.Fatalf("materialized %d rows from a %d-row shard", len(rows), s.NumRows())
+		if rows := s.Rows(); len(rows) != s.rows {
+			t.Fatalf("materialized %d rows from a %d-row shard", len(rows), s.rows)
 		}
 	})
 }

@@ -26,8 +26,8 @@ func TestDecodeColumnsPruned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pruned.NumRows() != s.NumRows() {
-		t.Fatalf("pruned shard has %d rows, want %d", pruned.NumRows(), s.NumRows())
+	if pruned.rows != s.rows {
+		t.Fatalf("pruned shard has %d rows, want %d", pruned.rows, s.rows)
 	}
 	if !reflect.DeepEqual(pruned.floats["pfail"], s.floats["pfail"]) {
 		t.Error("pruned pfail column differs from the full decode")

@@ -82,20 +82,6 @@ func BuildIncrementalEnable(m *faults.Map) *BlockDisableMap {
 	return d
 }
 
-// FullyEnabled returns a BlockDisableMap with every way of every set
-// enabled — the high-voltage (or fault-free) configuration.
-func FullyEnabled(g geom.Geometry) *BlockDisableMap {
-	d := &BlockDisableMap{Geom: g, Sets: make([]WayMask, g.Sets())}
-	all := AllWays(g.Ways)
-	for i := range d.Sets {
-		d.Sets[i] = all
-	}
-	return d
-}
-
-// Enabled reports whether (set, way) may be allocated.
-func (d *BlockDisableMap) Enabled(set, way int) bool { return d.Sets[set].Enabled(way) }
-
 // EnabledBlocks returns the total number of enabled blocks.
 func (d *BlockDisableMap) EnabledBlocks() int {
 	n := 0
@@ -197,19 +183,6 @@ const (
 	PairHalfCapacity                  // repairable: operates merged at half capacity
 	PairDisabled                      // some subblock unrepairable: pair disabled
 )
-
-// String implements fmt.Stringer.
-func (s PairState) String() string {
-	switch s {
-	case PairFullCapacity:
-		return "full"
-	case PairHalfCapacity:
-		return "half"
-	case PairDisabled:
-		return "disabled"
-	}
-	return fmt.Sprintf("PairState(%d)", int(s))
-}
 
 // IncrementalWDResult summarizes incremental word-disabling over a map.
 type IncrementalWDResult struct {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -33,7 +34,7 @@ func TestWayMask(t *testing.T) {
 }
 
 func TestFullyEnabled(t *testing.T) {
-	d := FullyEnabled(refGeom)
+	d := BuildBlockDisable(faults.NewEmpty(refGeom, 32))
 	if d.EnabledBlocks() != refGeom.Blocks() {
 		t.Errorf("EnabledBlocks = %d, want %d", d.EnabledBlocks(), refGeom.Blocks())
 	}
@@ -50,8 +51,8 @@ func TestBlockDisableMatchesFaultMap(t *testing.T) {
 	d := BuildBlockDisable(m)
 	for set := 0; set < refGeom.Sets(); set++ {
 		for way := 0; way < refGeom.Ways; way++ {
-			if d.Enabled(set, way) == m.BlockFaulty(set, way) {
-				t.Fatalf("set %d way %d: enabled=%v but faulty=%v", set, way, d.Enabled(set, way), m.BlockFaulty(set, way))
+			if enabled, faulty := d.Sets[set].Enabled(way), m.At(set, way).Faulty(); enabled == faulty {
+				t.Fatalf("set %d way %d: enabled=%v but faulty=%v", set, way, enabled, faulty)
 			}
 		}
 	}
@@ -66,13 +67,12 @@ func TestBlockDisableMatchesFaultMap(t *testing.T) {
 func TestBlockDisableTagFaultDisables(t *testing.T) {
 	// A block with only a tag fault must still be disabled (Section III:
 	// "a faulty bit in either or both the tag or data").
-	m := faults.NewEmpty(refGeom, 32)
+	m := &faults.Map{Geom: refGeom, WordBits: 32, Blocks: make([]faults.BlockFaults, refGeom.Blocks())}
 	blockIdx := refGeom.BlockIndex(3, 5)
 	m.Blocks[blockIdx].TagFaulty = true
 	m.Blocks[blockIdx].Cells = 1
-	m.ReindexBlocks()
 	d := BuildBlockDisable(m)
-	if d.Enabled(3, 5) {
+	if d.Sets[3].Enabled(5) {
 		t.Error("block with tag fault should be disabled")
 	}
 	if d.EnabledBlocks() != refGeom.Blocks()-1 {
@@ -294,6 +294,19 @@ func TestIncrementalEnableMatchesEvaluation(t *testing.T) {
 			}
 		}
 	}
+}
+
+// String names a pair state in test failures.
+func (s PairState) String() string {
+	switch s {
+	case PairFullCapacity:
+		return "full"
+	case PairHalfCapacity:
+		return "half"
+	case PairDisabled:
+		return "disabled"
+	}
+	return fmt.Sprintf("PairState(%d)", int(s))
 }
 
 func TestPairStateString(t *testing.T) {

@@ -29,14 +29,6 @@ const (
 	TierBatch
 )
 
-// String names the tier for stats and logs.
-func (t Tier) String() string {
-	if t == TierBatch {
-		return "batch"
-	}
-	return "interactive"
-}
-
 // Pool is the bounded two-tier worker pool the async layers share: a
 // fixed number of workers draining two buffered queues, with
 // drain/close lifecycle and per-tier counters for /v1/stats and the
@@ -172,10 +164,6 @@ func (p *Pool) Running() int64 {
 // QueuedTier returns the tier's backlog depth — the admission layer's
 // watermark input.
 func (p *Pool) QueuedTier(tier Tier) int64 { return p.queued[tier].Load() }
-
-// RunningTier returns the number of the tier's items currently
-// executing.
-func (p *Pool) RunningTier(tier Tier) int64 { return p.running[tier].Load() }
 
 // TierStats is one tier's point-in-time counters.
 type TierStats struct {

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -33,7 +35,7 @@ func TestTieredPoolInteractiveNeverStarved(t *testing.T) {
 	if err := p.SubmitTier(TierBatch, func(context.Context) { <-gate }); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "batch worker busy", func() bool { return p.RunningTier(TierBatch) == 1 })
+	waitFor(t, "batch worker busy", func() bool { return p.running[TierBatch].Load() == 1 })
 	for i := 0; i < 4; i++ {
 		if err := p.SubmitTier(TierBatch, func(context.Context) {}); err != nil {
 			t.Fatal(err)
@@ -62,7 +64,7 @@ func TestTieredPoolBatchConcurrencyCap(t *testing.T) {
 	var peak atomic.Int64
 	for i := 0; i < 5; i++ {
 		err := p.SubmitTier(TierBatch, func(context.Context) {
-			if n := p.RunningTier(TierBatch); n > peak.Load() {
+			if n := p.running[TierBatch].Load(); n > peak.Load() {
 				peak.Store(n)
 			}
 			<-gate
@@ -71,7 +73,7 @@ func TestTieredPoolBatchConcurrencyCap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "one batch item running", func() bool { return p.RunningTier(TierBatch) == 1 })
+	waitFor(t, "one batch item running", func() bool { return p.running[TierBatch].Load() == 1 })
 	// Give the (should-be-idle) interactive workers a chance to misbehave.
 	time.Sleep(50 * time.Millisecond)
 	if n := peak.Load(); n > 1 {
@@ -93,7 +95,7 @@ func TestSubmitTierFullPerTier(t *testing.T) {
 	if err := p.SubmitTier(TierBatch, func(context.Context) { <-gate }); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "batch worker busy", func() bool { return p.RunningTier(TierBatch) == 1 })
+	waitFor(t, "batch worker busy", func() bool { return p.running[TierBatch].Load() == 1 })
 	if err := p.SubmitTier(TierBatch, func(context.Context) {}); err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +119,9 @@ func TestPoolStatsAndTierNames(t *testing.T) {
 	if st.Batch.Queued != 1 || st.Batch.Running != 1 {
 		t.Fatalf("batch stats %+v, want queued 1 running 1", st.Batch)
 	}
-	if TierInteractive.String() != "interactive" || TierBatch.String() != "batch" {
-		t.Fatal("tier names drifted")
+	// /v1/stats names the tiers through the JSON tags.
+	if b, err := json.Marshal(st); err != nil || !bytes.Contains(b, []byte(`"interactive":{`)) || !bytes.Contains(b, []byte(`"batch":{`)) {
+		t.Fatalf("pool stats %s (%v) do not name both tiers", b, err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"vccmin/internal/faults"
 	"vccmin/internal/geom"
 	"vccmin/internal/par"
-	"vccmin/internal/prob"
 )
 
 // MeasuredBlockDisableCapacity estimates Eq. 2 by Monte Carlo: the mean
@@ -47,10 +46,4 @@ func MeasuredBlockDisableCapacityWorkers(g geom.Geometry, pfail float64, trials 
 		sum += c
 	}
 	return sum / float64(trials)
-}
-
-// AnalyticBlockDisableCapacity is Eq. 2 for g at pfail — the closed form
-// MeasuredBlockDisableCapacity converges to.
-func AnalyticBlockDisableCapacity(g geom.Geometry, pfail float64) float64 {
-	return prob.ExpectedCapacity(g.CellsPerBlock(), pfail)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"vccmin/internal/geom"
+	"vccmin/internal/prob"
 )
 
 // The Monte Carlo executors must be pure functions of their parameters:
@@ -31,7 +32,7 @@ func TestMeasuredCapacityWorkerInvariance(t *testing.T) {
 	if got := MeasuredBlockDisableCapacity(g, pfail, trials, seed); got != want {
 		t.Errorf("default-worker estimate %v differs from serial %v", got, want)
 	}
-	if analytic := AnalyticBlockDisableCapacity(g, pfail); math.Abs(want-analytic) > 0.05 {
+	if analytic := prob.ExpectedCapacity(g.CellsPerBlock(), pfail); math.Abs(want-analytic) > 0.05 {
 		t.Errorf("measured capacity %v far from analytic %v", want, analytic)
 	}
 }

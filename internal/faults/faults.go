@@ -37,15 +37,6 @@ type BlockFaults struct {
 // Faulty reports whether the block contains any faulty cell.
 func (b BlockFaults) Faulty() bool { return b.Cells > 0 }
 
-// FaultyWords returns the number of words with at least one faulty cell.
-func (b BlockFaults) FaultyWords() int {
-	n := 0
-	for m := b.WordMask; m != 0; m &= m - 1 {
-		n++
-	}
-	return n
-}
-
 // FaultyPairsIn counts the faulty 2-bit pairs among pairs
 // [start, start+count) of the block's data array.
 func (b BlockFaults) FaultyPairsIn(start, count int) int {
@@ -71,10 +62,10 @@ type Map struct {
 	// it 64 blocks at a time, instead of either walking the ~80-byte
 	// BlockFaults records block by block. Every in-package generator keeps
 	// it in sync (addFault, the sparse inject kernel, the Sampler's
-	// clears, serialization); code that mutates Blocks directly
-	// must call ReindexBlocks afterwards. It is nil only for a Map literal
-	// assembled outside the package, for which the accessors fall back to
-	// scanning Blocks.
+	// clears, serialization). It is nil only for a Map literal assembled
+	// outside the package, for which the accessors fall back to scanning
+	// Blocks; code that edits Blocks records by hand builds such a
+	// literal.
 	faulty []uint64
 }
 
@@ -117,30 +108,6 @@ func Generate(g geom.Geometry, wordBits int, pfail float64, rng *rand.Rand) *Map
 		}
 		m.addFault(cell)
 	}
-}
-
-// InjectExact places exactly n faults in distinct cells chosen uniformly
-// at random without replacement — the urn experiment behind Eq. 1.
-func InjectExact(g geom.Geometry, wordBits, n int, rng *rand.Rand) *Map {
-	m := NewEmpty(g, wordBits)
-	total := g.TotalCells()
-	if n >= total {
-		for i := 0; i < total; i++ {
-			m.addFault(i)
-		}
-		return m
-	}
-	// Floyd's algorithm for a uniform n-subset of [0, total).
-	chosen := make(map[int]bool, n)
-	for j := total - n; j < total; j++ {
-		t := rng.Intn(j + 1)
-		if chosen[t] {
-			t = j
-		}
-		chosen[t] = true
-		m.addFault(t)
-	}
-	return m
 }
 
 // ClusterParams configures the clustered (non-uniform) fault model — the
@@ -206,19 +173,10 @@ func (m *Map) addFault(cell int) {
 	}
 }
 
-// AddFault marks linear cell index faulty. Exported for builders that
-// assemble maps from externally drawn fault populations (e.g.
-// internal/population's per-die severity draws); like the in-package
-// generators, callers must pass distinct cells.
-func (m *Map) AddFault(cell int) { m.addFault(cell) }
-
 // At returns the fault record for a (set, way) block frame.
 func (m *Map) At(set, way int) BlockFaults {
 	return m.Blocks[m.Geom.BlockIndex(set, way)]
 }
-
-// BlockFaulty reports whether the (set, way) frame has any faulty cell.
-func (m *Map) BlockFaulty(set, way int) bool { return m.At(set, way).Faulty() }
 
 // FaultyBlocks returns the number of blocks containing at least one faulty
 // cell — the realization of the paper's u.
@@ -237,23 +195,6 @@ func (m *Map) FaultyBlocks() int {
 		}
 	}
 	return n
-}
-
-// ReindexBlocks rebuilds the faulty-block bitset from the Blocks slice.
-// The generators maintain the bitset incrementally; call this only after
-// editing Blocks records by hand (tests building pathological maps do).
-func (m *Map) ReindexBlocks() {
-	if m.faulty == nil {
-		m.faulty = make([]uint64, (len(m.Blocks)+63)/64)
-	}
-	for i := range m.faulty {
-		m.faulty[i] = 0
-	}
-	for i := range m.Blocks {
-		if m.Blocks[i].Cells > 0 {
-			m.faulty[i>>6] |= 1 << uint(i&63)
-		}
-	}
 }
 
 // FaultyWays returns a bitmask with bit w set iff block (set, way w) has

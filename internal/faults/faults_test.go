@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -94,33 +95,6 @@ func TestMonteCarloMatchesEq2(t *testing.T) {
 	}
 }
 
-func TestInjectExactMatchesEq1(t *testing.T) {
-	// Paper's running example: 275 faults land in ≈213 distinct blocks.
-	const n = 275
-	const trials = 60
-	rng := rand.New(rand.NewSource(3))
-	sum := 0.0
-	for i := 0; i < trials; i++ {
-		m := InjectExact(refGeom, 32, n, rng)
-		if m.Total != n {
-			t.Fatalf("InjectExact placed %d faults, want %d", m.Total, n)
-		}
-		sum += float64(m.FaultyBlocks())
-	}
-	got := sum / trials
-	want := prob.MeanFaultyBlocksExact(refGeom.Blocks(), refGeom.CellsPerBlock(), n)
-	if math.Abs(got-want) > 3 {
-		t.Errorf("mean distinct faulty blocks = %v, Eq.1 predicts %v", got, want)
-	}
-}
-
-func TestInjectExactAllCells(t *testing.T) {
-	m := InjectExact(refGeom, 32, refGeom.TotalCells()+5, rand.New(rand.NewSource(1)))
-	if m.Total != refGeom.TotalCells() {
-		t.Errorf("overfull injection placed %d faults, want %d", m.Total, refGeom.TotalCells())
-	}
-}
-
 func TestCellAccounting(t *testing.T) {
 	// Faulty cells counted per block must sum to the map total, and word
 	// masks must stay within the block's word count.
@@ -175,8 +149,8 @@ func TestSubblockFaultyWords(t *testing.T) {
 	if got := m.SubblockFaultyWords(0, 0, 8, 8); got != 1 {
 		t.Errorf("subblock 1 faulty words = %d, want 1", got)
 	}
-	if got := m.At(0, 0).FaultyWords(); got != 3 {
-		t.Errorf("FaultyWords = %d, want 3", got)
+	if got := bits.OnesCount64(m.At(0, 0).WordMask); got != 3 {
+		t.Errorf("faulty words = %d, want 3", got)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -161,7 +162,7 @@ func collectSparse(g geom.Geometry, wordBits int, pfail float64, seeds int) spar
 			if b.Faulty() {
 				c.faultyBlocks++
 			}
-			c.faultyWords += int64(b.FaultyWords())
+			c.faultyWords += int64(bits.OnesCount64(b.WordMask))
 		}
 	}
 	return c

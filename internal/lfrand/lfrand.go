@@ -183,8 +183,8 @@ func mulMod(a, b uint32) uint32 {
 }
 
 // Source is one deterministic stream. The zero value is not seeded;
-// call Seed (or construct with New) before drawing. Not safe for
-// concurrent use. Copying a seeded Source forks the stream.
+// call Seed before drawing. Not safe for concurrent use. Copying a
+// seeded Source forks the stream.
 type Source struct {
 	vec       [rngLen]uint64
 	tap, feed int32
@@ -192,13 +192,6 @@ type Source struct {
 	// fb delegates every draw to math/rand when the init-time
 	// verification failed; nil on the fast path.
 	fb *rand.Rand
-}
-
-// New returns a Source seeded with seed.
-func New(seed int64) *Source {
-	var s Source
-	s.Seed(seed)
-	return &s
 }
 
 // Seed resets the stream to the deterministic state for seed —
@@ -315,7 +308,3 @@ func (s *Source) Intn(n int) int {
 	}
 	return int(s.Int63n(int64(n)))
 }
-
-// Replicated reports whether the fast pure-Go replica is active (true
-// on every supported runtime; false means draws delegate to math/rand).
-func Replicated() bool { return cookedOK }

@@ -7,6 +7,17 @@ import (
 	"testing"
 )
 
+// New returns a Source seeded with seed.
+func New(seed int64) *Source {
+	var s Source
+	s.Seed(seed)
+	return &s
+}
+
+// Replicated reports whether the fast pure-Go replica is active (true
+// on every supported runtime; false means draws delegate to math/rand).
+func Replicated() bool { return cookedOK }
+
 // TestReplicated pins the fast path: on every supported Go runtime the
 // cooked-table recovery and stream verification must succeed, so a
 // wrong seed power table fails here instead of quietly slowing every

@@ -55,14 +55,6 @@ func New(rate, burst float64) *Limiter {
 	}
 }
 
-// NewWithClock is New with an injectable clock, for deterministic
-// tests.
-func NewWithClock(rate, burst float64, now func() time.Time) *Limiter {
-	l := New(rate, burst)
-	l.now = now
-	return l
-}
-
 // Rate returns the per-key refill rate (requests per second).
 func (l *Limiter) Rate() float64 { return l.rate }
 

@@ -7,6 +7,14 @@ import (
 	"time"
 )
 
+// NewWithClock is New with an injectable clock, for deterministic
+// tests.
+func NewWithClock(rate, burst float64, now func() time.Time) *Limiter {
+	l := New(rate, burst)
+	l.now = now
+	return l
+}
+
 // fakeClock is a hand-advanced time source.
 type fakeClock struct {
 	mu sync.Mutex

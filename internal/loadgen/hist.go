@@ -63,9 +63,6 @@ func (h *Histogram) Record(d time.Duration) {
 	h.total++
 }
 
-// Count reports how many observations were recorded.
-func (h *Histogram) Count() uint64 { return h.total }
-
 // Mean reports the exact arithmetic mean of the observations (tracked
 // outside the buckets, so it carries no bucketing error).
 func (h *Histogram) Mean() time.Duration {
@@ -74,9 +71,6 @@ func (h *Histogram) Mean() time.Duration {
 	}
 	return h.sum / time.Duration(h.total)
 }
-
-// Min reports the smallest observation.
-func (h *Histogram) Min() time.Duration { return h.min }
 
 // Max reports the largest observation.
 func (h *Histogram) Max() time.Duration { return h.max }

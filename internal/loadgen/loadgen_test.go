@@ -14,7 +14,7 @@ import (
 
 func TestHistogramBasics(t *testing.T) {
 	h := &Histogram{}
-	if h.Quantile(0.5) != 0 || h.Count() != 0 {
+	if h.Quantile(0.5) != 0 || h.total != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
 	durs := []time.Duration{
@@ -24,11 +24,11 @@ func TestHistogramBasics(t *testing.T) {
 	for _, d := range durs {
 		h.Record(d)
 	}
-	if h.Count() != uint64(len(durs)) {
-		t.Fatalf("count %d, want %d", h.Count(), len(durs))
+	if h.total != uint64(len(durs)) {
+		t.Fatalf("count %d, want %d", h.total, len(durs))
 	}
-	if h.Min() != durs[0] || h.Max() != durs[len(durs)-1] {
-		t.Fatalf("min %v max %v, want %v and %v", h.Min(), h.Max(), durs[0], durs[len(durs)-1])
+	if h.min != durs[0] || h.Max() != durs[len(durs)-1] {
+		t.Fatalf("min %v max %v, want %v and %v", h.min, h.Max(), durs[0], durs[len(durs)-1])
 	}
 	// Exact mean, bucketed quantiles: the median must land within one
 	// bucket (±15%) of the true middle observations, and quantiles must
@@ -51,8 +51,8 @@ func TestHistogramBasics(t *testing.T) {
 	for _, b := range h.Buckets() {
 		total += b.Count
 	}
-	if total != h.Count() {
-		t.Fatalf("bucket counts sum to %d, want %d", total, h.Count())
+	if total != h.total {
+		t.Fatalf("bucket counts sum to %d, want %d", total, h.total)
 	}
 }
 

@@ -16,7 +16,7 @@ func TestIssueWidthCap(t *testing.T) {
 		cfg := TableII()
 		cfg.IssueWidth = w
 		cpu := MustNew(cfg, ic, dc)
-		return cpu.Run(&trace.SliceGenerator{Instrs: instrs}, 20000).IPC()
+		return cpu.Run(&sliceGenerator{Instrs: instrs}, 20000).IPC()
 	}
 	if ipc := runWidth(2); ipc > 2.05 {
 		t.Errorf("issue width 2 should cap IPC at 2, got %v", ipc)
@@ -39,7 +39,7 @@ func TestFPIssueQueueBlocksDispatch(t *testing.T) {
 		cfg := TableII()
 		cfg.FPIQ = fpq
 		cpu := MustNew(cfg, ic, dc)
-		return cpu.Run(&trace.SliceGenerator{Instrs: instrs}, 20000).IPC()
+		return cpu.Run(&sliceGenerator{Instrs: instrs}, 20000).IPC()
 	}
 	small, large := run(1), run(20)
 	if large < 1.8 {
@@ -62,7 +62,7 @@ func TestIntIssueQueueLimit(t *testing.T) {
 		cfg := TableII()
 		cfg.IntIQ = iq
 		cpu := MustNew(cfg, ic, dc)
-		return cpu.Run(&trace.SliceGenerator{Instrs: instrs}, 20000).IPC()
+		return cpu.Run(&sliceGenerator{Instrs: instrs}, 20000).IPC()
 	}
 	small, large := run(2), run(40)
 	if small >= large {
@@ -79,7 +79,7 @@ func TestFunctionalUnitContention(t *testing.T) {
 		cfg := TableII()
 		cfg.IntMults = units
 		cpu := MustNew(cfg, ic, dc)
-		return cpu.Run(&trace.SliceGenerator{Instrs: instrs}, 20000).IPC()
+		return cpu.Run(&sliceGenerator{Instrs: instrs}, 20000).IPC()
 	}
 	// Fully pipelined units: throughput = units per cycle up to widths.
 	if ipc := run(1); ipc > 1.05 {
@@ -102,14 +102,14 @@ func TestBTBMissOnTakenBranchCostsFullRedirect(t *testing.T) {
 		pc := uint64(0x1000 + i*64)
 		instrs = append(instrs, trace.Instr{PC: pc, Class: trace.Branch, Taken: true, Target: pc + 4})
 	}
-	s := cpu.Run(&trace.SliceGenerator{Instrs: instrs}, 256)
+	s := cpu.Run(&sliceGenerator{Instrs: instrs}, 256)
 	if s.Mispredicts != 256 {
 		t.Errorf("first visits should all misfetch: %d/256", s.Mispredicts)
 	}
 	// Second pass trains the 2-bit counters from weakly to strongly taken;
 	// by the third pass both the BTB and gshare are warm.
-	cpu.Run(&trace.SliceGenerator{Instrs: instrs}, 256)
-	s3 := cpu.Run(&trace.SliceGenerator{Instrs: instrs}, 256)
+	cpu.Run(&sliceGenerator{Instrs: instrs}, 256)
+	s3 := cpu.Run(&sliceGenerator{Instrs: instrs}, 256)
 	if s3.Mispredicts > 16 {
 		t.Errorf("third visits should mostly predict correctly: %d mispredicts", s3.Mispredicts)
 	}
@@ -123,7 +123,7 @@ func TestCommitWidthBound(t *testing.T) {
 	cfg.CommitWidth = 2
 	cfg.FetchWidth = 8
 	cpu := MustNew(cfg, ic, dc)
-	s := cpu.Run(&trace.SliceGenerator{Instrs: []trace.Instr{{PC: 0x100, Class: trace.IntALU}}}, 20000)
+	s := cpu.Run(&sliceGenerator{Instrs: []trace.Instr{{PC: 0x100, Class: trace.IntALU}}}, 20000)
 	if ipc := s.IPC(); ipc > 2.05 {
 		t.Errorf("commit width 2 exceeded: IPC %v", ipc)
 	}
@@ -134,7 +134,7 @@ func TestCommitWidthBound(t *testing.T) {
 func TestConsecutiveRunsMeasureDeltas(t *testing.T) {
 	ic, dc := testCaches(3, 51)
 	cpu := MustNew(TableII(), ic, dc)
-	gen := &trace.SliceGenerator{Instrs: []trace.Instr{{PC: 0x100, Class: trace.IntALU, Dep1: 1}}}
+	gen := &sliceGenerator{Instrs: []trace.Instr{{PC: 0x100, Class: trace.IntALU, Dep1: 1}}}
 	a := cpu.Run(gen, 5000)
 	b := cpu.Run(gen, 5000)
 	if a.Instructions != 5000 || b.Instructions != 5000 {

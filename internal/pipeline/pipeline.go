@@ -182,14 +182,6 @@ func (s Stats) IPC() float64 {
 	return float64(s.Instructions) / float64(s.Cycles)
 }
 
-// MispredictRate returns mispredictions per branch.
-func (s Stats) MispredictRate() float64 {
-	if s.Branches == 0 {
-		return 0
-	}
-	return float64(s.Mispredicts) / float64(s.Branches)
-}
-
 // New builds a CPU. icache and dcache must be distinct cache instances.
 func New(cfg Config, icache, dcache *cache.Cache) (*CPU, error) {
 	if err := cfg.Check(); err != nil {
@@ -467,9 +459,3 @@ func (c *CPU) claimIssueSlot(t uint64) {
 	}
 	c.issuedCount[e]++
 }
-
-// Gshare exposes the direction predictor (for statistics).
-func (c *CPU) Gshare() *branch.Gshare { return c.gshare }
-
-// BTB exposes the target buffer (for statistics).
-func (c *CPU) BTB() *branch.BTB { return c.btb }

@@ -9,6 +9,42 @@ import (
 	"vccmin/internal/trace"
 )
 
+// sliceGenerator replays a fixed instruction slice cyclically.
+type sliceGenerator struct {
+	Instrs []trace.Instr
+	pos    int
+}
+
+func (s *sliceGenerator) Next(out *trace.Instr) {
+	*out = s.Instrs[s.pos]
+	s.pos++
+	if s.pos == len(s.Instrs) {
+		s.pos = 0
+	}
+}
+
+func TestSliceGeneratorCycles(t *testing.T) {
+	g := &sliceGenerator{Instrs: []trace.Instr{
+		{PC: 0x100, Class: trace.IntALU},
+		{PC: 0x104, Class: trace.Load, Addr: 0x8000},
+	}}
+	for i := 0; i < 5; i++ {
+		var ins trace.Instr
+		g.Next(&ins)
+		if want := g.Instrs[i%2]; ins != want {
+			t.Errorf("instr %d = %+v, want %+v", i, ins, want)
+		}
+	}
+}
+
+// MispredictRate returns mispredictions per branch.
+func (s Stats) MispredictRate() float64 {
+	if s.Branches == 0 {
+		return 0
+	}
+	return float64(s.Mispredicts) / float64(s.Branches)
+}
+
 // testCaches builds a fresh I$/D$ pair over a shared L2 and memory,
 // mirroring the paper's hierarchy but with configurable L1 latency.
 func testCaches(l1Lat, memLat int) (*cache.Cache, *cache.Cache) {
@@ -23,7 +59,7 @@ func run(t *testing.T, instrs []trace.Instr, n int, l1Lat int) Stats {
 	t.Helper()
 	ic, dc := testCaches(l1Lat, 51)
 	cpu := MustNew(TableII(), ic, dc)
-	return cpu.Run(&trace.SliceGenerator{Instrs: instrs}, n)
+	return cpu.Run(&sliceGenerator{Instrs: instrs}, n)
 }
 
 func TestIndependentALUHitsCommitWidth(t *testing.T) {
@@ -190,7 +226,7 @@ func TestDeterminism(t *testing.T) {
 			{PC: 0x104, Class: trace.IntALU, Dep1: 1},
 			{PC: 0x108, Class: trace.Branch, Taken: true, Target: 0x100},
 		}
-		return cpu.Run(&trace.SliceGenerator{Instrs: instrs}, 5000)
+		return cpu.Run(&sliceGenerator{Instrs: instrs}, 5000)
 	}
 	a, b := mk(), mk()
 	if a != b {
@@ -253,7 +289,7 @@ func TestConfigValidation(t *testing.T) {
 func TestZeroInstructionRun(t *testing.T) {
 	ic, dc := testCaches(3, 51)
 	cpu := MustNew(TableII(), ic, dc)
-	s := cpu.Run(&trace.SliceGenerator{Instrs: []trace.Instr{{PC: 0x100}}}, 0)
+	s := cpu.Run(&sliceGenerator{Instrs: []trace.Instr{{PC: 0x100}}}, 0)
 	if s.Instructions != 0 || s.Cycles != 0 {
 		t.Errorf("zero-instruction run produced %+v", s)
 	}
@@ -279,7 +315,7 @@ func TestROBLimitsRunahead(t *testing.T) {
 		cfg := TableII()
 		cfg.ROBSize = rob
 		cpu := MustNew(cfg, ic, dc)
-		return cpu.Run(&trace.SliceGenerator{Instrs: instrs}, 20000)
+		return cpu.Run(&sliceGenerator{Instrs: instrs}, 20000)
 	}
 	small, large := runWith(32), runWith(256)
 	if large.IPC() <= small.IPC() {

@@ -100,13 +100,30 @@ func (p *oracleProber) activate(ratio float64) {
 	k := p.spec.Geom.CellsPerBlock()
 	for i, c := range p.cells {
 		if p.sev[i] <= ratio {
-			p.m.AddFault(int(c))
+			addFault(p.m, int(c))
 			b := c / int32(k)
 			if n := len(p.dirty); n == 0 || p.dirty[n-1] != b {
 				p.dirty = append(p.dirty, b)
 			}
 		}
 	}
+}
+
+// addFault marks linear cell index cell of m faulty, as the faults
+// package's generators do. m is a Map literal, so the accessors scan
+// Blocks and no faulty-block index needs keeping.
+func addFault(m *faults.Map, cell int) {
+	k := m.Geom.CellsPerBlock()
+	bf := &m.Blocks[cell/k]
+	if offset := cell % k; offset < m.Geom.DataBits() {
+		bf.WordMask |= 1 << uint(offset/m.WordBits)
+		pair := offset / 2
+		bf.PairMask[pair/64] |= 1 << uint(pair%64)
+	} else {
+		bf.TagFaulty = true
+	}
+	bf.Cells++
+	m.Total++
 }
 
 func (p *oracleProber) passAt(scheme sim.Scheme, v float64) bool {
@@ -149,6 +166,32 @@ func (p *oracleProber) stepAt(scheme sim.Scheme, grid []float64) int {
 		}
 	}
 	return lo
+}
+
+// thresholdVoltage bisects the continuous pass/fail boundary of the
+// drawn die under the scheme to iters halvings of [VFloor, VccMin] —
+// the predictor's ground truth. The boundary exists and is unique
+// because pass-at-voltage is monotone; after one pass for the kill
+// severity, each probe is an O(1) comparison.
+func (p *prober) thresholdVoltage(scheme sim.Scheme, iters int) float64 {
+	s := p.killSeverity(scheme)
+	lo, hi := p.spec.Model.VFloor, p.spec.Model.VccMin
+	if !p.passAt(s, hi) {
+		return hi
+	}
+	if p.passAt(s, lo) {
+		return lo
+	}
+	// Invariant: pass at hi, fail at lo; the threshold is in (lo, hi].
+	for i := 0; i < iters; i++ {
+		mid := (lo + hi) / 2
+		if p.passAt(s, mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return (lo + hi) / 2
 }
 
 func (p *oracleProber) thresholdVoltage(scheme sim.Scheme, iters int) float64 {

@@ -197,19 +197,6 @@ func waferCols(diesPerWafer int) int {
 	return int(math.Ceil(math.Sqrt(float64(diesPerWafer))))
 }
 
-// DieMultiplier returns die d's pfail multiplier: the wafer mean drawn
-// from ("wafer", w), the radial gradient at the die's wafer position,
-// and the die noise drawn from the head of the die's own stream.
-func (s FleetSpec) DieMultiplier(d int) float64 {
-	w := d / s.DiesPerWafer
-	j := d % s.DiesPerWafer
-	waferRng := rand.New(rand.NewSource(faults.DeriveSeed(s.Seed, "wafer", strconv.Itoa(w))))
-	mu := s.Variation.WaferSigma * waferRng.NormFloat64()
-	dieRng := rand.New(rand.NewSource(faults.DeriveSeed(s.Seed, "fleet-die", strconv.Itoa(d))))
-	noise := s.Variation.DieSigma * dieRng.NormFloat64()
-	return math.Exp(mu + s.gradientAt(j) + noise)
-}
-
 // gradientAt returns the intra-wafer radial log-multiplier at
 // die-in-wafer index j: -Gradient/2 at the wafer center rising to
 // about +Gradient/2 at the corners (edge dies run hotter pfail, the
@@ -382,11 +369,11 @@ func newProber(spec FleetSpec) *prober {
 }
 
 // draw fills the prober with die d's multiplier and latent fault
-// population, in ascending cell order. The random streams are exactly
-// DieMultiplier's: the wafer mean from ("wafer", w) — cached, since
-// consecutive dies share a wafer — and the die's own ("fleet-die", d)
-// stream: one normal for the die noise, then geometric gap sampling at
-// the floor pfail with one severity uniform per fault.
+// population, in ascending cell order. The random streams are the wafer
+// mean from ("wafer", w) — cached, since consecutive dies share a
+// wafer — and the die's own ("fleet-die", d) stream: one normal for the
+// die noise, then geometric gap sampling at the floor pfail with one
+// severity uniform per fault.
 func (p *prober) draw(d int) {
 	w := d / p.spec.DiesPerWafer
 	if w != p.cachedWafer {
@@ -686,30 +673,4 @@ func (p *prober) passAt(s, v float64) bool {
 		return s > 0
 	}
 	return !(s <= p.spec.pfailAt(p.mult, v)/p.pflr)
-}
-
-// thresholdVoltage bisects the continuous pass/fail boundary of the
-// drawn die under the scheme to iters halvings of [VFloor, VccMin] —
-// the predictor's ground truth. The boundary exists and is unique
-// because pass-at-voltage is monotone; after one pass for the kill
-// severity, each probe is an O(1) comparison.
-func (p *prober) thresholdVoltage(scheme sim.Scheme, iters int) float64 {
-	s := p.killSeverity(scheme)
-	lo, hi := p.spec.Model.VFloor, p.spec.Model.VccMin
-	if !p.passAt(s, hi) {
-		return hi
-	}
-	if p.passAt(s, lo) {
-		return lo
-	}
-	// Invariant: pass at hi, fail at lo; the threshold is in (lo, hi].
-	for i := 0; i < iters; i++ {
-		mid := (lo + hi) / 2
-		if p.passAt(s, mid) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return (lo + hi) / 2
 }

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
+	"strconv"
 	"testing"
 
+	"vccmin/internal/faults"
 	"vccmin/internal/sim"
 )
 
@@ -122,6 +125,19 @@ func TestFleetSummaryConsistency(t *testing.T) {
 			}
 		}
 	}
+}
+
+// DieMultiplier returns die d's pfail multiplier: the wafer mean drawn
+// from ("wafer", w), the radial gradient at the die's wafer position,
+// and the die noise drawn from the head of the die's own stream.
+func (s FleetSpec) DieMultiplier(d int) float64 {
+	w := d / s.DiesPerWafer
+	j := d % s.DiesPerWafer
+	waferRng := rand.New(rand.NewSource(faults.DeriveSeed(s.Seed, "wafer", strconv.Itoa(w))))
+	mu := s.Variation.WaferSigma * waferRng.NormFloat64()
+	dieRng := rand.New(rand.NewSource(faults.DeriveSeed(s.Seed, "fleet-die", strconv.Itoa(d))))
+	noise := s.Variation.DieSigma * dieRng.NormFloat64()
+	return math.Exp(mu + s.gradientAt(j) + noise)
 }
 
 // TestDieMultiplierDeterministic pins that a die's multiplier depends

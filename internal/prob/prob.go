@@ -9,10 +9,7 @@
 // stable.
 package prob
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // LogChoose returns ln C(n, k). It returns -Inf when the coefficient is
 // zero (k < 0 or k > n).
@@ -240,14 +237,6 @@ type Series struct {
 
 // Len returns the number of points.
 func (s Series) Len() int { return len(s.X) }
-
-// Check validates the series shape.
-func (s Series) Check() error {
-	if len(s.X) != len(s.Y) {
-		return fmt.Errorf("prob: series %q has %d x values but %d y values", s.Label, len(s.X), len(s.Y))
-	}
-	return nil
-}
 
 // Sweep samples f over n+1 evenly spaced points in [lo, hi].
 func Sweep(label string, lo, hi float64, n int, f func(float64) float64) Series {

@@ -279,8 +279,11 @@ func TestQueryRowsOrderCrossCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	folded, err := colstore.Rows(d)
-	if err != nil {
+	var folded []sweep.Row
+	if err := d.Shards(func(s *colstore.Shard) error {
+		folded = append(folded, s.Rows()...)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -49,6 +49,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -766,12 +767,20 @@ func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
 // arbitrary memory before validation rejects it.
 const maxBodyBytes = 8 << 20
 
-// decodeBody strictly parses a size-capped JSON request body.
+// decodeBody strictly parses a size-capped JSON request body: one JSON
+// value with no unknown fields, followed by nothing but whitespace.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
+	}
+	// Token, not More: More reports false on a stray ']' or '}'.
+	switch _, err := dec.Token(); {
+	case err == nil:
+		return errors.New("bad request body: data after the JSON value")
+	case err != io.EOF:
+		return fmt.Errorf("bad request body: after the JSON value: %w", err)
 	}
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -71,6 +72,35 @@ func postJSON(t *testing.T, url string, body, v any) *http.Response {
 		t.Fatalf("POST %s: decoding: %v", url, err)
 	}
 	return resp
+}
+
+// TestPostBodyTrailingData: every POST route parses exactly one JSON
+// value. Anything but whitespace after it is a 400, never ignored.
+func TestPostBodyTrailingData(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, c := range []struct{ path, body string }{
+		{"/v1/sim", `{"benchmark":"gcc","instructions":1000}`},
+		{"/v1/batch", `{"requests":[{"kind":"overhead"}]}`},
+		{"/v1/sweeps", `{"pfails":[0.001],"schemes":["block"],"benchmarks":["crafty"],"trials":1,"instructions":1000}`},
+		{"/v1/query", `{"sweep":{"pfails":[0.001],"schemes":["block"],"benchmarks":["crafty"],"trials":1,"instructions":1000},"metrics":["mean_ipc"]}`},
+		{"/v1/fleet", `{"sweep":{"dies":10,"schemes":["block"],"seed":3}}`},
+	} {
+		for _, tail := range []string{"]]]", "}", `{"oops":1}`, "0", " x", "\n{}", " \n\t\n"} {
+			resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body+tail))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rejected := resp.StatusCode == http.StatusBadRequest && bytes.Contains(raw, []byte("bad request body"))
+			if wantReject := strings.TrimSpace(tail) != ""; rejected != wantReject {
+				t.Errorf("POST %s with %q after the body: status %d, want rejected=%v: %s", c.path, tail, resp.StatusCode, wantReject, raw)
+			}
+		}
+	}
 }
 
 func TestSyncEndpointsAndCache(t *testing.T) {

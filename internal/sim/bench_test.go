@@ -10,8 +10,8 @@ import "testing"
 // and measured instructions together.
 func BenchmarkPipelineReplay(b *testing.B) {
 	opts := Options{Benchmark: "crafty", Mode: LowVoltage, Scheme: BlockDisable, Pair: refPair(1), Instructions: 50_000, Seed: 1}
-	rec, err := Record(opts)
-	if err != nil {
+	rec := new(Recording)
+	if err := rec.Record(opts); err != nil {
 		b.Fatal(err)
 	}
 	var p Replayer

@@ -393,18 +393,10 @@ type Recording struct {
 	stream               workload.Recording
 }
 
-// Record draws the stream Run(opts) would simulate.
-func Record(opts Options) (*Recording, error) {
-	rec := new(Recording)
-	if err := rec.Record(opts); err != nil {
-		return nil, err
-	}
-	return rec, nil
-}
-
-// Record redraws r as the stream of opts, reusing r's buffers: once r
-// has held a stream at least as long, re-recording the same benchmark
-// allocates nothing. On error r is left empty and replays nothing.
+// Record draws r as the stream Run(opts) would simulate, reusing r's
+// buffers: once r has held a stream at least as long, re-recording the
+// same benchmark allocates nothing. On error r is left empty and replays
+// nothing.
 func (r *Recording) Record(opts Options) error {
 	opts = opts.withDefaults()
 	if r.prof.Name == "" || r.prof.Name != opts.Benchmark {
@@ -437,24 +429,16 @@ func (r *Recording) check(opts Options) error {
 	return nil
 }
 
-// RunTrace builds the system for opts and replays rec on it. The result
-// equals Run(opts); rec must have been recorded for the same benchmark,
-// seed, warm-up and length, or RunTrace returns an error.
-func RunTrace(opts Options, rec *Recording) (Result, error) {
-	var p Replayer
-	return p.Run(opts, rec)
-}
-
 // Replayer runs a succession of machines — a sweep cell's baseline and
 // fault trials — holding one system at a time: each Run assembles its
 // machine from the previous one, reusing the L2 (reset, not
-// reallocated) whenever its shape is unchanged. Every result equals
-// RunTrace's for the same arguments. The zero value is ready to use; a
-// Replayer is not safe for concurrent use.
+// reallocated) whenever its shape is unchanged. The zero value is ready
+// to use; a Replayer is not safe for concurrent use.
 type Replayer struct{ sys *System }
 
-// Run assembles the system for opts and replays rec on it, with
-// RunTrace's checks.
+// Run assembles the system for opts and replays rec on it. The result
+// equals sim.Run(opts); rec must have been recorded for the same
+// benchmark, seed, warm-up and length, or Run returns an error.
 func (p *Replayer) Run(opts Options, rec *Recording) (Result, error) {
 	opts = opts.withDefaults()
 	if err := rec.check(opts); err != nil {

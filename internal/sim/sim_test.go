@@ -262,10 +262,10 @@ func TestBitFixGeometryAndOrdering(t *testing.T) {
 }
 
 // TestFaultMapGeometryMismatch: a fault map drawn for another geometry
-// than the cache it gates is refused by Run, RunTrace and Replayer.Run
-// alike, instead of gating the wrong sets and ways. The 32 KB 8-way pair
-// on a 16 KB 4-way L1 has the same 64 sets, so only the way count
-// differs: masks enabling only ways 4-7 once crashed the insert path.
+// than the cache it gates is refused by Run and by fresh and reused
+// Replayers alike, instead of gating the wrong sets and ways. The 32 KB
+// 8-way pair on a 16 KB 4-way L1 has the same 64 sets, so only the way
+// count differs: masks enabling only ways 4-7 once crashed the insert path.
 func TestFaultMapGeometryMismatch(t *testing.T) {
 	machine := Reference(LowVoltage)
 	machine.L1Size, machine.L1Ways = 16*1024, 4
@@ -290,16 +290,16 @@ func TestFaultMapGeometryMismatch(t *testing.T) {
 		{"d-side", dOnly, "D-cache fault map is for a 32KB 8-way"},
 		{"l2", l2, "L2 fault map is for a 1024KB 8-way"},
 	}
-	rec, err := Record(base)
-	if err != nil {
+	rec := new(Recording)
+	if err := rec.Record(base); err != nil {
 		t.Fatal(err)
 	}
 	var p Replayer
 	for _, c := range cases {
 		_, errRun := Run(c.opts)
-		_, errTrace := RunTrace(c.opts, rec)
+		_, errFresh := new(Replayer).Run(c.opts, rec)
 		_, errReplay := p.Run(c.opts, rec)
-		for via, err := range map[string]error{"Run": errRun, "RunTrace": errTrace, "Replayer.Run": errReplay} {
+		for via, err := range map[string]error{"Run": errRun, "fresh Replayer.Run": errFresh, "Replayer.Run": errReplay} {
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("%s via %s: err = %v, want it to contain %q", c.name, via, err, c.want)
 			}

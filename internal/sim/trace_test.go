@@ -10,9 +10,9 @@ import (
 
 // TestRunTraceMatchesRun replays one recording to several machines and
 // requires each result to equal the live-stream Run of the same options,
-// including a defaulted length, a disabled warm-up, and a Replayer that
-// carries one system's L2 across modes, schemes, benchmarks and an L2
-// of another shape.
+// including a defaulted length, a disabled warm-up, both from a fresh
+// Replayer and from one that carries one system's L2 across modes,
+// schemes, benchmarks and an L2 of another shape.
 func TestRunTraceMatchesRun(t *testing.T) {
 	pairBD, pairIWD := refPair(5), refPair(6)
 	smallL2 := Reference(LowVoltage)
@@ -24,8 +24,8 @@ func TestRunTraceMatchesRun(t *testing.T) {
 		{Benchmark: "vortex", Mode: LowVoltage, Seed: 5, Instructions: 10_000, Machine: &smallL2},
 		{Benchmark: "gzip", Mode: LowVoltage, Seed: 11},
 	} {
-		rec, err := Record(base)
-		if err != nil {
+		rec := new(Recording)
+		if err := rec.Record(base); err != nil {
 			t.Fatal(err)
 		}
 		for _, opts := range []Options{
@@ -39,12 +39,12 @@ func TestRunTraceMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := RunTrace(opts, rec)
+			got, err := new(Replayer).Run(opts, rec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s %s: RunTrace = %+v, Run = %+v", opts.Benchmark, opts.Scheme, got, want)
+				t.Errorf("%s %s: fresh Replayer.Run = %+v, Run = %+v", opts.Benchmark, opts.Scheme, got, want)
 			}
 			if got, err = runs.Run(opts, rec); err != nil {
 				t.Fatal(err)
@@ -60,8 +60,8 @@ func TestRunTraceMatchesRun(t *testing.T) {
 // same cache; a new shape gets a fresh one.
 func TestReplayerRecyclesL2(t *testing.T) {
 	opts := Options{Benchmark: "gzip", Mode: LowVoltage, Seed: 1, Instructions: 1_000}
-	rec, err := Record(opts)
-	if err != nil {
+	rec := new(Recording)
+	if err := rec.Record(opts); err != nil {
 		t.Fatal(err)
 	}
 	var runs Replayer
@@ -106,8 +106,8 @@ func withScheme(o Options, s Scheme, v VictimKind, pair *faults.Pair) Options {
 // with an error, never simulated.
 func TestRunTraceRejectsMismatch(t *testing.T) {
 	opts := Options{Benchmark: "gzip", Mode: LowVoltage, Seed: 9, Instructions: 4_000, Warmup: 1_000}
-	rec, err := Record(opts)
-	if err != nil {
+	rec := new(Recording)
+	if err := rec.Record(opts); err != nil {
 		t.Fatal(err)
 	}
 	for name, c := range map[string]struct {
@@ -123,24 +123,20 @@ func TestRunTraceRejectsMismatch(t *testing.T) {
 	} {
 		bad := opts
 		c.mutate(&bad)
-		if _, err := RunTrace(bad, rec); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("RunTrace with wrong %s: err = %v, want %q", name, err, c.want)
-		}
-		var runs Replayer
-		if _, err := runs.Run(bad, rec); err == nil || !strings.Contains(err.Error(), c.want) {
+		if _, err := new(Replayer).Run(bad, rec); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("Replayer.Run with wrong %s: err = %v, want %q", name, err, c.want)
 		}
 	}
-	if _, err := RunTrace(opts, &Recording{}); err == nil {
-		t.Error("RunTrace accepted an empty recording")
+	if _, err := new(Replayer).Run(opts, &Recording{}); err == nil {
+		t.Error("Replayer.Run accepted an empty recording")
 	}
 }
 
 // TestRecordFailureEmpties: a failed re-record leaves nothing to replay.
 func TestRecordFailureEmpties(t *testing.T) {
 	opts := Options{Benchmark: "gzip", Mode: LowVoltage, Seed: 1, Instructions: 1_000}
-	rec, err := Record(opts)
-	if err != nil {
+	rec := new(Recording)
+	if err := rec.Record(opts); err != nil {
 		t.Fatal(err)
 	}
 	bad := opts
@@ -148,10 +144,10 @@ func TestRecordFailureEmpties(t *testing.T) {
 	if err := rec.Record(bad); err == nil {
 		t.Fatal("recorded an unknown benchmark")
 	}
-	if _, err := RunTrace(opts, rec); err == nil {
+	if _, err := new(Replayer).Run(opts, rec); err == nil {
 		t.Error("replayed the stream left over from before a failed Record")
 	}
-	if _, err := Record(Options{}); err == nil {
+	if err := new(Recording).Record(Options{}); err == nil {
 		t.Error("recorded an unnamed benchmark")
 	}
 }

@@ -3,10 +3,7 @@
 // nearest-rank quantiles.
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Summary condenses a sample of float64 values.
 type Summary struct {
@@ -46,11 +43,6 @@ func Summarize(vals []float64) Summary {
 	return s
 }
 
-// String implements fmt.Stringer.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4f min=%.4f max=%.4f sd=%.4f", s.N, s.Mean, s.Min, s.Max, s.StdDev)
-}
-
 // Mean returns the arithmetic mean of vals (0 for an empty slice).
 func Mean(vals []float64) float64 {
 	if len(vals) == 0 {
@@ -71,20 +63,6 @@ func Min(vals []float64) float64 {
 	m := vals[0]
 	for _, v := range vals[1:] {
 		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of vals (0 for an empty slice).
-func Max(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	m := vals[0]
-	for _, v := range vals[1:] {
-		if v > m {
 			m = v
 		}
 	}

@@ -42,9 +42,9 @@ func TestMinMaxMeanProperties(t *testing.T) {
 			}
 		}
 		if len(vals) == 0 {
-			return Min(vals) == 0 && Max(vals) == 0 && Mean(vals) == 0
+			return Min(vals) == 0 && Summarize(vals).Max == 0 && Mean(vals) == 0
 		}
-		mn, mx, mean := Min(vals), Max(vals), Mean(vals)
+		mn, mx, mean := Min(vals), Summarize(vals).Max, Mean(vals)
 		return mn <= mx && mean >= mn-1e-9 && mean <= mx+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {

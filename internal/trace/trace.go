@@ -75,28 +75,3 @@ type Instr struct {
 type Generator interface {
 	Next(*Instr)
 }
-
-// SliceGenerator replays a fixed instruction slice cyclically — useful for
-// tests and microbenchmarks.
-type SliceGenerator struct {
-	Instrs []Instr
-	pos    int
-}
-
-// Next implements Generator.
-func (s *SliceGenerator) Next(out *Instr) {
-	*out = s.Instrs[s.pos]
-	s.pos++
-	if s.pos == len(s.Instrs) {
-		s.pos = 0
-	}
-}
-
-// Collect drains n instructions from g into a slice.
-func Collect(g Generator, n int) []Instr {
-	out := make([]Instr, n)
-	for i := range out {
-		g.Next(&out[i])
-	}
-	return out
-}

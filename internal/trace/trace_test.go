@@ -34,20 +34,3 @@ func TestClassString(t *testing.T) {
 		t.Errorf("NumClasses = %d, want 7", NumClasses)
 	}
 }
-
-func TestSliceGeneratorCycles(t *testing.T) {
-	g := &SliceGenerator{Instrs: []Instr{
-		{PC: 0x100, Class: IntALU},
-		{PC: 0x104, Class: Load, Addr: 0x8000},
-	}}
-	got := Collect(g, 5)
-	if len(got) != 5 {
-		t.Fatalf("Collect returned %d instrs", len(got))
-	}
-	for i, ins := range got {
-		want := g.Instrs[i%2]
-		if ins != want {
-			t.Errorf("instr %d = %+v, want %+v", i, ins, want)
-		}
-	}
-}

@@ -129,13 +129,10 @@ func (r *Recording) Benchmark() string { return r.name }
 // Seed is the generator seed of the recorded stream.
 func (r *Recording) Seed() int64 { return r.seed }
 
-// Len is the number of recorded instructions.
-func (r *Recording) Len() int { return len(r.instrs) }
-
 // Replay returns a generator that plays the recording from its first
-// instruction. It must not be asked for more than Len instructions, and
-// the recording must not be re-recorded while a replay is in use; any
-// number of replays may read one recording at once.
+// instruction. It must not be asked for more instructions than were
+// recorded, and the recording must not be re-recorded while a replay is
+// in use; any number of replays may read one recording at once.
 func (r *Recording) Replay() *Replay {
 	return &Replay{instrs: r.instrs, pc: codeBase, end: r.end}
 }

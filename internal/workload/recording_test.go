@@ -23,9 +23,9 @@ func TestRecordingReplayMatchesLive(t *testing.T) {
 				if err := rec.Record(p, seed, n); err != nil {
 					t.Fatal(err)
 				}
-				if rec.Benchmark() != p.Name || rec.Seed() != seed || rec.Len() != n {
+				if rec.Benchmark() != p.Name || rec.Seed() != seed || len(rec.instrs) != n {
 					t.Fatalf("recording reports %s/%d/%d, want %s/%d/%d",
-						rec.Benchmark(), rec.Seed(), rec.Len(), p.Name, seed, n)
+						rec.Benchmark(), rec.Seed(), len(rec.instrs), p.Name, seed, n)
 				}
 				live := MustNewGenerator(p, seed)
 				replay := rec.Replay()
@@ -97,8 +97,8 @@ func TestRecordingRejects(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want %q", name, err, c.want)
 		}
-		if rec.Benchmark() != "" || rec.Len() != 0 {
-			t.Errorf("%s: failed Record left %q/%d instructions", name, rec.Benchmark(), rec.Len())
+		if rec.Benchmark() != "" || len(rec.instrs) != 0 {
+			t.Errorf("%s: failed Record left %q/%d instructions", name, rec.Benchmark(), len(rec.instrs))
 		}
 	}
 }

@@ -206,15 +206,6 @@ func (g *Generator) init(prof Profile, seed int64) error {
 	return nil
 }
 
-// MustNewGenerator is NewGenerator but panics on error.
-func MustNewGenerator(prof Profile, seed int64) *Generator {
-	g, err := NewGenerator(prof, seed)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // Next implements trace.Generator.
 func (g *Generator) Next(out *trace.Instr) {
 	*out = trace.Instr{PC: g.pc}

@@ -111,16 +111,34 @@ func TestProfileCheckRejects(t *testing.T) {
 	}
 }
 
+// MustNewGenerator is NewGenerator but panics on error.
+func MustNewGenerator(prof Profile, seed int64) *Generator {
+	g, err := NewGenerator(prof, seed)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// collect drains n instructions from g into a slice.
+func collect(g trace.Generator, n int) []trace.Instr {
+	out := make([]trace.Instr, n)
+	for i := range out {
+		g.Next(&out[i])
+	}
+	return out
+}
+
 func TestGeneratorDeterministic(t *testing.T) {
 	p, _ := ByName("gcc")
-	a := trace.Collect(MustNewGenerator(p, 7), 5000)
-	b := trace.Collect(MustNewGenerator(p, 7), 5000)
+	a := collect(MustNewGenerator(p, 7), 5000)
+	b := collect(MustNewGenerator(p, 7), 5000)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("instr %d differs between identical generators", i)
 		}
 	}
-	c := trace.Collect(MustNewGenerator(p, 8), 5000)
+	c := collect(MustNewGenerator(p, 8), 5000)
 	same := 0
 	for i := range a {
 		if a[i] == c[i] {

@@ -7,7 +7,10 @@
 // figure and table of the paper's evaluation.
 //
 // The package is a facade: it re-exports the library's stable surface from
-// the internal packages. Three layers are exposed:
+// the internal packages. It is the module's only importable package and
+// its supported library API, so every exported func stays whether or not
+// a CLI or example calls it; the reachability check (`make reachcheck`)
+// roots them all. Three layers are exposed:
 //
 //   - Analysis: the closed-form fault-distribution mathematics of Section
 //     IV (Eqs. 1-6) — capacity of block-disabling, whole-cache-failure of
