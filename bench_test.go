@@ -284,10 +284,21 @@ func BenchmarkAblationClusteredFaults(b *testing.B) {
 
 // ---- Substrate throughput ----
 
+// newCache is cache.New for a fixed hierarchy; it fails the benchmark
+// on an error.
+func newCache(tb testing.TB, name string, g geom.Geometry, hitLatency int, next cache.Level) *cache.Cache {
+	tb.Helper()
+	c, err := cache.New(name, g, hitLatency, next)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
 func BenchmarkCacheAccess(b *testing.B) {
 	mem := &cache.Memory{Latency: 51}
-	l2 := cache.MustNew("L2", geom.MustNew(2*1024*1024, 8, 64), 20, mem)
-	l1 := cache.MustNew("L1", geom.MustNew(32*1024, 8, 64), 3, l2)
+	l2 := newCache(b, "L2", geom.MustNew(2*1024*1024, 8, 64), 20, mem)
+	l1 := newCache(b, "L1", geom.MustNew(32*1024, 8, 64), 3, l2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l1.Access(geom.Addr(uint64(i)*64)&(1<<22-1), cache.Read)
@@ -328,8 +339,8 @@ func BenchmarkCacheAccessMix(b *testing.B) {
 		}
 	}
 	mem := &cache.Memory{Latency: 51}
-	l2 := cache.MustNew("L2", geom.MustNew(2*1024*1024, 8, 64), 20, mem)
-	l1 := cache.MustNew("L1", geom.MustNew(32*1024, 8, 64), 3, l2)
+	l2 := newCache(b, "L2", geom.MustNew(2*1024*1024, 8, 64), 20, mem)
+	l1 := newCache(b, "L1", geom.MustNew(32*1024, 8, 64), 3, l2)
 	for _, a := range stream {
 		l1.Access(a.addr, a.kind)
 	}
@@ -395,10 +406,13 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	mem := &cache.Memory{Latency: 51}
-	l2 := cache.MustNew("L2", geom.MustNew(2*1024*1024, 8, 64), 20, mem)
-	ic := cache.MustNew("IL1", geom.MustNew(32*1024, 8, 64), 3, l2)
-	dc := cache.MustNew("DL1", geom.MustNew(32*1024, 8, 64), 3, l2)
-	cpu := pipeline.MustNew(pipeline.TableII(), ic, dc)
+	l2 := newCache(b, "L2", geom.MustNew(2*1024*1024, 8, 64), 20, mem)
+	ic := newCache(b, "IL1", geom.MustNew(32*1024, 8, 64), 3, l2)
+	dc := newCache(b, "DL1", geom.MustNew(32*1024, 8, 64), 3, l2)
+	cpu, err := pipeline.New(pipeline.TableII(), ic, dc)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	cpu.Run(gen, b.N)
 }

@@ -107,7 +107,7 @@ func printJSONBatch(pfail float64, trials int, cacheDir string, pretty bool) err
 		{Kind: tasks.KindCapacity, Params: capacity},
 		{Kind: tasks.KindOperatingPoint, Params: op},
 		{Kind: tasks.KindOverhead},
-	}, 0)
+	}, 0, nil)
 	for _, r := range results {
 		if r.Error != "" {
 			return fmt.Errorf("%s: %s", r.Kind, r.Error)

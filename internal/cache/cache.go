@@ -146,15 +146,6 @@ func New(name string, g geom.Geometry, hitLatency int, next Level) (*Cache, erro
 	}, nil
 }
 
-// MustNew is New but panics on error; for tests and fixed configurations.
-func MustNew(name string, g geom.Geometry, hitLatency int, next Level) *Cache {
-	c, err := New(name, g, hitLatency, next)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // split returns the set index and the tag of a.
 func (c *Cache) split(a geom.Addr) (int, uint64) {
 	return int(uint64(a) >> c.offsetShift & c.setMask), uint64(a) >> c.tagShift

@@ -8,6 +8,15 @@ import (
 	"vccmin/internal/geom"
 )
 
+// MustNew is New but panics on error, for fixed test configurations.
+func MustNew(name string, g geom.Geometry, hitLatency int, next Level) *Cache {
+	c, err := New(name, g, hitLatency, next)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 // MissRate returns misses/accesses (victim hits count as misses of the
 // main array but do not propagate downstream).
 func (s Stats) MissRate() float64 {

@@ -31,16 +31,10 @@ type BatchResult struct {
 // deduplicate onto one execution through the engine's store and
 // singleflight. Per-item failures (unknown kind, bad parameters, task
 // errors) land in that item's Error; they never fail the batch.
-func RunBatch(ctx context.Context, e *Engine, items []BatchItem, workers int) []BatchResult {
-	return RunBatchFiltered(ctx, e, items, workers, nil)
-}
-
-// RunBatchFiltered is RunBatch with a per-item admission gate, called
-// after decoding and before execution: a non-nil error rejects that
-// item (its message lands in the item's Error) without touching its
-// siblings. Callers use it to apply surface-specific limits, e.g. the
-// service's grid-size caps.
-func RunBatchFiltered(ctx context.Context, e *Engine, items []BatchItem, workers int, gate func(Task) error) []BatchResult {
+//
+// A non-nil gate is called on each decoded task before it runs; an
+// error rejects that item alone (e.g. the service's size limits).
+func RunBatch(ctx context.Context, e *Engine, items []BatchItem, workers int, gate func(Task) error) []BatchResult {
 	out := make([]BatchResult, len(items))
 	// Per-item failures land in the item's slot, so Do never fails.
 	_ = par.Do(len(items), workers, nil, func(_ struct{}, i int) error {

@@ -132,16 +132,16 @@ func New(opts Options) (*Engine, error) {
 // client disconnected), followers whose own context is still alive
 // retry — one of them becomes the next leader.
 func (e *Engine) Do(ctx context.Context, t Task) (Result, error) {
-	kind := t.Kind()
-	key := kind + "/" + t.CanonicalHash()
+	kind, hash := t.Kind(), t.CanonicalHash()
+	key := kind + "/" + hash
 
 	for {
-		if b, ok := e.mem.get(key); ok {
+		if b, ok := e.mem.get(key, true); ok {
 			e.stats.bump(kind, func(k *KindStats) { k.Hits++ })
 			return Result{Bytes: b, Source: SourceMemory}, nil
 		}
 		if e.disk != nil {
-			if b, ok := e.disk.get(kind, t.CanonicalHash()); ok {
+			if b, ok := e.disk.get(kind, hash); ok {
 				e.mem.put(key, b)
 				e.stats.bump(kind, func(k *KindStats) { k.DiskHits++ })
 				return Result{Bytes: b, Source: SourceDisk}, nil
@@ -170,8 +170,8 @@ func (e *Engine) Do(ctx context.Context, t Task) (Result, error) {
 		}
 		// Double-check the memory tier under the lock: a leader that
 		// finished between our miss above and here has already stored the
-		// bytes and retired its call entry.
-		if b, ok := e.mem.get(key); ok {
+		// bytes and retired its call entry. The miss is already counted.
+		if b, ok := e.mem.get(key, false); ok {
 			e.mu.Unlock()
 			e.stats.bump(kind, func(k *KindStats) { k.Hits++ })
 			return Result{Bytes: b, Source: SourceMemory}, nil
@@ -180,7 +180,7 @@ func (e *Engine) Do(ctx context.Context, t Task) (Result, error) {
 		e.inflight[key] = c
 		e.mu.Unlock()
 
-		c.bytes, c.err = e.compute(ctx, t, key)
+		c.bytes, c.err = e.compute(ctx, t, hash, key)
 
 		e.mu.Lock()
 		delete(e.inflight, key)
@@ -207,8 +207,9 @@ func isContextErr(err error) bool {
 // engine errors onto status codes should treat it as internal.
 var ErrEncoding = errors.New("engine: encoding result")
 
-// compute runs the task and stores the marshalled result in both tiers.
-func (e *Engine) compute(ctx context.Context, t Task, key string) ([]byte, error) {
+// compute runs the task and stores the marshalled result in both tiers,
+// under the hash and memory key Do derived from it.
+func (e *Engine) compute(ctx context.Context, t Task, hash, key string) ([]byte, error) {
 	v, err := t.Run(ctx)
 	if err != nil {
 		return nil, err
@@ -219,7 +220,7 @@ func (e *Engine) compute(ctx context.Context, t Task, key string) ([]byte, error
 	}
 	e.mem.put(key, b)
 	if e.disk != nil {
-		if err := e.disk.put(t.Kind(), t.CanonicalHash(), b); err != nil {
+		if err := e.disk.put(t.Kind(), hash, b); err != nil {
 			// The computation succeeded; a disk-tier write failure only
 			// costs durability, so surface it without failing the call.
 			e.stats.bump(t.Kind(), func(k *KindStats) { k.DiskErrors++ })

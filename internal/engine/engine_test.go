@@ -204,14 +204,14 @@ func TestMemLRUEviction(t *testing.T) {
 	c := newMemLRU(2)
 	c.put("a", []byte("1"))
 	c.put("b", []byte("2"))
-	if _, ok := c.get("a"); !ok {
+	if _, ok := c.get("a", true); !ok {
 		t.Fatal("a evicted too early")
 	}
 	c.put("c", []byte("3")) // evicts b (a was just used)
-	if _, ok := c.get("b"); ok {
+	if _, ok := c.get("b", true); ok {
 		t.Fatal("b should have been evicted")
 	}
-	if _, ok := c.get("a"); !ok {
+	if _, ok := c.get("a", true); !ok {
 		t.Fatal("a should have survived")
 	}
 	st := c.stats()
@@ -305,7 +305,7 @@ func TestRegistryAndBatch(t *testing.T) {
 	var first []BatchResult
 	for _, workers := range []int{2, 1, 8} {
 		e := newTestEngine(t, "")
-		out := RunBatch(context.Background(), e, items, workers)
+		out := RunBatch(context.Background(), e, items, workers, nil)
 		if len(out) != len(items) {
 			t.Fatalf("workers=%d: got %d results, want %d", workers, len(out), len(items))
 		}
@@ -336,6 +336,62 @@ func TestRegistryAndBatch(t *testing.T) {
 			first = out
 		} else if !reflect.DeepEqual(out, first) {
 			t.Fatalf("workers=%d: answers differ from workers=2:\n%+v\n%+v", workers, out, first)
+		}
+	}
+}
+
+// hashCountingTask is a testTask that counts its CanonicalHash calls.
+type hashCountingTask struct {
+	testTask
+	hashes *atomic.Int64
+}
+
+func (t hashCountingTask) CanonicalHash() string {
+	t.hashes.Add(1)
+	return t.testTask.CanonicalHash()
+}
+
+// TestDoHashesOnce: Do computes a task's content address once per call,
+// whichever tier answers, and hands that one hash to both disk-tier
+// calls.
+func TestDoHashesOnce(t *testing.T) {
+	dir := t.TempDir()
+	var hashes atomic.Int64
+	task := hashCountingTask{testTask: testTask{kind: "count", hash: "c0ffee"}, hashes: &hashes}
+	e1 := newTestEngine(t, dir)
+	e2 := newTestEngine(t, dir) // shares e1's disk tier, not its memory
+	for _, c := range []struct {
+		e    *Engine
+		want Source
+	}{{e1, SourceCompute}, {e2, SourceDisk}, {e2, SourceMemory}} {
+		hashes.Store(0)
+		r, err := c.e.Do(context.Background(), task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Source != c.want {
+			t.Fatalf("source %q, want %q", r.Source, c.want)
+		}
+		if n := hashes.Load(); n != 1 {
+			t.Errorf("%s: Do called CanonicalHash %d times, want 1", c.want, n)
+		}
+	}
+}
+
+// TestMemStatsOneMissPerCompute: a computed Do looks in the memory tier
+// twice — before the disk tier and again under the in-flight lock — but
+// counts one miss; the hit that follows counts one hit.
+func TestMemStatsOneMissPerCompute(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		e := newTestEngine(t, dir)
+		task := testTask{kind: "memstats", hash: "m"}
+		for _, want := range []CacheStats{{Misses: 1}, {Hits: 1, Misses: 1}} {
+			if _, err := e.Do(context.Background(), task); err != nil {
+				t.Fatal(err)
+			}
+			if st := e.MemStats(); st.Hits != want.Hits || st.Misses != want.Misses {
+				t.Errorf("dir %q: memory tier %+v, want hits %d misses %d", dir, st, want.Hits, want.Misses)
+			}
 		}
 	}
 }

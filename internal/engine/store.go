@@ -33,8 +33,10 @@ func newMemLRU(max int) *memLRU {
 	return &memLRU{max: max, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
-// get returns the cached bytes for key and records a hit or miss.
-func (c *memLRU) get(key string) ([]byte, bool) {
+// get returns the cached bytes for key and records a hit, or a miss
+// when countMiss is set (a second look at a key must not count its miss
+// twice).
+func (c *memLRU) get(key string, countMiss bool) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -42,7 +44,9 @@ func (c *memLRU) get(key string) ([]byte, bool) {
 		c.hits++
 		return el.Value.(*lruEntry).val, true
 	}
-	c.misses++
+	if countMiss {
+		c.misses++
+	}
 	return nil, false
 }
 

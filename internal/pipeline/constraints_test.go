@@ -12,7 +12,7 @@ import (
 func TestIssueWidthCap(t *testing.T) {
 	instrs := []trace.Instr{{PC: 0x100, Class: trace.IntALU}}
 	runWidth := func(w int) float64 {
-		ic, dc := testCaches(3, 51)
+		ic, dc := testCaches(t, 3, 51)
 		cfg := TableII()
 		cfg.IssueWidth = w
 		cpu := MustNew(cfg, ic, dc)
@@ -35,7 +35,7 @@ func TestFPIssueQueueBlocksDispatch(t *testing.T) {
 		{PC: 0x104, Class: trace.FPMult},
 	}
 	run := func(fpq int) float64 {
-		ic, dc := testCaches(3, 51)
+		ic, dc := testCaches(t, 3, 51)
 		cfg := TableII()
 		cfg.FPIQ = fpq
 		cpu := MustNew(cfg, ic, dc)
@@ -58,7 +58,7 @@ func TestIntIssueQueueLimit(t *testing.T) {
 		{PC: 0x104, Class: trace.IntALU},
 	}
 	run := func(iq int) float64 {
-		ic, dc := testCaches(3, 51)
+		ic, dc := testCaches(t, 3, 51)
 		cfg := TableII()
 		cfg.IntIQ = iq
 		cpu := MustNew(cfg, ic, dc)
@@ -75,7 +75,7 @@ func TestIntIssueQueueLimit(t *testing.T) {
 func TestFunctionalUnitContention(t *testing.T) {
 	instrs := []trace.Instr{{PC: 0x100, Class: trace.IntMult}}
 	run := func(units int) float64 {
-		ic, dc := testCaches(3, 51)
+		ic, dc := testCaches(t, 3, 51)
 		cfg := TableII()
 		cfg.IntMults = units
 		cpu := MustNew(cfg, ic, dc)
@@ -94,7 +94,7 @@ func TestFunctionalUnitContention(t *testing.T) {
 // the BTB has never seen must pay the mispredict-class penalty once, then
 // train.
 func TestBTBMissOnTakenBranchCostsFullRedirect(t *testing.T) {
-	ic, dc := testCaches(3, 51)
+	ic, dc := testCaches(t, 3, 51)
 	cpu := MustNew(TableII(), ic, dc)
 	// Many distinct branch PCs, visited twice each: first visit BTB-cold.
 	instrs := make([]trace.Instr, 0, 512)
@@ -118,7 +118,7 @@ func TestBTBMissOnTakenBranchCostsFullRedirect(t *testing.T) {
 // TestCommitWidthBound: even with infinite-width everything else, commit
 // width caps IPC.
 func TestCommitWidthBound(t *testing.T) {
-	ic, dc := testCaches(3, 51)
+	ic, dc := testCaches(t, 3, 51)
 	cfg := TableII()
 	cfg.CommitWidth = 2
 	cfg.FetchWidth = 8
@@ -132,7 +132,7 @@ func TestCommitWidthBound(t *testing.T) {
 // TestConsecutiveRunsMeasureDeltas: two Run calls on one CPU return
 // per-call statistics, not cumulative ones.
 func TestConsecutiveRunsMeasureDeltas(t *testing.T) {
-	ic, dc := testCaches(3, 51)
+	ic, dc := testCaches(t, 3, 51)
 	cpu := MustNew(TableII(), ic, dc)
 	gen := &sliceGenerator{Instrs: []trace.Instr{{PC: 0x100, Class: trace.IntALU, Dep1: 1}}}
 	a := cpu.Run(gen, 5000)

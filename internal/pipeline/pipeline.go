@@ -203,15 +203,6 @@ func New(cfg Config, icache, dcache *cache.Cache) (*CPU, error) {
 	return c, nil
 }
 
-// MustNew is New but panics on error.
-func MustNew(cfg Config, icache, dcache *cache.Cache) *CPU {
-	c, err := New(cfg, icache, dcache)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Reset returns the core to its just-built microarchitectural state:
 // empty rings, idle functional units, cold predictors, zeroed statistics.
 // The configuration and the cache bindings are kept (the caches are NOT

@@ -45,19 +45,40 @@ func (s Stats) MispredictRate() float64 {
 	return float64(s.Mispredicts) / float64(s.Branches)
 }
 
+// MustNew is New but panics on error, for fixed test configurations.
+func MustNew(cfg Config, icache, dcache *cache.Cache) *CPU {
+	c, err := New(cfg, icache, dcache)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// newCache is cache.New for a fixed test hierarchy; it fails the test
+// on an error.
+func newCache(tb testing.TB, name string, g geom.Geometry, hitLatency int, next cache.Level) *cache.Cache {
+	tb.Helper()
+	c, err := cache.New(name, g, hitLatency, next)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
 // testCaches builds a fresh I$/D$ pair over a shared L2 and memory,
 // mirroring the paper's hierarchy but with configurable L1 latency.
-func testCaches(l1Lat, memLat int) (*cache.Cache, *cache.Cache) {
+func testCaches(tb testing.TB, l1Lat, memLat int) (*cache.Cache, *cache.Cache) {
+	tb.Helper()
 	mem := &cache.Memory{Latency: memLat}
-	l2 := cache.MustNew("L2", geom.MustNew(2*1024*1024, 8, 64), 20, mem)
-	ic := cache.MustNew("IL1", geom.MustNew(32*1024, 8, 64), l1Lat, l2)
-	dc := cache.MustNew("DL1", geom.MustNew(32*1024, 8, 64), l1Lat, l2)
+	l2 := newCache(tb, "L2", geom.MustNew(2*1024*1024, 8, 64), 20, mem)
+	ic := newCache(tb, "IL1", geom.MustNew(32*1024, 8, 64), l1Lat, l2)
+	dc := newCache(tb, "DL1", geom.MustNew(32*1024, 8, 64), l1Lat, l2)
 	return ic, dc
 }
 
 func run(t *testing.T, instrs []trace.Instr, n int, l1Lat int) Stats {
 	t.Helper()
-	ic, dc := testCaches(l1Lat, 51)
+	ic, dc := testCaches(t, l1Lat, 51)
 	cpu := MustNew(TableII(), ic, dc)
 	return cpu.Run(&sliceGenerator{Instrs: instrs}, n)
 }
@@ -219,7 +240,7 @@ func TestDCacheMissesHurt(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	mk := func() Stats {
-		ic, dc := testCaches(3, 51)
+		ic, dc := testCaches(t, 3, 51)
 		cpu := MustNew(TableII(), ic, dc)
 		instrs := []trace.Instr{
 			{PC: 0x100, Class: trace.Load, Addr: 0x8000, Dep1: 2},
@@ -257,7 +278,7 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	ic, dc := testCaches(3, 51)
+	ic, dc := testCaches(t, 3, 51)
 	bad := TableII()
 	bad.ROBSize = 0
 	if _, err := New(bad, ic, dc); err == nil {
@@ -287,7 +308,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestZeroInstructionRun(t *testing.T) {
-	ic, dc := testCaches(3, 51)
+	ic, dc := testCaches(t, 3, 51)
 	cpu := MustNew(TableII(), ic, dc)
 	s := cpu.Run(&sliceGenerator{Instrs: []trace.Instr{{PC: 0x100}}}, 0)
 	if s.Instructions != 0 || s.Cycles != 0 {
@@ -311,7 +332,7 @@ func TestROBLimitsRunahead(t *testing.T) {
 		}
 	}
 	runWith := func(rob int) Stats {
-		ic, dc := testCaches(3, 255)
+		ic, dc := testCaches(t, 3, 255)
 		cfg := TableII()
 		cfg.ROBSize = rob
 		cpu := MustNew(cfg, ic, dc)

@@ -13,8 +13,10 @@ import (
 // Every service entry point runs one path: bind → construct → admit.
 // bindQuery fills a task request struct from the query string (POST
 // bodies decode into the same structs), the internal/tasks constructor
-// validates it into a task, and admit applies the service's size
-// limits before anything is queued or computed.
+// resolves it — parsed, defaulted and validated once, into a task whose
+// Run uses what it resolved — and admit applies the service's size
+// limits before anything is queued or computed. taskRoute is that path
+// for every GET and POST task route.
 
 // bindQuery fills the struct v points to from query parameters, one
 // parameter per field cliflag.Walk visits, named by the field's json
@@ -37,18 +39,50 @@ func bindQuery(q url.Values, v any) error {
 }
 
 // getTask is the handler of a GET route whose query binds into the task
-// request R: bind over start (the route's GET-only defaults), construct
-// with build, then admit and run.
+// request R over start (the route's GET-only defaults); the admitted
+// task runs on the interactive tier.
 func getTask[R any, T engine.Task](s *Server, start R, build func(R) (T, error)) http.HandlerFunc {
+	bind := func(_ http.ResponseWriter, r *http.Request, req *R) error {
+		*req = start
+		return bindQuery(r.URL.Query(), req)
+	}
+	return taskRoute(s, bind, build, runInteractive[T])
+}
+
+// postTask is the handler of a POST route whose JSON body decodes into
+// the task request R; serve answers with the admitted task.
+func postTask[R any, T engine.Task](s *Server, build func(R) (T, error),
+	serve func(*Server, http.ResponseWriter, *http.Request, T)) http.HandlerFunc {
+	decode := func(w http.ResponseWriter, r *http.Request, req *R) error { return decodeBody(w, r, req) }
+	return taskRoute(s, decode, build, serve)
+}
+
+// taskRoute binds a request, constructs its task with build and admits
+// it, answering 400 when any of the three fails; serve answers with the
+// admitted task.
+func taskRoute[R any, T engine.Task](s *Server, bind func(http.ResponseWriter, *http.Request, *R) error,
+	build func(R) (T, error), serve func(*Server, http.ResponseWriter, *http.Request, T)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		req := start
-		if err := bindQuery(r.URL.Query(), &req); err != nil {
+		var req R
+		err := bind(w, r, &req)
+		var t T
+		if err == nil {
+			t, err = build(req)
+		}
+		if err == nil {
+			err = s.admit(t)
+		}
+		if err != nil {
 			writeErr(w, http.StatusBadRequest, "%s", err)
 			return
 		}
-		t, err := build(req)
-		s.serveTask(w, r, t, err)
+		serve(s, w, r, t)
 	}
+}
+
+// runInteractive runs an admitted task on the pool's interactive tier.
+func runInteractive[T engine.Task](s *Server, w http.ResponseWriter, r *http.Request, t T) {
+	s.runTaskTier(w, r, t, engine.TierInteractive)
 }
 
 // page is the offset/limit window the paginated listings bind.

@@ -1,8 +1,9 @@
 package service
 
 import (
-	"net/http"
+	"errors"
 
+	"vccmin/internal/engine"
 	"vccmin/internal/tasks"
 )
 
@@ -13,25 +14,18 @@ type fleetPostBody struct {
 	Predict *tasks.PredictRequest `json:"predict,omitempty"`
 }
 
-// handleFleetPost accepts the JSON forms of both population kinds:
-// {"sweep": {...}} runs a fleet sweep (the body form of GET /v1/fleet),
-// {"predict": {...}} a data-efficient Vcc-min prediction study.
-func (s *Server) handleFleetPost(w http.ResponseWriter, r *http.Request) {
-	var body fleetPostBody
-	if err := decodeBody(w, r, &body); err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
+// fleetPostTask resolves the POST /v1/fleet body, the JSON form of
+// both population kinds: {"sweep": {...}} is a fleet sweep (the body
+// form of GET /v1/fleet), {"predict": {...}} a data-efficient Vcc-min
+// prediction study.
+func fleetPostTask(body fleetPostBody) (engine.Task, error) {
 	switch {
 	case body.Sweep != nil && body.Predict != nil:
-		writeErr(w, http.StatusBadRequest, "body must contain exactly one of sweep or predict, got both")
+		return nil, errors.New("body must contain exactly one of sweep or predict, got both")
 	case body.Sweep != nil:
-		t, err := tasks.NewFleetTask(*body.Sweep)
-		s.serveTask(w, r, t, err)
+		return tasks.NewFleetTask(*body.Sweep)
 	case body.Predict != nil:
-		t, err := tasks.NewPredictTask(*body.Predict)
-		s.serveTask(w, r, t, err)
-	default:
-		writeErr(w, http.StatusBadRequest, "body must contain one of sweep or predict")
+		return tasks.NewPredictTask(*body.Predict)
 	}
+	return nil, errors.New("body must contain one of sweep or predict")
 }

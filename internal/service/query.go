@@ -10,7 +10,7 @@ import (
 	"vccmin/internal/tasks"
 )
 
-// handleQuery answers POST /v1/query: a colstore aggregation over a
+// serveQuery answers POST /v1/query: a colstore aggregation over a
 // sweep's result set. Two serving shapes share one response identity:
 //
 //   - The sweep already ran as a job: its checkpoint is folded (once)
@@ -24,20 +24,7 @@ import (
 // Both paths store byte-identical bytes under the task's canonical
 // hash (colstore.Query is row-order independent), so whichever ran
 // first serves every later repeat from the engine store.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	t, err := tasks.NewQueryTask(req)
-	if err == nil {
-		err = s.admit(t)
-	}
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t tasks.QueryTask) {
 	if src, ok := s.colstoreSource(t.SweepHash()); ok {
 		s.runTaskTier(w, r, t.WithSource(src), engine.TierInteractive)
 		return

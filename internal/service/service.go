@@ -246,11 +246,11 @@ func (s *Server) routes() {
 		// (the request struct's zero means the reference budgets).
 		{"GET", "/v1/dvfs", getTask(s, tasks.DVFSExploreRequest{Scale: 20_000}, tasks.NewDVFSExploreTask)},
 		{"GET", "/v1/fleet", getTask(s, tasks.FleetRequest{}, tasks.NewFleetTask)},
-		{"POST", "/v1/fleet", s.handleFleetPost},
-		{"POST", "/v1/sim", s.handleSim},
-		{"POST", "/v1/query", s.handleQuery},
+		{"POST", "/v1/fleet", postTask(s, fleetPostTask, runInteractive)},
+		{"POST", "/v1/sim", postTask(s, tasks.NewSimTask, runInteractive)},
+		{"POST", "/v1/query", postTask(s, tasks.NewQueryTask, (*Server).serveQuery)},
 		{"POST", "/v1/batch", s.handleBatch},
-		{"POST", "/v1/sweeps", s.handleSweepPost},
+		{"POST", "/v1/sweeps", postTask(s, tasks.NewSweepRunTask, (*Server).enqueueSweep)},
 		{"GET", "/v1/sweeps", s.handleSweepList},
 		{"GET", "/v1/sweeps/{id}", s.handleSweepGet},
 		{"GET", "/v1/sweeps/{id}/rows", s.handleSweepRows},
@@ -482,20 +482,6 @@ func (s *Server) submitWait(ctx context.Context, tier engine.Tier, work func(con
 	}
 }
 
-// serveTask is the tail of the interactive handlers: a constructor
-// error or an admit rejection answers 400, anything else runs on the
-// pool's interactive tier.
-func (s *Server) serveTask(w http.ResponseWriter, r *http.Request, t engine.Task, err error) {
-	if err == nil {
-		err = s.admit(t)
-	}
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	s.runTaskTier(w, r, t, engine.TierInteractive)
-}
-
 // runTaskTier executes one admitted task on the given pool tier through
 // the engine and writes its stored bytes, with X-Cache reporting which
 // tier answered ("miss" = computed now, "hit" = memory, "disk" = the
@@ -618,18 +604,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
+// handleOverhead serves the one Table I task: it has no parameters to
+// bind and nothing to admit.
 func (s *Server) handleOverhead(w http.ResponseWriter, r *http.Request) {
-	s.serveTask(w, r, tasks.OverheadTask{}, nil)
-}
-
-func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
-	var req SimRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	t, err := tasks.NewSimTask(req)
-	s.serveTask(w, r, t, err)
+	s.runTaskTier(w, r, tasks.OverheadTask{}, engine.TierInteractive)
 }
 
 // ---- Batch endpoint ----
@@ -673,7 +651,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// slot, so one oversized request cannot fail its siblings.
 	var results []engine.BatchResult
 	serr := s.submitWait(r.Context(), engine.TierBatch, func(ctx context.Context) {
-		results = engine.RunBatchFiltered(ctx, s.eng, req.Requests, 0, s.admit)
+		results = engine.RunBatch(ctx, s.eng, req.Requests, 0, s.admit)
 	})
 	if s.submitFailed(w, serr, "batch", "later") {
 		return
@@ -689,20 +667,8 @@ type SweepAccepted struct {
 	Cached bool        `json:"cached"` // an identical spec was already known
 }
 
-func (s *Server) handleSweepPost(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	t, err := tasks.NewSweepRunTask(req)
-	if err == nil {
-		err = s.admit(t)
-	}
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
+// enqueueSweep answers POST /v1/sweeps with the admitted sweep's job.
+func (s *Server) enqueueSweep(w http.ResponseWriter, r *http.Request, t tasks.SweepRunTask) {
 	spec := t.Spec
 	// Admission control: shed NEW work once the batch backlog crosses
 	// the watermark. A spec the manager already knows still answers —

@@ -67,30 +67,36 @@ type CapacityResponse struct {
 // CapacityTask computes a CapacityResponse.
 type CapacityTask struct {
 	Req CapacityRequest
+
+	geom geom.Geometry    // parsed (or reference) L1 geometry
+	gran prob.Granularity // parsed disabling granularity
 }
 
-// NewCapacityTask validates the request into a runnable task.
+// NewCapacityTask validates the request into a runnable task, keeping
+// the geometry and granularity it parses for Run.
 func NewCapacityTask(req CapacityRequest) (CapacityTask, error) {
 	if err := nonNegative(field{"trials", int64(req.Trials)}, field{"seed", req.Seed},
 		field{"workers", int64(req.Workers)}); err != nil {
 		return CapacityTask{}, err
 	}
 	n := req.normalized()
-	if p := *n.Pfail; !(p >= 0 && p < 1) {
-		return CapacityTask{}, fmt.Errorf("pfail %v out of [0,1)", p)
+	if err := checkPfail(*n.Pfail); err != nil {
+		return CapacityTask{}, err
 	}
+	t := CapacityTask{Req: req, geom: experiments.ReferenceGeometry()}
+	var err error
 	if n.Geometry != "" {
-		if _, err := geom.Parse(n.Geometry); err != nil {
+		if t.geom, err = geom.Parse(n.Geometry); err != nil {
 			return CapacityTask{}, err
 		}
 	}
-	if _, err := prob.ParseGranularity(n.Granularity); err != nil {
+	if t.gran, err = prob.ParseGranularity(n.Granularity); err != nil {
 		return CapacityTask{}, err
 	}
 	if n.Trials > 10_000 {
 		return CapacityTask{}, fmt.Errorf("trials %d too large (max 10000)", n.Trials)
 	}
-	return CapacityTask{Req: req}, nil
+	return t, nil
 }
 
 // Kind implements engine.Task.
@@ -102,18 +108,7 @@ func (t CapacityTask) CanonicalHash() string { return hashJSON(KindCapacity, t.R
 // Run implements engine.Task.
 func (t CapacityTask) Run(ctx context.Context) (any, error) {
 	r := t.Req.normalized()
-	pfail := *r.Pfail
-	g := experiments.ReferenceGeometry()
-	if r.Geometry != "" {
-		var err error
-		if g, err = geom.Parse(r.Geometry); err != nil {
-			return nil, err
-		}
-	}
-	gran, err := prob.ParseGranularity(r.Granularity)
-	if err != nil {
-		return nil, err
-	}
+	pfail, g, gran := *r.Pfail, t.geom, t.gran
 	resp := CapacityResponse{
 		Pfail:                   pfail,
 		Geometry:                fmt.Sprintf("%dx%dx%d", g.SizeBytes, g.Ways, g.BlockBytes),
@@ -125,9 +120,6 @@ func (t CapacityTask) Run(ctx context.Context) (any, error) {
 		BitFixFailProb:          prob.BitFixWholeCacheFailProb(g.Blocks(), g.DataBits(), 8, 1, pfail),
 	}
 	if r.Trials > 0 {
-		if r.Trials > 10_000 {
-			return nil, fmt.Errorf("trials %d too large (max 10000)", r.Trials)
-		}
 		// The worker knob bounds the Monte Carlo pool (0 = all CPUs),
 		// clamped so an unauthenticated request cannot multiply sampler
 		// buffers; the estimate itself is identical at every setting.
@@ -226,9 +218,6 @@ func (t OperatingPointTask) Run(ctx context.Context) (any, error) {
 		}, nil
 	}
 	pfail := *r.Pfail
-	if pfail <= 0 || pfail >= 1 {
-		return nil, fmt.Errorf("pfail %v out of (0,1)", pfail)
-	}
 	p := m.OperatingPointForPfail(pfail)
 	return OperatingPointResponse{
 		Pfail:                pfail,

@@ -36,28 +36,18 @@ type DVFSExploreRequest struct {
 // validating every axis value.
 func (r DVFSExploreRequest) ExploreSpec() (dvfs.ExploreSpec, error) {
 	var spec dvfs.ExploreSpec
-	for _, w := range r.Workloads {
-		if _, err := workload.MultiPhaseByName(w); err != nil {
-			return spec, err
-		}
-		spec.Workloads = append(spec.Workloads, w)
+	var err error
+	if spec.Workloads, err = parseList(r.Workloads, func(w string) (string, error) {
+		_, err := workload.MultiPhaseByName(w)
+		return w, err
+	}); err != nil {
+		return spec, err
 	}
-	for _, s := range r.Schemes {
-		sc, err := sim.ParseScheme(s)
-		if err != nil {
-			return spec, err
-		}
-		spec.Schemes = append(spec.Schemes, sc)
+	if spec.Schemes, err = parseList(r.Schemes, sim.ParseScheme); err != nil {
+		return spec, err
 	}
-	for _, p := range r.Policies {
-		pk, err := dvfs.ParsePolicy(p)
-		if err != nil {
-			return spec, err
-		}
-		if pk == dvfs.PolicyNone {
-			return spec, fmt.Errorf("policy %q is not schedulable", p)
-		}
-		spec.Policies = append(spec.Policies, pk)
+	if spec.Policies, err = parseList(r.Policies, parseSchedulable); err != nil {
+		return spec, err
 	}
 	if r.Victim != "" {
 		v, err := sim.ParseVictim(r.Victim)
@@ -70,8 +60,8 @@ func (r DVFSExploreRequest) ExploreSpec() (dvfs.ExploreSpec, error) {
 	if r.Pfail != nil {
 		pfail = *r.Pfail
 	}
-	if !(pfail >= 0 && pfail < 1) {
-		return spec, fmt.Errorf("pfail %v out of [0,1)", pfail)
+	if err := checkPfail(pfail); err != nil {
+		return spec, err
 	}
 	spec.Pfail = pfail
 	if err := nonNegative(field{"seed", r.Seed}, field{"scale", int64(r.Scale)}); err != nil {
@@ -194,14 +184,27 @@ func (r DVFSRunRequest) normalized() DVFSRunRequest {
 // dvfs.Result accounting.
 type DVFSRunTask struct {
 	Req DVFSRunRequest
+
+	cfg dvfs.Config // the scheduler config the constructor built
 }
 
-// NewDVFSRunTask validates the request into a runnable task.
+// NewDVFSRunTask validates the request into a runnable task, keeping
+// the scheduler config it builds for Run.
 func NewDVFSRunTask(req DVFSRunRequest) (DVFSRunTask, error) {
-	if _, err := req.config(); err != nil {
+	cfg, err := req.config()
+	if err != nil {
 		return DVFSRunTask{}, err
 	}
-	return DVFSRunTask{Req: req}, nil
+	return DVFSRunTask{Req: req, cfg: cfg}, nil
+}
+
+// parseSchedulable parses a policy a scheduler can run: any but none.
+func parseSchedulable(s string) (dvfs.PolicyKind, error) {
+	p, err := dvfs.ParsePolicy(s)
+	if err == nil && p == dvfs.PolicyNone {
+		err = fmt.Errorf("policy %q is not schedulable", s)
+	}
+	return p, err
 }
 
 // config builds the scheduler Config, validating every field.
@@ -231,21 +234,16 @@ func (r DVFSRunRequest) config() (dvfs.Config, error) {
 			return cfg, err
 		}
 	}
-	if !(*r.Pfail >= 0 && *r.Pfail < 1) {
-		return cfg, fmt.Errorf("pfail %v out of [0,1)", *r.Pfail)
+	if err := checkPfail(*r.Pfail); err != nil {
+		return cfg, err
 	}
 	cfg.Pfail = *r.Pfail
 	if err := nonNegative(field{"seed", r.Seed}); err != nil {
 		return cfg, err
 	}
-	pk, err := dvfs.ParsePolicy(r.Policy)
-	if err != nil {
+	if cfg.Policy, err = parseSchedulable(r.Policy); err != nil {
 		return cfg, err
 	}
-	if pk == dvfs.PolicyNone {
-		return cfg, fmt.Errorf("policy %q is not schedulable", r.Policy)
-	}
-	cfg.Policy = pk
 	cfg.Seed = r.Seed
 	cfg.SwitchPenalty = r.SwitchPenalty
 	cfg.Interval = r.Interval
@@ -260,10 +258,4 @@ func (t DVFSRunTask) Kind() string { return KindDVFSRun }
 func (t DVFSRunTask) CanonicalHash() string { return hashJSON(KindDVFSRun, t.Req.normalized()) }
 
 // Run implements engine.Task.
-func (t DVFSRunTask) Run(ctx context.Context) (any, error) {
-	cfg, err := t.Req.config()
-	if err != nil {
-		return nil, err
-	}
-	return dvfs.Run(cfg)
-}
+func (t DVFSRunTask) Run(ctx context.Context) (any, error) { return dvfs.Run(t.cfg) }

@@ -88,19 +88,14 @@ func (r FleetRequest) FleetSpec() (population.FleetSpec, error) {
 		Seed:          n.Seed,
 		Workers:       r.Workers,
 	}
-	for _, s := range n.Schemes {
-		sc, err := sim.ParseScheme(s)
-		if err != nil {
-			return spec, err
-		}
-		spec.Schemes = append(spec.Schemes, sc)
+	var err error
+	if spec.Schemes, err = parseList(n.Schemes, sim.ParseScheme); err != nil {
+		return spec, err
 	}
 	if n.Geometry != "" {
-		g, err := geom.Parse(n.Geometry)
-		if err != nil {
+		if spec.Geom, err = geom.Parse(n.Geometry); err != nil {
 			return spec, err
 		}
-		spec.Geom = g
 	}
 	spec = spec.WithDefaults()
 	return spec, spec.Check()

@@ -64,12 +64,8 @@ type QueryTask struct {
 
 // NewQueryTask validates the request into a runnable task.
 func NewQueryTask(req QueryRequest) (QueryTask, error) {
-	spec, err := req.Sweep.Spec()
+	spec, err := req.Sweep.checkedSpec()
 	if err != nil {
-		return QueryTask{}, err
-	}
-	spec = spec.WithDefaults()
-	if err := spec.Check(); err != nil {
 		return QueryTask{}, err
 	}
 	metrics := req.Metrics

@@ -24,24 +24,6 @@ type SimRequest struct {
 	Instructions int     `json:"instructions" help:"instructions per simulation run"`
 }
 
-// Options converts the request into the simulator's option form,
-// drawing the deterministic fault-map pair block-disabling and
-// incremental word-disabling need at low voltage.
-func (req SimRequest) Options() (sim.Options, error) {
-	opts, g, err := req.options()
-	if err != nil {
-		return opts, err
-	}
-	// Draw the pair deterministically from the request's pfail and seed
-	// on the sparse fast path.
-	if opts.Mode == sim.LowVoltage &&
-		(opts.Scheme == sim.BlockDisable || opts.Scheme == sim.IncrementalWordDisable) {
-		pair := faults.GeneratePairSparse(g, g, 32, req.Pfail, faults.DeriveSeed(req.Seed, "serve-sim-pair"))
-		opts.Pair = &pair
-	}
-	return opts, nil
-}
-
 // options validates the request and converts it into the simulator's
 // option form, without the fault-map pair, and the L1 geometry the pair
 // is drawn over.
@@ -78,10 +60,7 @@ func (req SimRequest) options() (sim.Options, geom.Geometry, error) {
 		machine.L1Size, machine.L1Ways, machine.L1BlockBytes = g.SizeBytes, g.Ways, g.BlockBytes
 		opts.Machine = &machine
 	}
-	if !(req.Pfail >= 0 && req.Pfail < 1) {
-		return opts, g, fmt.Errorf("pfail %v out of [0,1)", req.Pfail)
-	}
-	return opts, g, nil
+	return opts, g, checkPfail(req.Pfail)
 }
 
 // SimResponse summarizes one simulation run.
@@ -102,16 +81,21 @@ type SimResponse struct {
 // SimTask runs one simulation.
 type SimTask struct {
 	Req SimRequest
+
+	opts sim.Options   // the simulator options, without the fault-map pair
+	geom geom.Geometry // the L1 geometry the pair is drawn over
 }
 
-// NewSimTask validates the request into a runnable task. The fault-map
-// pair is drawn when the task runs, not here: a request served from the
-// result cache never needs it.
+// NewSimTask validates the request into a runnable task, keeping the
+// simulator options it builds for Run. The fault-map pair is drawn when
+// the task runs, not here: a request served from the result cache never
+// needs it.
 func NewSimTask(req SimRequest) (SimTask, error) {
-	if _, _, err := req.options(); err != nil {
+	opts, g, err := req.options()
+	if err != nil {
 		return SimTask{}, err
 	}
-	return SimTask{Req: req}, nil
+	return SimTask{Req: req, opts: opts, geom: g}, nil
 }
 
 // Kind implements engine.Task.
@@ -123,9 +107,14 @@ func (t SimTask) CanonicalHash() string { return hashJSON(KindSim, t.Req) }
 
 // Run implements engine.Task.
 func (t SimTask) Run(ctx context.Context) (any, error) {
-	opts, err := t.Req.Options()
-	if err != nil {
-		return nil, err
+	opts := t.opts
+	// Block-disabling and incremental word-disabling at low voltage run
+	// over a fault-map pair drawn deterministically from the request's
+	// pfail and seed on the sparse fast path.
+	if opts.Mode == sim.LowVoltage &&
+		(opts.Scheme == sim.BlockDisable || opts.Scheme == sim.IncrementalWordDisable) {
+		pair := faults.GeneratePairSparse(t.geom, t.geom, 32, t.Req.Pfail, faults.DeriveSeed(t.Req.Seed, "serve-sim-pair"))
+		opts.Pair = &pair
 	}
 	res, err := sim.Run(opts)
 	if err != nil {

@@ -44,42 +44,32 @@ func (r SweepRequest) Spec() (sweep.Spec, error) {
 		ShardIndex:    r.ShardIndex,
 		ShardCount:    r.ShardCount,
 	}
-	for _, g := range r.Geometries {
-		gg, err := geom.Parse(g)
-		if err != nil {
-			return spec, err
-		}
-		spec.Geometries = append(spec.Geometries, gg)
+	var err error
+	if spec.Geometries, err = parseList(r.Geometries, geom.Parse); err != nil {
+		return spec, err
 	}
-	for _, v := range r.Schemes {
-		sc, err := sim.ParseScheme(v)
-		if err != nil {
-			return spec, err
-		}
-		spec.Schemes = append(spec.Schemes, sc)
+	if spec.Schemes, err = parseList(r.Schemes, sim.ParseScheme); err != nil {
+		return spec, err
 	}
-	for _, v := range r.Victims {
-		vk, err := sim.ParseVictim(v)
-		if err != nil {
-			return spec, err
-		}
-		spec.Victims = append(spec.Victims, vk)
+	if spec.Victims, err = parseList(r.Victims, sim.ParseVictim); err != nil {
+		return spec, err
 	}
-	for _, v := range r.Granularities {
-		gr, err := prob.ParseGranularity(v)
-		if err != nil {
-			return spec, err
-		}
-		spec.Granularities = append(spec.Granularities, gr)
+	if spec.Granularities, err = parseList(r.Granularities, prob.ParseGranularity); err != nil {
+		return spec, err
 	}
-	for _, v := range r.Policies {
-		p, err := dvfs.ParsePolicy(v)
-		if err != nil {
-			return spec, err
-		}
-		spec.Policies = append(spec.Policies, p)
+	spec.Policies, err = parseList(r.Policies, dvfs.ParsePolicy)
+	return spec, err
+}
+
+// checkedSpec is Spec defaulted and checked: the grid every sweep-backed
+// kind runs.
+func (r SweepRequest) checkedSpec() (sweep.Spec, error) {
+	spec, err := r.Spec()
+	if err != nil {
+		return spec, err
 	}
-	return spec, nil
+	spec = spec.WithDefaults()
+	return spec, spec.Check()
 }
 
 // SweepRunResponse is a whole sweep execution's result: the rows this
@@ -104,12 +94,8 @@ type SweepRunTask struct {
 
 // NewSweepRunTask validates the request into a runnable task.
 func NewSweepRunTask(req SweepRequest) (SweepRunTask, error) {
-	spec, err := req.Spec()
+	spec, err := req.checkedSpec()
 	if err != nil {
-		return SweepRunTask{}, err
-	}
-	spec = spec.WithDefaults()
-	if err := spec.Check(); err != nil {
 		return SweepRunTask{}, err
 	}
 	return SweepRunTask{Spec: spec}, nil
@@ -163,12 +149,8 @@ type SweepCellTask struct {
 
 // NewSweepCellTask validates the request into a runnable task.
 func NewSweepCellTask(req SweepCellRequest) (SweepCellTask, error) {
-	spec, err := req.SweepRequest.Spec()
+	spec, err := req.checkedSpec()
 	if err != nil {
-		return SweepCellTask{}, err
-	}
-	spec = spec.WithDefaults()
-	if err := spec.Check(); err != nil {
 		return SweepCellTask{}, err
 	}
 	cells := spec.Cells()

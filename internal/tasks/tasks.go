@@ -7,9 +7,10 @@
 // studies), and colstore aggregation queries over sweep result sets.
 //
 // Each kind is a request struct (the JSON shape shared by the HTTP
-// handlers, POST /v1/batch and the CLIs), a constructor that validates
-// it into a Task, and a response struct whose marshalled bytes are the
-// engine's stored representation. Because every surface constructs the
+// handlers, POST /v1/batch and the CLIs), a constructor that resolves
+// it — parses, defaults and validates it once — into a Task whose Run
+// uses what the constructor resolved, and a response struct whose
+// marshalled bytes are the engine's stored representation. Because every surface constructs the
 // same task types, a result computed through any entrypoint — server,
 // CLI or batch — is byte-identical and reusable by all of them.
 //
@@ -44,54 +45,61 @@ const (
 )
 
 func init() {
-	engine.RegisterKind(KindCapacity, decodeInto(func(r CapacityRequest) (engine.Task, error) {
-		return NewCapacityTask(r)
-	}))
-	engine.RegisterKind(KindOperatingPoint, decodeInto(func(r OperatingPointRequest) (engine.Task, error) {
-		return NewOperatingPointTask(r)
-	}))
-	engine.RegisterKind(KindOverhead, decodeInto(func(struct{}) (engine.Task, error) {
-		return OverheadTask{}, nil
-	}))
-	engine.RegisterKind(KindSim, decodeInto(func(r SimRequest) (engine.Task, error) {
-		return NewSimTask(r)
-	}))
-	engine.RegisterKind(KindSweep, decodeInto(func(r SweepRequest) (engine.Task, error) {
-		return NewSweepRunTask(r)
-	}))
-	engine.RegisterKind(KindSweepCell, decodeInto(func(r SweepCellRequest) (engine.Task, error) {
-		return NewSweepCellTask(r)
-	}))
-	engine.RegisterKind(KindDVFSRun, decodeInto(func(r DVFSRunRequest) (engine.Task, error) {
-		return NewDVFSRunTask(r)
-	}))
-	engine.RegisterKind(KindDVFSExplore, decodeInto(func(r DVFSExploreRequest) (engine.Task, error) {
-		return NewDVFSExploreTask(r)
-	}))
-	engine.RegisterKind(KindFleetSweep, decodeInto(func(r FleetRequest) (engine.Task, error) {
-		return NewFleetTask(r)
-	}))
-	engine.RegisterKind(KindVccminPredict, decodeInto(func(r PredictRequest) (engine.Task, error) {
-		return NewPredictTask(r)
-	}))
-	engine.RegisterKind(KindQuery, decodeInto(func(r QueryRequest) (engine.Task, error) {
-		return NewQueryTask(r)
-	}))
+	register(KindCapacity, NewCapacityTask)
+	register(KindOperatingPoint, NewOperatingPointTask)
+	register(KindOverhead, func(struct{}) (OverheadTask, error) { return OverheadTask{}, nil })
+	register(KindSim, NewSimTask)
+	register(KindSweep, NewSweepRunTask)
+	register(KindSweepCell, NewSweepCellTask)
+	register(KindDVFSRun, NewDVFSRunTask)
+	register(KindDVFSExplore, NewDVFSExploreTask)
+	register(KindFleetSweep, NewFleetTask)
+	register(KindVccminPredict, NewPredictTask)
+	register(KindQuery, NewQueryTask)
 }
 
-// decodeInto adapts a typed request constructor into a registry
-// Decoder, rejecting unknown fields so a mistyped batch parameter fails
-// loudly instead of silently taking a default.
-func decodeInto[R any](build func(R) (engine.Task, error)) engine.Decoder {
-	return func(params json.RawMessage) (engine.Task, error) {
+// register installs a kind's registry Decoder: strict JSON decoding of
+// the request R, rejecting unknown fields so a mistyped batch parameter
+// fails loudly instead of silently taking a default, then the kind's
+// constructor.
+func register[R any, T engine.Task](kind string, build func(R) (T, error)) {
+	engine.RegisterKind(kind, func(params json.RawMessage) (engine.Task, error) {
 		var r R
 		dec := json.NewDecoder(bytes.NewReader(params))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&r); err != nil {
 			return nil, fmt.Errorf("bad parameters: %w", err)
 		}
-		return build(r)
+		t, err := build(r)
+		if err != nil {
+			return nil, err
+		}
+		return t, nil
+	})
+}
+
+// parseList parses each element of an enum-valued list field in order.
+// An empty list stays nil, so the spec's own default applies; a bad
+// element fails with the parser's error.
+func parseList[T any](in []string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
+	for _, s := range in {
+		v, err := parse(s)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
 	}
+	return out, nil
+}
+
+// checkPfail enforces the [0,1) range of a per-cell failure
+// probability.
+func checkPfail(p float64) error {
+	if !(p >= 0 && p < 1) {
+		return fmt.Errorf("pfail %v out of [0,1)", p)
+	}
+	return nil
 }
 
 // field is one named integer request field, for nonNegative.

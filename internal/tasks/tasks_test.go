@@ -1,9 +1,12 @@
 package tasks
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -347,6 +350,27 @@ func TestDVFSRunTask(t *testing.T) {
 	}
 	if _, err := NewDVFSRunTask(DVFSRunRequest{Workload: "nope", Policy: "oracle"}); err == nil {
 		t.Fatal("unknown workload must be rejected")
+	}
+}
+
+// TestDVFSRunReusesConfig: Run schedules the config the constructor
+// built and leaves it as it found it, so a second Run of the same task
+// stores the same bytes.
+func TestDVFSRunReusesConfig(t *testing.T) {
+	task, err := NewDVFSRunTask(DVFSRunRequest{
+		Workload: "compute-memory-swing", Scheme: "word", Policy: "reactive", Scale: 4000, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := task.cfg
+	before.Workload.Phases = slices.Clone(task.cfg.Workload.Phases)
+	first := mustRun(t, task)
+	if !reflect.DeepEqual(task.cfg, before) {
+		t.Fatalf("Run changed the stored config:\n%+v\nwas\n%+v", task.cfg, before)
+	}
+	if second := mustRun(t, task); !bytes.Equal(first, second) {
+		t.Fatal("a second Run of one task stored different bytes")
 	}
 }
 

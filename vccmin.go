@@ -471,7 +471,7 @@ func NewEngine(opts EngineOptions) (*Engine, error) { return engine.New(opts) }
 // order with shared deduplication. Per-item failures land in that
 // item's Error and never fail the batch.
 func BatchRun(ctx context.Context, e *Engine, items []BatchItem) []BatchResult {
-	return engine.RunBatch(ctx, e, items, 0)
+	return engine.RunBatch(ctx, e, items, 0, nil)
 }
 
 // ---- Fleet-scale population modeling ----
