@@ -40,8 +40,9 @@ bench-gate:
 # severities, the per-run sweep cell evaluation, the live instruction stream
 # against its recording and replay, the map-and-recency-list cache
 # model, the scan-based functional-unit pool, math/rand's serial seed
-# chain against lfrand's power table) held identical to the
-# optimized hot paths, plus the worker-invariance tests of every caller
+# chain against lfrand's power table, math.Log's gap against the
+# guarded polynomial one, lfrand's Float64 against its bulk fill) held
+# identical to the optimized hot paths, plus the worker-invariance tests of every caller
 # of internal/par (results identical at workers 1 and up, the figure
 # drivers' with every worker replaying one shared recording) and par's
 # own ordering and error contract, and the dvfs frontier marking's
@@ -49,7 +50,7 @@ bench-gate:
 # test runs three times in one process: the task registry is
 # process-wide, so a repeat must not register its kind twice.
 diff-race:
-	$(GO) test -race -run 'Differential|Model|FUPoolDifferential|SamplerBatched|ProbeCacheHit|MarkFrontierProperties|RecordingReplayMatchesLive|MeasuredCapacityWorkerInvariance|PairsParallelismInvariance|FleetWorkerInvariance|PredictWorkerInvariance|WorkersByteIdentical|ExploreDeterministicAcrossWorkers|RegistryAndBatch|FigureDriversWorkerInvariance|RunTraceMatchesRun' ./internal/faults ./internal/dvfs ./internal/colstore ./internal/population ./internal/workload ./internal/sweep ./internal/experiments ./internal/engine ./internal/cache ./internal/pipeline ./internal/sim ./internal/lfrand
+	$(GO) test -race -run 'Differential|Model|FUPoolDifferential|SamplerBatched|ProbeCacheHit|MarkFrontierProperties|RecordingReplayMatchesLive|MeasuredCapacityWorkerInvariance|PairsParallelismInvariance|FleetWorkerInvariance|PredictWorkerInvariance|WorkersByteIdentical|ExploreDeterministicAcrossWorkers|RegistryAndBatch|FigureDriversWorkerInvariance|RunTraceMatchesRun|GapExact|Float64sMatchesFloat64' ./internal/faults ./internal/dvfs ./internal/colstore ./internal/population ./internal/workload ./internal/sweep ./internal/experiments ./internal/engine ./internal/cache ./internal/pipeline ./internal/sim ./internal/lfrand
 	$(GO) test -race ./internal/par
 	$(GO) test -race -count=3 -run RegistryAndBatch ./internal/engine
 
@@ -109,8 +110,8 @@ check: vet fmt doc-check link-check api-check clean-check reachcheck
 
 # Short fuzz smoke over the checkpoint reader (ReadRows and resume's
 # loader, FuzzLoadCompleted, both read through it), the batched sparse
-# sampler, the colv1 shard codec, the query aggregation paths, the
-# GET-versus-CLI request binding, the fleet prober's kill severities
+# sampler, the exact gap sampler against math.Log, the colv1 shard
+# codec, the query aggregation paths, the GET-versus-CLI request binding, the fleet prober's kill severities
 # against the frozen oracle, and
 # lfrand's power-table seeding against math/rand's state (go test
 # allows one fuzz target per invocation, hence the separate runs).
@@ -118,6 +119,7 @@ fuzz:
 	$(GO) test ./internal/sweep -run='^$$' -fuzz=FuzzReadRows -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sweep -run='^$$' -fuzz=FuzzLoadCompleted -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/faults -run='^$$' -fuzz=FuzzSamplerBatched -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/faults -run='^$$' -fuzz=FuzzGapExact -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/colstore -run='^$$' -fuzz=FuzzShardDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/colstore -run='^$$' -fuzz=FuzzVarintColumn -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/colstore -run='^$$' -fuzz=FuzzAggregate -fuzztime=$(FUZZTIME)

@@ -102,11 +102,43 @@ func parseWhere(s string) (map[string]string, error) {
 // name predates the JSON one; its usage text is the `help:"…"` tag and
 // its default the field's current value. A flag sets its field only
 // when given, so a nil pointer field stays nil unless its flag is.
+// Bind also sets fs.Usage to printUsage, so -h names each bound flag's
+// value kind.
 func Bind(fs *flag.FlagSet, v any) {
 	Walk(v, func(name string, tag reflect.StructTag, f reflect.Value) error {
 		fs.Var(field{f}, flagName(name, tag), tag.Get("help"))
 		return nil
 	})
+	fs.Usage = func() { printUsage(fs) }
+}
+
+// printUsage prints the flag package's default usage text for fs, with
+// each bound flag's value kind (-dies int, -timeout duration) where
+// flag.PrintDefaults can only write "value" for a flag.Value type it
+// does not know.
+func printUsage(fs *flag.FlagSet) {
+	named := map[string]string{}
+	fs.VisitAll(func(fl *flag.Flag) {
+		if f, ok := fl.Value.(field); ok && !f.IsBoolFlag() {
+			named["  -"+fl.Name+" value\n"] = "  -" + fl.Name + " " + f.kind() + "\n"
+		}
+	})
+	out := fs.Output()
+	var b strings.Builder
+	fs.SetOutput(&b)
+	fs.PrintDefaults()
+	fs.SetOutput(out)
+	if fs.Name() == "" {
+		fmt.Fprint(out, "Usage:\n")
+	} else {
+		fmt.Fprintf(out, "Usage of %s:\n", fs.Name())
+	}
+	for line := range strings.Lines(b.String()) {
+		if k, ok := named[line]; ok {
+			line = k
+		}
+		fmt.Fprint(out, line)
+	}
 }
 
 func flagName(name string, tag reflect.StructTag) string {
@@ -159,6 +191,22 @@ func (f field) String() string {
 		parts[i] = fmt.Sprint(v.Index(i))
 	}
 	return strings.Join(parts, ",")
+}
+
+// kind names the field's value in the usage text, as the flag package
+// names its own flags' values; lists and key=value maps read "list".
+func (f field) kind() string {
+	switch f.v.Addr().Interface().(type) {
+	case *int, *int64:
+		return "int"
+	case *float64, **float64:
+		return "float"
+	case *time.Duration:
+		return "duration"
+	case *string:
+		return "string"
+	}
+	return "list"
 }
 
 // IsBoolFlag lets a bare -name set a bool field.

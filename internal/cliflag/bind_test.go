@@ -48,6 +48,37 @@ func TestBindNamesFlags(t *testing.T) {
 	}
 }
 
+// TestBindUsageNamesKinds: -h names each bound flag's value kind as the
+// flag package names its own, and leaves the rest of the text alone.
+func TestBindUsageNamesKinds(t *testing.T) {
+	var cfg struct {
+		Outer   outer         `json:"outer"`
+		Timeout time.Duration `json:"timeout" help:"how long"`
+	}
+	fs := flag.NewFlagSet("demo", flag.ContinueOnError)
+	var b strings.Builder
+	fs.SetOutput(&b)
+	Bind(fs, &cfg)
+	fs.Int("plain", 3, "a flag the main declares")
+	if err := fs.Parse([]string{"-h"}); err != flag.ErrHelp {
+		t.Fatalf("-h: %v", err)
+	}
+	got := b.String()
+	for _, want := range []string{
+		"Usage of demo:\n",
+		"  -f float\n", "  -group-by list\n    \taxes\n", "  -n int\n", "  -name string\n",
+		"  -pfail list\n    \tpfail axis\n", "  -pfail-min float\n", "  -runs\n", "  -seed int\n",
+		"  -where list\n", "  -timeout duration\n    \thow long\n", "  -plain int\n    \ta flag the main declares (default 3)\n",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("usage lacks %q:\n%s", want, got)
+		}
+	}
+	if strings.Contains(got, " value\n") {
+		t.Errorf("usage still names a value kind \"value\":\n%s", got)
+	}
+}
+
 func TestBindParses(t *testing.T) {
 	got, _, err := parse(t, outer{},
 		"-pfail", "1e-4:1e-2:3", "-seed", "9223372036854775807", "-group-by", " scheme, ,pfail",

@@ -58,7 +58,7 @@ func runOne(ctx context.Context, e *Engine, item BatchItem, gate func(Task) erro
 			return res
 		}
 	}
-	r, err := e.Do(ctx, t)
+	r, err := e.do(ctx, t, res.Hash)
 	if err != nil {
 		res.Error = err.Error()
 		return res

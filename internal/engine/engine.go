@@ -132,7 +132,12 @@ func New(opts Options) (*Engine, error) {
 // client disconnected), followers whose own context is still alive
 // retry — one of them becomes the next leader.
 func (e *Engine) Do(ctx context.Context, t Task) (Result, error) {
-	kind, hash := t.Kind(), t.CanonicalHash()
+	return e.do(ctx, t, t.CanonicalHash())
+}
+
+// do is Do for a task whose canonical hash the caller already holds.
+func (e *Engine) do(ctx context.Context, t Task, hash string) (Result, error) {
+	kind := t.Kind()
 	key := kind + "/" + hash
 
 	for {

@@ -378,6 +378,42 @@ func TestDoHashesOnce(t *testing.T) {
 	}
 }
 
+// registerCountKind registers TestBatchHashesOnce's kind once per
+// process, as registerBatchKind does.
+var (
+	registerCountKind sync.Once
+	batchHashes       atomic.Int64
+)
+
+// TestBatchHashesOnce: a batch item's content address is computed once,
+// for both the item's hash field and the engine's lookup, whichever tier
+// answers, and also when the gate rejects the item.
+func TestBatchHashesOnce(t *testing.T) {
+	const kind = "test-batch-count"
+	registerCountKind.Do(func() {
+		RegisterKind(kind, func(json.RawMessage) (Task, error) {
+			return hashCountingTask{testTask: testTask{kind: kind, hash: "b0a7"}, hashes: &batchHashes}, nil
+		})
+	})
+	dir := t.TempDir()
+	items := []BatchItem{{Kind: kind}}
+	reject := func(Task) error { return errors.New("too big") }
+	for _, c := range []struct {
+		e    *Engine
+		gate func(Task) error
+		want Source
+	}{{newTestEngine(t, dir), nil, SourceCompute}, {newTestEngine(t, dir), nil, SourceDisk}, {newTestEngine(t, dir), reject, ""}} {
+		batchHashes.Store(0)
+		r := RunBatch(context.Background(), c.e, items, 1, c.gate)[0]
+		if r.Source != string(c.want) || r.Hash != "b0a7" {
+			t.Fatalf("item %+v, want source %q and hash b0a7", r, c.want)
+		}
+		if n := batchHashes.Load(); n != 1 {
+			t.Errorf("source %q: one batch item called CanonicalHash %d times, want 1", c.want, n)
+		}
+	}
+}
+
 // TestMemStatsOneMissPerCompute: a computed Do looks in the memory tier
 // twice — before the disk tier and again under the in-flight lock — but
 // counts one miss; the hit that follows counts one hit.

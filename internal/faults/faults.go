@@ -14,7 +14,6 @@ package faults
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"math/rand"
 
@@ -94,15 +93,11 @@ func Generate(g geom.Geometry, wordBits int, pfail float64, rng *rand.Rand) *Map
 		}
 		return m
 	}
-	logQ := math.Log1p(-pfail)
 	// Geometric skipping: the gap to the next faulty cell is geometric.
+	gap := NewGapSampler(pfail)
 	cell := -1
 	for {
-		u := rng.Float64()
-		if u == 0 {
-			u = math.SmallestNonzeroFloat64
-		}
-		cell += 1 + int(math.Log(u)/logQ)
+		cell += 1 + gap.Skip(rng.Float64())
 		if cell >= total || cell < 0 { // < 0 guards int overflow on absurd skips
 			return m
 		}
@@ -134,14 +129,10 @@ func GenerateClustered(g geom.Geometry, wordBits int, p ClusterParams, rng *rand
 	if centerRate >= 1 {
 		centerRate = 1
 	}
-	logQ := math.Log1p(-centerRate)
+	gap := NewGapSampler(centerRate)
 	cell := -1
 	for {
-		u := rng.Float64()
-		if u == 0 {
-			u = math.SmallestNonzeroFloat64
-		}
-		cell += 1 + int(math.Log(u)/logQ)
+		cell += 1 + gap.Skip(rng.Float64())
 		if cell >= total || cell < 0 {
 			return m
 		}

@@ -15,9 +15,10 @@ package faults
 //
 //   - the RNG is a SplitMix64 stream (O(1) seeding, three multiplies per
 //     draw — the same mixer DeriveSeed uses);
-//   - math.Log is replaced by an atanh-series polynomial accurate to
-//     ~2e-6 absolute, far below the one-cell granularity the geometric
-//     gap is floored to;
+//   - math.Log is replaced by fastLog, an atanh-series polynomial
+//     accurate to ~1.1e-7 absolute, far below the one-cell granularity
+//     the geometric gap is floored to (unguarded, unlike GapSampler: the
+//     sparse family owns its stream);
 //   - the block index is recovered with one float multiply by the
 //     precomputed reciprocal of cells-per-block (plus an exactness
 //     correction) instead of div+mod;
@@ -54,34 +55,6 @@ func (s *sparseStream) next() uint64 {
 // float64 returns a uniform draw in [0, 1) with 53 random bits.
 func (s *sparseStream) float64() float64 {
 	return float64(s.next()>>11) * 0x1p-53
-}
-
-const ln2 = 0.6931471805599453
-
-// fastLog returns ln(u) for u in (0, 1) to ~2e-6 absolute accuracy. It is
-// the classic exponent-plus-mantissa decomposition with the atanh series
-// 2z(1 + z²/3 + z⁴/5 + z⁶/7 + z⁸/9 + z¹⁰/11), z = (m-1)/(m+1); over the
-// unreduced mantissa range [1, 2), z ≤ 1/3, so the dropped 2z·z¹²/13 term
-// is ~1e-6 — three orders of magnitude below the one-cell granularity the
-// geometric gap is floored to (skipping the usual √2 reduction trades two
-// series terms for an unpredictable branch). The intermediate conversions
-// pin each step to float64, keeping the result bit-identical whether or
-// not the platform fuses multiply-adds. injectSparse repeats this body
-// inline in its sampling loop (the call is beyond the inliner's budget);
-// keep the two in sync — TestFastLogAccuracy and the byte-identity tests
-// hold both to the same stream.
-func fastLog(u float64) float64 {
-	bits := math.Float64bits(u)
-	e := float64(int((bits>>52)&0x7ff) - 1023)
-	m := math.Float64frombits((bits & 0x000fffffffffffff) | 0x3ff0000000000000)
-	z := (m - 1) / (m + 1)
-	z2 := float64(z * z)
-	s := float64(1.0/9 + z2*(1.0/11))
-	s = float64(1.0/7 + z2*s)
-	s = float64(1.0/5 + z2*s)
-	s = float64(1.0/3 + z2*s)
-	s = float64(1 + z2*s)
-	return float64(e*ln2) + float64(2*z*s)
 }
 
 // injectSparse injects Bernoulli(pfail) faults into the empty (or reset)

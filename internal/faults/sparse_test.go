@@ -120,9 +120,17 @@ func TestSamplerMismatchedBufferReallocates(t *testing.T) {
 	}
 }
 
-// TestFastLogAccuracy: the polynomial log feeding the geometric sampler
-// stays within 5e-6 of math.Log across the uniform draw's full range.
+// TestFastLogAccuracy: the polynomial log feeding the geometric samplers
+// stays within fastLogMaxErr of math.Log across the uniform draw's full
+// range and at the exponent extremes GapSampler trusts it over — the
+// bound GapSampler's exactness rests on.
 func TestFastLogAccuracy(t *testing.T) {
+	check := func(u float64) {
+		t.Helper()
+		if diff := math.Abs(fastLog(u) - math.Log(u)); !(diff <= fastLogMaxErr) {
+			t.Fatalf("fastLog(%g) = %g, math.Log = %g (off by %g, bound %g)", u, fastLog(u), math.Log(u), diff, fastLogMaxErr)
+		}
+	}
 	var st sparseStream
 	st.state = 12345
 	for i := 0; i < 100_000; i++ {
@@ -130,14 +138,19 @@ func TestFastLogAccuracy(t *testing.T) {
 		if u == 0 {
 			u = 0x1p-53
 		}
-		if diff := math.Abs(fastLog(u) - math.Log(u)); diff > 5e-6 {
-			t.Fatalf("fastLog(%g) = %g, math.Log = %g (off by %g)", u, fastLog(u), math.Log(u), diff)
-		}
+		check(u)
 	}
-	for _, u := range []float64{0x1p-53, 0.5, 0.9999999, 1 - 0x1p-53} {
-		if diff := math.Abs(fastLog(u) - math.Log(u)); diff > 5e-6 {
-			t.Fatalf("fastLog(%g) off by %g", u, diff)
-		}
+	top := math.Nextafter(2, 0) // the largest mantissa: z nearest 1/3
+	for _, u := range []float64{
+		0x1p-53, 0x1p-63, 0.5, 0.9999999, 1 - 0x1p-53, top / 4,
+		0x1p-1000, top * 0x1p-1001, 0x1p-1022, top * 0x1p-1023, 0x1p-1000 * 1.5,
+	} {
+		check(u)
+	}
+	for e := -1022; e < 0; e++ {
+		check(math.Ldexp(1, e))
+		check(math.Ldexp(top, e-1))
+		check(math.Ldexp(1.4142135623730951, e))
 	}
 }
 

@@ -114,14 +114,17 @@ func recoverCooked() (ok bool) {
 	return true
 }
 
-// verify checks the replica against live math/rand streams: several
-// seeds, enough draws to wrap the lag window, and every replicated
-// method including Intn's power-of-two and rejection paths. The seeds
-// cover seedInit's branches the power table relies on: 0 and 2³¹−1
-// (both reduce to 0 and start the chain at 89482311), negative seeds
-// (which wrap) and math.MinInt64.
+// verifySeeds are the seeds verify checks the replica on. They cover
+// seedInit's branches the power table relies on: 0 and 2³¹−1 (both
+// reduce to 0 and start the chain at 89482311), negative seeds (which
+// wrap) and math.MinInt64.
+var verifySeeds = []int64{1, 7, -3, 424242, 1 << 40, 0, int32max, math.MinInt64}
+
+// verify checks the replica against live math/rand streams: each of
+// verifySeeds, enough draws to wrap the lag window, and every
+// replicated method including Intn's power-of-two and rejection paths.
 func verify() bool {
-	for _, seed := range []int64{1, 7, -3, 424242, 1 << 40, 0, int32max, math.MinInt64} {
+	for _, seed := range verifySeeds {
 		ref := rand.New(rand.NewSource(seed))
 		var s Source
 		s.seedDirect(seed)
@@ -263,6 +266,37 @@ again:
 		goto again
 	}
 	return f
+}
+
+// Float64s fills dst with the next len(dst) Float64 draws, in order:
+// the same values, resamples included, as that many Float64 calls,
+// with the lag indices held in locals across the fill instead of
+// stored back per draw.
+func (s *Source) Float64s(dst []float64) {
+	if s.fb != nil {
+		for i := range dst {
+			dst[i] = s.fb.Float64()
+		}
+		return
+	}
+	tap, feed := s.tap, s.feed
+	for i := 0; i < len(dst); {
+		tap--
+		if tap < 0 {
+			tap += rngLen
+		}
+		feed--
+		if feed < 0 {
+			feed += rngLen
+		}
+		x := s.vec[feed] + s.vec[tap]
+		s.vec[feed] = x
+		if f := float64(int64(x&rngMask)) / (1 << 63); f != 1 {
+			dst[i] = f
+			i++
+		}
+	}
+	s.tap, s.feed = tap, feed
 }
 
 // Int31n returns a uniform draw in [0, n), replicating rand.Rand's

@@ -182,3 +182,72 @@ func BenchmarkFloat64(b *testing.B) {
 	}
 	_ = sink
 }
+
+// checkFloat64s fills chunks of the given sizes from a with Float64s and
+// draws as many values one at a time from b, which must start in the
+// same state; the values, and the states they leave, must agree.
+func checkFloat64s(t *testing.T, name string, a, b *Source, sizes ...int) {
+	t.Helper()
+	for _, n := range sizes {
+		got := make([]float64, n)
+		a.Float64s(got)
+		for i, g := range got {
+			if want := b.Float64(); g != want {
+				t.Fatalf("%s: chunk of %d, value %d: Float64s = %v, Float64 = %v", name, n, i, g, want)
+			}
+		}
+		if a.vec != b.vec || a.tap != b.tap || a.feed != b.feed {
+			t.Fatalf("%s: chunk of %d: Float64s leaves a different state from %d Float64 calls", name, n, n)
+		}
+	}
+}
+
+// TestFloat64sMatchesFloat64: the bulk fill is Float64 repeated — on
+// verify()'s seeds, across the lag window, through the resample-on-1.0
+// rule and on the math/rand fallback.
+func TestFloat64sMatchesFloat64(t *testing.T) {
+	sizes := []int{0, 1, 2, 31, 32, 607, 1000, 5}
+	for _, seed := range verifySeeds {
+		a := New(seed)
+		b := *a // copying a seeded Source forks the stream
+		checkFloat64s(t, "seed", a, &b, sizes...)
+	}
+
+	// Every state word at 2⁶²−1 makes the first draws sum to 2⁶³−2,
+	// which Float64 rounds to 1.0 and resamples.
+	var a Source
+	a.tap, a.feed = 0, rngLen-rngTap
+	for i := range a.vec {
+		a.vec[i] = 1<<62 - 1 + uint64(i%3)<<40
+	}
+	probe := a
+	if f := float64(probe.Int63()) / (1 << 63); f != 1 {
+		t.Fatalf("hand-set state draws %v first, want a 1.0 to resample", f)
+	}
+	b := a
+	checkFloat64s(t, "resample", &a, &b, 1, 64, 700)
+
+	// A Source whose replica failed verification delegates to math/rand.
+	for _, seed := range verifySeeds {
+		a := Source{fb: rand.New(rand.NewSource(seed))}
+		ref, s := rand.New(rand.NewSource(seed)), New(seed)
+		got := make([]float64, 1000)
+		a.Float64s(got)
+		for i, g := range got {
+			if want, fast := ref.Float64(), s.Float64(); g != want || g != fast {
+				t.Fatalf("fallback seed %d value %d: Float64s = %v, math/rand = %v, replica = %v", seed, i, g, want, fast)
+			}
+		}
+	}
+}
+
+func BenchmarkFloat64s(b *testing.B) {
+	s := New(1)
+	buf := make([]float64, 32)
+	var sink float64
+	for i := 0; i < b.N; i += len(buf) {
+		s.Float64s(buf)
+		sink += buf[0]
+	}
+	_ = sink
+}

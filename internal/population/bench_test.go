@@ -37,6 +37,22 @@ func BenchmarkFleetSweepSmall(b *testing.B) {
 	}
 }
 
+// BenchmarkFleetSweepAllSchemes is BenchmarkFleetSweepSmall with every
+// die certified under all five schemes: with incremental word-disable
+// requested, the kill pass visits every block that holds a data fault.
+func BenchmarkFleetSweepAllSchemes(b *testing.B) {
+	spec := FleetSpec{Dies: 512, Seed: 7, Workers: 1, Schemes: []sim.Scheme{
+		sim.Baseline, sim.BlockDisable, sim.WordDisable, sim.BitFix, sim.IncrementalWordDisable,
+	}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunFleet(spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPredictDie measures one die's prediction: bracket checks
 // plus a shared 40-deep bisection yielding the K-budget estimate and
 // the ground truth.

@@ -242,6 +242,10 @@ const (
 	repairsPerGroup  = 1
 )
 
+// drawBatch is the number of (gap, severity) uniform pairs draw takes
+// from the die's stream at a time.
+const drawBatch = 16
+
 // selectBuckets is the number of equal-width severity buckets
 // rankSeverity counts into before sorting the one bucket that holds
 // the wanted rank.
@@ -278,12 +282,13 @@ type prober struct {
 	// Reused random stream: one lfrand source reseeded in place per
 	// die (no per-die generator allocation or math/rand reseeding
 	// cost). The gap and severity uniforms come straight from
-	// src.Float64, which replicates rand.Rand.Float64 (rand.Rand keeps
-	// no state between those draws). rng wraps src once so the wafer
-	// and die normals are the stdlib's own NormFloat64 over the
-	// replicated stream.
+	// src.Float64s into uni, the same values rand.Rand.Float64 would
+	// return (rand.Rand keeps no state between those draws). rng wraps
+	// src once so the wafer and die normals are the stdlib's own
+	// NormFloat64 over the replicated stream.
 	src lfrand.Source
 	rng *rand.Rand
+	uni [2 * drawBatch]float64
 
 	// The wafer mean is shared by a whole wafer of consecutive dies;
 	// caching it skips the per-die wafer-stream reseed.
@@ -396,18 +401,21 @@ func (p *prober) draw(d int) {
 		}
 		return
 	}
-	logQ := math.Log1p(-p.pflr)
+	// The uniforms arrive in batches, in stream order: gap, severity,
+	// gap, severity, … The last batch runs past the die's last fault,
+	// which is harmless: every draw reseeds src before reading it, and
+	// nothing reads src after draw returns.
+	gap := faults.NewGapSampler(p.pflr)
 	cell := -1
 	for {
-		u := p.src.Float64()
-		if u == 0 {
-			u = math.SmallestNonzeroFloat64
+		p.src.Float64s(p.uni[:])
+		for i := 0; i < len(p.uni); i += 2 {
+			cell += 1 + gap.Skip(p.uni[i])
+			if cell >= total || cell < 0 {
+				return
+			}
+			p.flt = append(p.flt, latentFault{sev: p.uni[i+1], cell: int32(cell)})
 		}
-		cell += 1 + int(math.Log(u)/logQ)
-		if cell >= total || cell < 0 {
-			return
-		}
-		p.flt = append(p.flt, latentFault{sev: p.src.Float64(), cell: int32(cell)})
 	}
 }
 

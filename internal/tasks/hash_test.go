@@ -1,6 +1,7 @@
 package tasks
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"sort"
@@ -42,5 +43,55 @@ func TestPinnedCanonicalHashes(t *testing.T) {
 	sort.Strings(kinds)
 	if !reflect.DeepEqual(kinds, engine.Kinds()) {
 		t.Errorf("pinned kinds %v, registered %v", kinds, engine.Kinds())
+	}
+}
+
+// countingTask counts the engine's CanonicalHash calls on the task it
+// wraps.
+type countingTask struct {
+	engine.Task
+	hashes *int
+}
+
+func (c countingTask) CanonicalHash() string {
+	*c.hashes++
+	return c.Task.CanonicalHash()
+}
+
+// TestMissHashesOnce: a fleet, predict or query miss hashes its request
+// once. The constructor computes the hash; the engine asks for it once;
+// asking again hashes nothing (hashJSON marshals and digests, which
+// allocates); and the response carries that same hash.
+func TestMissHashesOnce(t *testing.T) {
+	for kind, params := range map[string]string{
+		KindFleetSweep:    `{"dies":4,"vsteps":5,"seed":3}`,
+		KindVccminPredict: `{"dies":8,"sample":2,"k":3,"seed":3}`,
+		KindQuery:         `{"sweep":{"pfails":[0.001],"schemes":["block"],"benchmarks":["crafty"],"trials":1,"instructions":2000},"group_by":["scheme"]}`,
+	} {
+		task, err := engine.DecodeTask(kind, json.RawMessage(params))
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if n := testing.AllocsPerRun(10, func() { _ = task.CanonicalHash() }); n != 0 {
+			t.Errorf("%s: CanonicalHash allocates %v per call; it should return the constructor's hash", kind, n)
+		}
+		e, err := engine.New(engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashes := 0
+		r, err := e.Do(context.Background(), countingTask{task, &hashes})
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if hashes != 1 {
+			t.Errorf("%s: the engine called CanonicalHash %d times for one miss, want 1", kind, hashes)
+		}
+		var resp struct {
+			Hash string `json:"hash"`
+		}
+		if err := r.Decode(&resp); err != nil || resp.Hash != task.CanonicalHash() {
+			t.Errorf("%s: response hash %q (%v), want %q", kind, resp.Hash, err, task.CanonicalHash())
+		}
 	}
 }

@@ -123,15 +123,17 @@ type FleetResponse struct {
 type FleetTask struct {
 	Req  FleetRequest
 	Spec population.FleetSpec
+	hash string
 }
 
-// NewFleetTask validates the request into a runnable task.
+// NewFleetTask validates the request into a runnable task and hashes
+// it once, for both the engine's key and the response.
 func NewFleetTask(req FleetRequest) (FleetTask, error) {
 	spec, err := req.FleetSpec()
 	if err != nil {
 		return FleetTask{}, err
 	}
-	return FleetTask{Req: req, Spec: spec}, nil
+	return FleetTask{Req: req, Spec: spec, hash: hashJSON(KindFleetSweep, req.normalized())}, nil
 }
 
 // Kind implements engine.Task.
@@ -139,7 +141,7 @@ func (t FleetTask) Kind() string { return KindFleetSweep }
 
 // CanonicalHash digests the defaulted request with the workers knob
 // stripped.
-func (t FleetTask) CanonicalHash() string { return hashJSON(KindFleetSweep, t.Req.normalized()) }
+func (t FleetTask) CanonicalHash() string { return t.hash }
 
 // DieCount reports the fleet size after defaults, for request gates.
 func (t FleetTask) DieCount() int { return t.Spec.Dies }
@@ -151,7 +153,7 @@ func (t FleetTask) Run(ctx context.Context) (any, error) {
 		return nil, err
 	}
 	resp := FleetResponse{
-		Hash:          t.CanonicalHash(),
+		Hash:          t.hash,
 		Dies:          t.Spec.Dies,
 		DiesPerWafer:  t.Spec.DiesPerWafer,
 		Wafers:        t.Spec.Wafers(),
@@ -270,15 +272,17 @@ type PredictResponse struct {
 type PredictTask struct {
 	Req  PredictRequest
 	Spec population.PredictSpec
+	hash string
 }
 
-// NewPredictTask validates the request into a runnable task.
+// NewPredictTask validates the request into a runnable task and hashes
+// it once, for both the engine's key and the response.
 func NewPredictTask(req PredictRequest) (PredictTask, error) {
 	spec, err := req.PredictSpec()
 	if err != nil {
 		return PredictTask{}, err
 	}
-	return PredictTask{Req: req, Spec: spec}, nil
+	return PredictTask{Req: req, Spec: spec, hash: hashJSON(KindVccminPredict, req.normalized())}, nil
 }
 
 // Kind implements engine.Task.
@@ -286,7 +290,7 @@ func (t PredictTask) Kind() string { return KindVccminPredict }
 
 // CanonicalHash digests the defaulted request with the workers knob
 // stripped.
-func (t PredictTask) CanonicalHash() string { return hashJSON(KindVccminPredict, t.Req.normalized()) }
+func (t PredictTask) CanonicalHash() string { return t.hash }
 
 // SampleCount reports the number of dies measured, for request gates.
 func (t PredictTask) SampleCount() int { return t.Spec.Sample }
@@ -298,7 +302,7 @@ func (t PredictTask) Run(ctx context.Context) (any, error) {
 		return nil, err
 	}
 	return PredictResponse{
-		Hash:         t.CanonicalHash(),
+		Hash:         t.hash,
 		Scheme:       t.Spec.Scheme.String(),
 		K:            t.Spec.K,
 		Sample:       t.Spec.Sample,

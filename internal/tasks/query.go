@@ -60,6 +60,10 @@ type QueryTask struct {
 	// result set (WithRows validates; the service derives the source
 	// from a job keyed by the spec's own hash).
 	source colstore.Source
+
+	// hash and sweepHash are CanonicalHash and SweepHash, computed once
+	// by the constructor.
+	hash, sweepHash string
 }
 
 // NewQueryTask validates the request into a runnable task.
@@ -82,7 +86,23 @@ func NewQueryTask(req QueryRequest) (QueryTask, error) {
 	if err := q.Check(); err != nil {
 		return QueryTask{}, err
 	}
-	return QueryTask{Req: req, Spec: spec, Query: q}, nil
+	sweepHash := spec.CanonicalHash()
+	hash := hashJSON(KindQuery, struct {
+		Sweep    string            `json:"sweep"`
+		GroupBy  []string          `json:"group_by,omitempty"`
+		Metrics  []string          `json:"metrics"`
+		Where    map[string]string `json:"where,omitempty"`
+		PfailMin *float64          `json:"pfail_min,omitempty"`
+		PfailMax *float64          `json:"pfail_max,omitempty"`
+	}{
+		Sweep:    sweepHash,
+		GroupBy:  q.GroupBy,
+		Metrics:  q.Metrics,
+		Where:    q.Where,
+		PfailMin: q.PfailMin,
+		PfailMax: q.PfailMax,
+	})
+	return QueryTask{Req: req, Spec: spec, Query: q, hash: hash, sweepHash: sweepHash}, nil
 }
 
 // Kind implements engine.Task.
@@ -92,30 +112,14 @@ func (t QueryTask) Kind() string { return KindQuery }
 // question. Workers never enters (it is excluded from the sweep hash),
 // and the Where map marshals with sorted keys, so equal questions hash
 // equal however they were spelled.
-func (t QueryTask) CanonicalHash() string {
-	return hashJSON(KindQuery, struct {
-		Sweep    string            `json:"sweep"`
-		GroupBy  []string          `json:"group_by,omitempty"`
-		Metrics  []string          `json:"metrics"`
-		Where    map[string]string `json:"where,omitempty"`
-		PfailMin *float64          `json:"pfail_min,omitempty"`
-		PfailMax *float64          `json:"pfail_max,omitempty"`
-	}{
-		Sweep:    t.Spec.CanonicalHash(),
-		GroupBy:  t.Query.GroupBy,
-		Metrics:  t.Query.Metrics,
-		Where:    t.Query.Where,
-		PfailMin: t.Query.PfailMin,
-		PfailMax: t.Query.PfailMax,
-	})
-}
+func (t QueryTask) CanonicalHash() string { return t.hash }
 
 // GridCells reports the full grid size, for request gates.
 func (t QueryTask) GridCells() int { return len(t.Spec.Cells()) }
 
 // SweepHash is the underlying grid's canonical hash — the job id a
 // finished checkpoint for this result set would live under.
-func (t QueryTask) SweepHash() string { return t.Spec.CanonicalHash() }
+func (t QueryTask) SweepHash() string { return t.sweepHash }
 
 // WithSource returns the task answering from src instead of running the
 // sweep. The caller vouches that src holds exactly the task's result
@@ -180,8 +184,8 @@ func (t QueryTask) Run(ctx context.Context) (any, error) {
 		return nil, err
 	}
 	return QueryResponse{
-		Hash:      t.CanonicalHash(),
-		SweepHash: t.SweepHash(),
+		Hash:      t.hash,
+		SweepHash: t.sweepHash,
 		Stream:    sweep.StreamVersion,
 		GroupBy:   t.Query.GroupBy,
 		Metrics:   t.Query.Metrics,
