@@ -41,8 +41,10 @@ bench-gate:
 # against its recording and replay, the map-and-recency-list cache
 # model, the scan-based functional-unit pool, math/rand's serial seed
 # chain against lfrand's power table, math.Log's gap against the
-# guarded polynomial one, lfrand's Float64 against its bulk fill) held
-# identical to the optimized hot paths, plus the worker-invariance tests of every caller
+# guarded table-log one, lfrand's Float64 against its bulk fill) held
+# identical to the optimized hot paths, the table log held to its
+# error bound, the kill pass's per-block slots held clean across
+# populations, plus the worker-invariance tests of every caller
 # of internal/par (results identical at workers 1 and up, the figure
 # drivers' with every worker replaying one shared recording) and par's
 # own ordering and error contract, and the dvfs frontier marking's
@@ -50,7 +52,7 @@ bench-gate:
 # test runs three times in one process: the task registry is
 # process-wide, so a repeat must not register its kind twice.
 diff-race:
-	$(GO) test -race -run 'Differential|Model|FUPoolDifferential|SamplerBatched|ProbeCacheHit|MarkFrontierProperties|RecordingReplayMatchesLive|MeasuredCapacityWorkerInvariance|PairsParallelismInvariance|FleetWorkerInvariance|PredictWorkerInvariance|WorkersByteIdentical|ExploreDeterministicAcrossWorkers|RegistryAndBatch|FigureDriversWorkerInvariance|RunTraceMatchesRun|GapExact|Float64sMatchesFloat64' ./internal/faults ./internal/dvfs ./internal/colstore ./internal/population ./internal/workload ./internal/sweep ./internal/experiments ./internal/engine ./internal/cache ./internal/pipeline ./internal/sim ./internal/lfrand
+	$(GO) test -race -run 'Differential|Model|FUPoolDifferential|SamplerBatched|ProbeCacheHit|MarkFrontierProperties|RecordingReplayMatchesLive|MeasuredCapacityWorkerInvariance|PairsParallelismInvariance|FleetWorkerInvariance|PredictWorkerInvariance|WorkersByteIdentical|ExploreDeterministicAcrossWorkers|RegistryAndBatch|FigureDriversWorkerInvariance|RunTraceMatchesRun|GapExact|TabLogAccuracy|KillSlotsReset|Float64sMatchesFloat64' ./internal/faults ./internal/dvfs ./internal/colstore ./internal/population ./internal/workload ./internal/sweep ./internal/experiments ./internal/engine ./internal/cache ./internal/pipeline ./internal/sim ./internal/lfrand
 	$(GO) test -race ./internal/par
 	$(GO) test -race -count=3 -run RegistryAndBatch ./internal/engine
 

@@ -8,11 +8,16 @@
 //	vccmin-faultmap -pfail 0.001 -seed 42
 //	vccmin-faultmap -pfail 0.002 -trials 1000      # Monte Carlo summary
 //	vccmin-faultmap -cluster 8                     # clustered fault model
+//
+// A -pfail that is NaN or outside [0,1], or a -cluster or -trials below
+// 1, is refused with exit status 2.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -25,64 +30,95 @@ import (
 )
 
 func main() {
-	size := flag.Int("size", 32*1024, "cache size in bytes")
-	ways := flag.Int("ways", 8, "associativity")
-	block := flag.Int("block", 64, "block size in bytes")
-	pfail := flag.Float64("pfail", 0.001, "per-cell failure probability")
-	seed := flag.Int64("seed", 1, "random seed")
-	trials := flag.Int("trials", 1, "number of maps to draw (summary mode when > 1)")
-	cluster := flag.Int("cluster", 1, "fault cluster size in cells (1 = uniform)")
-	dump := flag.String("dump", "", "write the drawn map to this file (JSON)")
-	load := flag.String("load", "", "inspect a map from this file instead of drawing one")
-	version := clirun.VersionFlag(flag.CommandLine)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, draws or loads a map, writes the
+// report to stdout and returns the exit status — 0, 1 when a file
+// cannot be read or written, 2 for a bad flag.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("vccmin-faultmap", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	size := fs.Int("size", 32*1024, "cache size in bytes")
+	ways := fs.Int("ways", 8, "associativity")
+	block := fs.Int("block", 64, "block size in bytes")
+	pfail := fs.Float64("pfail", 0.001, "per-cell failure probability")
+	seed := fs.Int64("seed", 1, "random seed")
+	trials := fs.Int("trials", 1, "number of maps to draw (summary mode when > 1)")
+	cluster := fs.Int("cluster", 1, "fault cluster size in cells (1 = uniform)")
+	dump := fs.String("dump", "", "write the drawn map to this file (JSON)")
+	load := fs.String("load", "", "inspect a map from this file instead of drawing one")
+	version := clirun.VersionFlag(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if clirun.HandleVersion(version) {
-		return
+		return 0
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "vccmin-faultmap:", err)
+		return code
+	}
+	if err := checkFlags(*pfail, *cluster, *trials); err != nil {
+		return fail(2, err)
 	}
 
 	g, err := geom.New(*size, *ways, *block)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	if *load != "" {
 		f, err := os.Open(*load)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		defer f.Close()
 		m, err := faults.Read(f)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		report(m, *pfail)
-		return
+		report(stdout, m, *pfail)
+		return 0
 	}
-	if *trials <= 1 {
+	if *trials == 1 {
 		rng := rand.New(rand.NewSource(*seed))
 		m := draw(g, *pfail, rng, *cluster)
 		if *dump != "" {
 			f, err := os.Create(*dump)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return fail(1, err)
 			}
 			if err := m.Write(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				f.Close()
+				return fail(1, err)
 			}
 			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return fail(1, err)
 			}
-			fmt.Printf("wrote %s\n", *dump)
+			fmt.Fprintf(stdout, "wrote %s\n", *dump)
 		}
-		report(m, *pfail)
-		return
+		report(stdout, m, *pfail)
+		return 0
 	}
-	monteCarlo(g, *pfail, *seed, *cluster, *trials)
+	monteCarlo(stdout, g, *pfail, *seed, *cluster, *trials)
+	return 0
+}
+
+// checkFlags refuses the values no map can be drawn at: a pfail that is
+// NaN or outside [0,1], and a cluster size or trial count below 1.
+func checkFlags(pfail float64, cluster, trials int) error {
+	switch {
+	case !(pfail >= 0 && pfail <= 1):
+		return fmt.Errorf("-pfail %v: want a probability in [0,1]", pfail)
+	case cluster < 1:
+		return fmt.Errorf("-cluster %d below 1", cluster)
+	case trials < 1:
+		return fmt.Errorf("-trials %d below 1", trials)
+	}
+	return nil
 }
 
 func draw(g geom.Geometry, pfail float64, rng *rand.Rand, cluster int) *faults.Map {
@@ -92,38 +128,38 @@ func draw(g geom.Geometry, pfail float64, rng *rand.Rand, cluster int) *faults.M
 	return faults.Generate(g, 32, pfail, rng)
 }
 
-func report(m *faults.Map, pfail float64) {
+func report(w io.Writer, m *faults.Map, pfail float64) {
 	g := m.Geom
-	fmt.Println(m)
+	fmt.Fprintln(w, m)
 
 	d := core.BuildBlockDisable(m)
-	fmt.Printf("\nblock-disable: %d/%d blocks enabled (%.1f%% capacity)\n",
+	fmt.Fprintf(w, "\nblock-disable: %d/%d blocks enabled (%.1f%% capacity)\n",
 		d.EnabledBlocks(), g.Blocks(), 100*d.CapacityFraction())
-	fmt.Printf("analytic expectation (Eq. 2): %.1f%%\n",
+	fmt.Fprintf(w, "analytic expectation (Eq. 2): %.1f%%\n",
 		100*prob.ExpectedCapacity(g.CellsPerBlock(), pfail))
-	fmt.Println("\nenabled-ways histogram (sets x ways):")
-	for w, n := range d.WaysHistogram() {
+	fmt.Fprintln(w, "\nenabled-ways histogram (sets x ways):")
+	for ways, n := range d.WaysHistogram() {
 		if n > 0 {
-			fmt.Printf("  %d ways: %3d sets\n", w, n)
+			fmt.Fprintf(w, "  %d ways: %3d sets\n", ways, n)
 		}
 	}
 
 	wd := core.EvaluateWordDisable(m, core.ReferenceWordDisable())
-	fmt.Printf("\nword-disable: fit=%v (failed subblocks: %d/%d)\n",
+	fmt.Fprintf(w, "\nword-disable: fit=%v (failed subblocks: %d/%d)\n",
 		wd.Fit, wd.FailedSubblocks, wd.TotalSubblocks)
 	if wd.Fit {
-		fmt.Printf("  low-voltage geometry: %v, +1 cycle latency\n", wd.LowVoltageGeom)
+		fmt.Fprintf(w, "  low-voltage geometry: %v, +1 cycle latency\n", wd.LowVoltageGeom)
 	}
 
 	inc := core.EvaluateIncrementalWD(m, core.ReferenceWordDisable())
-	fmt.Printf("\nincremental word-disable: %d full / %d half / %d disabled pairs (%.1f%% capacity)\n",
+	fmt.Fprintf(w, "\nincremental word-disable: %d full / %d half / %d disabled pairs (%.1f%% capacity)\n",
 		inc.FullPairs, inc.HalfPairs, inc.DisabledPairs, 100*inc.CapacityFraction())
 
 	bf := core.EvaluateBitFix(m, core.ReferenceBitFix())
-	fmt.Printf("\n%s\n", bf)
+	fmt.Fprintf(w, "\n%s\n", bf)
 }
 
-func monteCarlo(g geom.Geometry, pfail float64, seed int64, cluster, trials int) {
+func monteCarlo(w io.Writer, g geom.Geometry, pfail float64, seed int64, cluster, trials int) {
 	rng := rand.New(rand.NewSource(seed))
 	caps := make([]float64, 0, trials)
 	unfit := 0
@@ -140,12 +176,12 @@ func monteCarlo(g geom.Geometry, pfail float64, seed int64, cluster, trials int)
 		}
 	}
 	s := stats.Summarize(caps)
-	fmt.Printf("%d maps of %v at pfail=%g (cluster=%d)\n", trials, g, pfail, cluster)
-	fmt.Printf("block-disable capacity: mean=%.1f%% sd=%.2fpp min=%.1f%% max=%.1f%%\n",
+	fmt.Fprintf(w, "%d maps of %v at pfail=%g (cluster=%d)\n", trials, g, pfail, cluster)
+	fmt.Fprintf(w, "block-disable capacity: mean=%.1f%% sd=%.2fpp min=%.1f%% max=%.1f%%\n",
 		100*s.Mean, 100*s.StdDev, 100*s.Min, 100*s.Max)
 	mean, sd := prob.CapacityMeanStd(g.Blocks(), g.CellsPerBlock(), pfail)
-	fmt.Printf("analytic (Eqs. 2-3):    mean=%.1f%% sd=%.2fpp\n", 100*mean, 100*sd)
-	fmt.Printf("worst set associativity seen: %d ways\n", minWays)
-	fmt.Printf("word-disable whole-cache failures: %d/%d (analytic %.2e)\n",
+	fmt.Fprintf(w, "analytic (Eqs. 2-3):    mean=%.1f%% sd=%.2fpp\n", 100*mean, 100*sd)
+	fmt.Fprintf(w, "worst set associativity seen: %d ways\n", minWays)
+	fmt.Fprintf(w, "word-disable whole-cache failures: %d/%d (analytic %.2e)\n",
 		unfit, trials, prob.WordDisableWholeCacheFailProb(g.Blocks(), g.BlockBytes, 32, 8, pfail))
 }

@@ -28,7 +28,7 @@ func checkGap(t *testing.T, pfail float64, g GapSampler, u float64) {
 
 // checkGapBoundaries checks u at the gap boundaries exp(k·logQ) for gaps
 // k up to kMax: the boundary itself, its float neighbours and a
-// relative nudge of 1e-12 either way, where the polynomial cannot
+// relative nudge of 1e-12 either way, where the table log cannot
 // settle the integer part and Skip must fall back.
 func checkGapBoundaries(t *testing.T, pfail float64, g GapSampler, k int) {
 	t.Helper()
@@ -50,12 +50,65 @@ func gapPfails() []float64 {
 	return ps
 }
 
+// tabEdges returns, for binade e, the 256 edges 2^e·(1+j/256) of
+// tabLog's mantissa intervals and both float neighbours of each, where
+// r = m·inv − 1 reaches its extremes.
+func tabEdges(e int) []float64 {
+	us := make([]float64, 0, 3*256)
+	for j := 0; j < 256; j++ {
+		u := math.Ldexp(1+float64(j)/256, e)
+		us = append(us, math.Nextafter(u, 0), u, math.Nextafter(u, 1))
+	}
+	return us
+}
+
+// TestTabLogAccuracy: the table log stays within tabLogMaxErr of
+// math.Log on uniform draws, on every interval edge and its float
+// neighbours in every binade from 2⁻¹⁰⁰⁰ up, and at the largest
+// mantissas — the bound GapSampler's exactness rests on.
+func TestTabLogAccuracy(t *testing.T) {
+	worst := 0.0
+	check := func(u float64) {
+		t.Helper()
+		if u < 0x1p-1000 || u >= 1 {
+			return
+		}
+		diff := math.Abs(tabLog(u) - math.Log(u))
+		if !(diff <= tabLogMaxErr) {
+			t.Fatalf("tabLog(%g) (%#x) = %g, math.Log = %g (off by %g, bound %g)",
+				u, math.Float64bits(u), tabLog(u), math.Log(u), diff, tabLogMaxErr)
+		}
+		worst = max(worst, diff)
+	}
+	st := sparseStream{state: 12345}
+	for i := 0; i < 200_000; i++ {
+		check(st.float64())
+	}
+	top := math.Nextafter(2, 0) // the largest mantissa
+	for _, u := range []float64{0x1p-53, 0x1p-63, 0.5, 0.9999999, 1 - 0x1p-53, top / 4, 0x1p-1000, 0x1p-1000 * 1.5} {
+		check(u)
+	}
+	for e := -1000; e < 0; e++ {
+		for _, u := range tabEdges(e) {
+			check(u)
+		}
+		check(math.Ldexp(top, e-1))
+		check(math.Ldexp(math.Nextafter(top, 0), e-1))
+	}
+	t.Logf("worst |tabLog − math.Log| %.3g (bound %g)", worst, tabLogMaxErr)
+}
+
 // TestGapExact: Skip equals int(math.Log(u)/logQ) on uniform draws, at
-// u = 0, 2⁻⁶³, 1−2⁻⁵³ and the ends and middle of every binade, and on
-// the gap boundaries, across pfail from 1e-9 to 1.
+// u = 0, 2⁻⁶³, 1−2⁻⁵³, the ends and middle of every binade and the
+// table log's interval edges in a spread of binades, and on the gap
+// boundaries, across pfail from 1e-9 to 1.
 func TestGapExact(t *testing.T) {
 	st := sparseStream{state: 99}
 	top := math.Nextafter(2, 0)
+	var edges []float64
+	for _, e := range []int{-1, -2, -3, -9, -30, -53, -64, -500, -1000} {
+		edges = append(edges, tabEdges(e)...)
+	}
 	for _, pfail := range gapPfails() {
 		g := NewGapSampler(pfail)
 		for _, u := range []float64{0, 0x1p-63, 1 - 0x1p-53, math.SmallestNonzeroFloat64, 0x1p-1000, math.Nextafter(0x1p-1000, 0)} {
@@ -65,6 +118,9 @@ func TestGapExact(t *testing.T) {
 			checkGap(t, pfail, g, math.Ldexp(1, e))
 			checkGap(t, pfail, g, math.Ldexp(top, e-1))
 			checkGap(t, pfail, g, math.Ldexp(1.4142135623730951, e))
+		}
+		for _, u := range edges {
+			checkGap(t, pfail, g, u)
 		}
 		for i := 0; i < 20_000; i++ {
 			checkGap(t, pfail, g, st.float64())
@@ -83,7 +139,7 @@ func TestGapExact(t *testing.T) {
 
 // TestGapSamplerSettlesMostDraws: the exactness check above would pass
 // with a guard that always fell back to math.Log; at the fleet's and the
-// paper's pfail, the polynomial must settle almost every draw itself.
+// paper's pfail, the table log must settle almost every draw itself.
 func TestGapSamplerSettlesMostDraws(t *testing.T) {
 	st := sparseStream{state: 5}
 	for _, pfail := range []float64{1e-4, 1e-3} {
@@ -95,7 +151,7 @@ func TestGapSamplerSettlesMostDraws(t *testing.T) {
 			if u < 0x1p-1000 {
 				continue
 			}
-			x := fastLog(u) * g.invLogQ
+			x := tabLog(u) * g.invLogQ
 			fr := x - math.Trunc(x)
 			if s := g.slack + x*0x1p-40; !(fr > s && fr < 1-s) {
 				fallbacks++
@@ -128,7 +184,7 @@ func FuzzGapExact(f *testing.F) {
 }
 
 // BenchmarkGapSkip times one gap at the fleet's floor pfail through the
-// guarded polynomial and through math.Log, over the same uniforms.
+// guarded table log and through math.Log, over the same uniforms.
 func BenchmarkGapSkip(b *testing.B) {
 	g := NewGapSampler(9e-4)
 	us := make([]float64, 4096)

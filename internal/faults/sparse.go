@@ -15,10 +15,12 @@ package faults
 //
 //   - the RNG is a SplitMix64 stream (O(1) seeding, three multiplies per
 //     draw — the same mixer DeriveSeed uses);
-//   - math.Log is replaced by fastLog, an atanh-series polynomial
-//     accurate to ~1.1e-7 absolute, far below the one-cell granularity
-//     the geometric gap is floored to (unguarded, unlike GapSampler: the
-//     sparse family owns its stream);
+//   - math.Log is replaced by an atanh-series polynomial, inlined by
+//     hand, accurate to ~1.1e-7 absolute, far below the one-cell
+//     granularity the geometric gap is floored to (unguarded, unlike
+//     GapSampler: the sparse family owns its stream, which depends on
+//     this polynomial's exact bits). Its reference copy, fastLog, lives
+//     in fastlog_test.go with its bound and accuracy test;
 //   - the block index is recovered with one float multiply by the
 //     precomputed reciprocal of cells-per-block (plus an exactness
 //     correction) instead of div+mod;
@@ -110,7 +112,7 @@ func injectSparse(m *Map, pfail float64, st *sparseStream, dirty []int32, track 
 			if u == 0 {
 				u = 0x1p-53
 			}
-			// fastLog(u), manually inlined — see fastLog's comment.
+			// fastLog(u), inlined by hand — see fastlog_test.go.
 			ubits := math.Float64bits(u)
 			e := float64(int((ubits>>52)&0x7ff) - 1023)
 			mant := math.Float64frombits((ubits & 0x000fffffffffffff) | 0x3ff0000000000000)

@@ -1,6 +1,7 @@
 package population
 
 import (
+	"slices"
 	"testing"
 
 	"vccmin/internal/sim"
@@ -20,6 +21,37 @@ func BenchmarkFleetDieVccmin(b *testing.B) {
 		d := i % 1024
 		p.draw(d)
 		p.gridSteps(steps)
+	}
+}
+
+// BenchmarkKillPass times the kill pass and step scan alone, per die,
+// on 64 pre-drawn default-geometry populations: under the two default
+// schemes, and under all five, where incremental word-disable sends
+// every block holding a data fault through endBlock.
+func BenchmarkKillPass(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		schemes []sim.Scheme
+	}{{"default", nil}, {"all", allSchemes}} {
+		b.Run(bc.name, func(b *testing.B) {
+			spec := FleetSpec{Seed: 7, Schemes: bc.schemes}.WithDefaults()
+			p := newProber(spec)
+			var dies [][]latentFault
+			var mults, pflrs []float64
+			for d := 0; d < 64; d++ {
+				p.draw(d)
+				dies = append(dies, slices.Clone(p.flt))
+				mults, pflrs = append(mults, p.mult), append(pflrs, p.pflr)
+			}
+			steps := make([]int, len(spec.Schemes))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d := i % len(dies)
+				p.flt, p.mult, p.pflr = dies[d], mults[d], pflrs[d]
+				p.gridSteps(steps)
+			}
+		})
 	}
 }
 

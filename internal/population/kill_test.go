@@ -317,3 +317,51 @@ func TestProberAllocs(t *testing.T) {
 		t.Fatalf("draw + estimate: %v allocs per die, want 0", allocs)
 	}
 }
+
+// TestKillSlotsReset: the kill pass leaves its per-block slots as it
+// found them (+Inf and 0), so one prober walking a mixed sequence of
+// populations — saturated, empty, random at several densities, every
+// block faulty — under every scheme set gives, population by
+// population, the kill severities a fresh prober gives. A slot left
+// dirty by one population shows up in a later one.
+func TestKillSlotsReset(t *testing.T) {
+	schemeSets := [][]sim.Scheme{
+		allSchemes,
+		{sim.BlockDisable, sim.WordDisable},
+		{sim.IncrementalWordDisable, sim.Baseline},
+		{sim.BitFix, sim.BlockDisable},
+	}
+	for _, s := range allSchemes {
+		schemeSets = append(schemeSets, []sim.Scheme{s})
+	}
+	rng := rand.New(rand.NewSource(34))
+	for _, g := range killGeoms {
+		spec := killSpec(g, 0.75)
+		var pops [][]latentFault
+		for _, density := range []float64{1, 0, 0.003, 0.03, 0.3, 1} {
+			pops = append(pops, randomPopulation(rng, g, density, density == 0.03))
+		}
+		var every []latentFault
+		for b := 0; b < g.Blocks(); b++ {
+			every = append(every, at(g, b, b*7%g.CellsPerBlock(), rng.Float64()))
+		}
+		pops = append(pops, every, nil)
+		p := newProber(spec)
+		for i := 0; i < 3*len(pops)*len(schemeSets); i++ {
+			flt := pops[rng.Intn(len(pops))]
+			schemes := schemeSets[rng.Intn(len(schemeSets))]
+			p.flt = flt
+			got := slices.Clone(p.killSeverities(schemes))
+			fresh := newProber(spec)
+			fresh.flt = flt
+			if want := fresh.killSeverities(schemes); !slices.Equal(got, want) {
+				t.Fatalf("%v step %d (%d faults, %v): reused prober %v, fresh prober %v", g, i, len(flt), schemes, got, want)
+			}
+			for b, m := range p.slotMin {
+				if !math.IsInf(m, 1) || p.slotData[b] != 0 {
+					t.Fatalf("%v step %d: block %d slots left at (%v, %d)", g, i, b, m, p.slotData[b])
+				}
+			}
+		}
+	}
+}

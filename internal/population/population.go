@@ -296,10 +296,11 @@ type prober struct {
 	waferMu     float64
 
 	// Geometry constants hoisted out of the pass. A cell's block is
-	// cell·blockMul >> blockShift, exactly cell/cellsPerBlock for every
-	// cell below 2^31 (see newProber).
-	blockMul      uint64
-	blockShift    uint
+	// blockDiv.div(cell) and a block's set wayDiv.div(block), exact
+	// divisions by cellsPerBlock and by the ways for every index below
+	// 2^31.
+	blockDiv      divider
+	wayDiv        divider
 	cellsPerBlock int
 	dataBits      int
 	subPerBlock   int // word-disable subblocks per block
@@ -312,11 +313,23 @@ type prober struct {
 	blockFailAt int
 	pairFailAt  int
 
-	// Scratch reused across dies: the per-faulty-block minimum
-	// severities, the incremental word-disable pair events, the bucket
-	// rankSeverity sorts, and the kill severities themselves.
+	// The kill pass's per-block slots, indexed by block: the minimum
+	// severity folded in so far (+Inf for none) and the data-fault
+	// count. The pass resets every slot it reads, so between dies they
+	// hold +Inf and 0.
+	slotMin  []float64
+	slotData []int32
+
+	// Scratch reused across dies: the faulty blocks' minimum
+	// severities and the positions of their data faults (each sized one
+	// past the blocks: the pass stores past the last entry), the
+	// incremental word-disable pair events, the bucket rankSeverity
+	// sorts, and the kill severities themselves. The slots and the two
+	// block lists are O(blocks), not O(faults): 14 KB per prober at the
+	// default 512-block geometry.
 	acc       killAcc
 	blockMin  []float64
+	blockData []dataRun
 	events    []float64
 	bucket    []float64
 	kill      []float64
@@ -330,6 +343,24 @@ type latentFault struct {
 	cell int32
 }
 
+// divider divides by an invariant d as a multiply and shift (Granlund
+// and Montgomery): with l = ceil(log2 d), shift 31+l and multiplier
+// floor(2^(31+l)/d)+1, the rounding error stays below 1/d for every
+// 31-bit index, so the floor is exact, and the product (below
+// 2^31·(2^32+1)) fits in 64 bits.
+type divider struct {
+	mul   uint64
+	shift uint
+}
+
+func newDivider(d int) divider {
+	shift := 31 + uint(bits.Len(uint(d-1)))
+	return divider{mul: (uint64(1)<<shift)/uint64(d) + 1, shift: shift}
+}
+
+// div returns n/d for 0 <= n < 2^31.
+func (v divider) div(n int) int { return int(uint64(n) * v.mul >> (v.shift & 63)) }
+
 func newProber(spec FleetSpec) *prober {
 	g := spec.Geom
 	p := &prober{
@@ -340,14 +371,16 @@ func newProber(spec FleetSpec) *prober {
 		groupsPerLine: g.DataBits() / pairBits / pairsPerGroup,
 		cachedWafer:   -1,
 	}
-	// Division by the invariant cellsPerBlock d as a multiply and
-	// shift (Granlund and Montgomery): with l = ceil(log2 d), shift
-	// 31+l and multiplier floor(2^(31+l)/d)+1, the rounding error stays
-	// below 1/d for every 31-bit cell index, so the floor is exact, and
-	// the product (below 2^31·(2^32+1)) fits in 64 bits.
-	l := uint(bits.Len(uint(p.cellsPerBlock - 1)))
-	p.blockShift = 31 + l
-	p.blockMul = (uint64(1)<<p.blockShift)/uint64(p.cellsPerBlock) + 1
+	p.blockDiv = newDivider(p.cellsPerBlock)
+	p.wayDiv = newDivider(g.Ways)
+	blocks := g.Blocks()
+	p.slotMin = make([]float64, blocks)
+	for b := range p.slotMin {
+		p.slotMin[b] = math.Inf(1)
+	}
+	p.slotData = make([]int32, blocks)
+	p.blockMin = make([]float64, blocks+1)
+	p.blockData = make([]dataRun, len(p.blockMin))
 	p.rng = rand.New(&p.src)
 	p.gridPfail = spec.Grid() // voltages, mapped in place to Model.Pfail
 	for i, v := range p.gridPfail {
@@ -359,7 +392,7 @@ func newProber(spec FleetSpec) *prober {
 	// exactly pairs − e/2 after e half-unit events. Both fall
 	// monotonically with the count, so the first failing count is a
 	// binary search.
-	blocks, pairs := g.Blocks(), g.Sets()*(g.Ways/2)
+	pairs := g.Sets() * (g.Ways / 2)
 	floor := spec.CapacityFloor
 	p.blockFailAt = sort.Search(blocks+1, func(n int) bool {
 		return !(1-float64(n)/float64(blocks) >= floor)
@@ -424,7 +457,7 @@ func (p *prober) draw(d int) {
 // the scheme fails on the active set {sev <= t}, +Inf if it never
 // fails and -Inf if it fails even fault-free. The population arrives in
 // ascending cell order, so blocks, words, pairs, fix groups and
-// way-pairs are each contiguous and one pass over it suffices:
+// way-pairs are each contiguous:
 //   - baseline: the minimum severity;
 //   - block-disable: the blockFailAt-th smallest per-block minimum
 //     (tag cells count);
@@ -440,17 +473,21 @@ func (p *prober) draw(d int) {
 // Tag cells are ignored by all but the first two, as the core
 // evaluators ignore them. The returned slice is reused by the next
 // call.
+//
+// Two passes over the population, neither with a data-dependent
+// branch per fault (foldSlots and drainSlots), list the faulty blocks
+// in ascending order with their minimum severities and the positions
+// of their data faults. Only the blocks with enough data faults to
+// matter reach endBlock's per-word and per-pair ranking.
 func (p *prober) killSeverities(schemes []sim.Scheme) []float64 {
 	inf := math.Inf(1)
 	acc := &p.acc
 	*acc = killAcc{wd: inf, bf: inf, pair: -1, half: inf, dis: inf}
 	// Blocks with fewer data faults than heavy cannot change the
 	// data-array schemes' results and skip endBlock.
-	needBlock, heavy := false, math.MaxInt
+	heavy := int32(math.MaxInt32)
 	for _, s := range schemes {
 		switch s {
-		case sim.BlockDisable:
-			needBlock = true
 		case sim.WordDisable:
 			acc.needWD = true
 			heavy = min(heavy, wordsPerSubblock/2+1)
@@ -462,38 +499,14 @@ func (p *prober) killSeverities(schemes []sim.Scheme) []float64 {
 			heavy = 1
 		}
 	}
-	base, blockMin := inf, p.blockMin[:0]
+	p.foldSlots()
+	p.drainSlots()
 	p.events = p.events[:0]
-	// The block being accumulated: its index, the index of its first
-	// fault, its data-fault count (data cells come before tag cells,
-	// so those are flt[first:first+nd]), the end of its data cells,
-	// and its minimum severity over all cells and over data cells.
-	b, first, nd, dataEnd, bmin, dmin := -1, 0, 0, 0, inf, inf
-	// A sentinel fault at the largest int32 cell, past every block of
-	// a geometry draw can index, closes the last real block (and opens
-	// one that is never closed).
-	flt := append(p.flt, latentFault{cell: math.MaxInt32})
-	p.flt = flt[:len(flt)-1]
-	for i, f := range flt {
-		if nb := int(uint64(f.cell) * p.blockMul >> p.blockShift); nb != b {
-			if b >= 0 {
-				base = min(base, bmin)
-				if needBlock {
-					blockMin = append(blockMin, bmin)
-				}
-				if nd >= heavy {
-					p.endBlock(b, flt[first:first+nd], dmin)
-				}
-			}
-			b, first, nd, dataEnd, bmin, dmin = nb, i, 0, nb*p.cellsPerBlock+p.dataBits, inf, inf
-		}
-		bmin = min(bmin, f.sev)
-		if int(f.cell) < dataEnd {
-			nd++
-			dmin = min(dmin, f.sev)
+	for _, d := range p.blockData {
+		if d.n >= heavy {
+			p.endBlock(p.blockDiv.div(int(p.flt[d.first].cell)), p.flt[d.first:d.first+d.n])
 		}
 	}
-	p.blockMin = blockMin
 	p.addPairEvents()
 
 	kill := p.kill[:0]
@@ -501,7 +514,7 @@ func (p *prober) killSeverities(schemes []sim.Scheme) []float64 {
 		k := math.Inf(-1) // an unknown scheme fails fault-free, as the oracle's does
 		switch s {
 		case sim.Baseline:
-			k = base
+			k = p.rankSeverity(p.blockMin, 1)
 		case sim.BlockDisable:
 			k = p.rankSeverity(p.blockMin, p.blockFailAt)
 		case sim.WordDisable:
@@ -517,6 +530,55 @@ func (p *prober) killSeverities(schemes []sim.Scheme) []float64 {
 	return kill
 }
 
+// foldSlots is the kill pass's first pass: it folds every fault into
+// its block's slots.
+func (p *prober) foldSlots() {
+	slotMin, slotData := p.slotMin, p.slotData
+	bd, cellsPerBlock, dataBits := p.blockDiv, p.cellsPerBlock, p.dataBits
+	for _, f := range p.flt {
+		c := int(f.cell)
+		b := bd.div(c)
+		slotMin[b] = min(slotMin[b], f.sev)
+		// offset−dataBits is negative exactly for a data cell, so its
+		// arithmetic shift by 63 is −1 for a data cell, 0 for a tag cell.
+		slotData[b] -= int32((c - b*cellsPerBlock - dataBits) >> 63)
+	}
+}
+
+// drainSlots is the kill pass's second pass: it reads and resets each
+// fault's block slots in cell order, leaving in p.blockMin every
+// faulty block's minimum severity and at the same index of
+// p.blockData the position of its data faults, in ascending block
+// order. Only a block's first fault finds its slots filled. Data cells
+// precede a block's tag cells, so the block's data faults are the
+// slot's count of faults starting at that first one. Both lists take a
+// store at every fault, and their length advances only past a filled
+// slot.
+func (p *prober) drainSlots() {
+	inf := math.Inf(1)
+	// Each pair of slices shares a length, so one bounds check covers
+	// both.
+	slotMin, bd := p.slotMin, p.blockDiv
+	slotData := p.slotData[:len(slotMin)]
+	blockMin, n := p.blockMin[:cap(p.blockMin)], 0
+	data := p.blockData[:len(blockMin)]
+	for i, f := range p.flt {
+		b := bd.div(int(f.cell))
+		m := slotMin[b]
+		blockMin[n] = m
+		data[n] = dataRun{first: int32(i), n: slotData[b]}
+		slotMin[b], slotData[b] = inf, 0
+		if m < inf {
+			n++
+		}
+	}
+	p.blockMin, p.blockData = blockMin[:n], data[:n]
+}
+
+// dataRun locates one block's data faults in the population:
+// flt[first : first+n].
+type dataRun struct{ first, n int32 }
+
 // killAcc is killSeverities' state for the data-array schemes.
 type killAcc struct {
 	needWD, needBF, needIWD bool
@@ -528,9 +590,8 @@ type killAcc struct {
 	half, dis float64
 }
 
-// endBlock folds block b's data faults into the data-array schemes;
-// dmin is their minimum severity.
-func (p *prober) endBlock(b int, data []latentFault, dmin float64) {
+// endBlock folds block b's data faults into the data-array schemes.
+func (p *prober) endBlock(b int, data []latentFault) {
 	acc := &p.acc
 	sub := math.Inf(1)
 	if (acc.needWD || acc.needIWD) && len(data) > wordsPerSubblock/2 {
@@ -543,10 +604,14 @@ func (p *prober) endBlock(b int, data []latentFault, dmin float64) {
 	if !acc.needIWD {
 		return
 	}
+	dmin := math.Inf(1)
+	for _, f := range data {
+		dmin = min(dmin, f.sev)
+	}
 	// Odd-way geometries leave the last way of each set unpaired.
 	ways := p.spec.Geom.Ways
-	if way := b % ways; way < ways&^1 {
-		if q := b - way%2; q != acc.pair {
+	if way := b - p.wayDiv.div(b)*ways; way < ways&^1 {
+		if q := b - way&1; q != acc.pair {
 			p.addPairEvents()
 			acc.pair, acc.half, acc.dis = q, dmin, sub
 		} else {
@@ -571,19 +636,22 @@ func (p *prober) addPairEvents() {
 // the first groups groups of unitsPerGroup units of unitBits cells, of
 // the rank-th smallest per-unit minimum severity (+Inf if no group
 // reaches rank faulty units). data holds the block's data faults in
-// ascending cell order and start is the block's first cell.
+// ascending cell order and start is the block's first cell. unitBits
+// and unitsPerGroup are powers of two, so a fault's unit and group are
+// shifts of its offset rather than divisions.
 func rankedGroupKill(data []latentFault, start, unitBits, unitsPerGroup, groups, rank int) float64 {
 	kill := math.Inf(1)
-	groupBits := unitBits * unitsPerGroup
+	unitShift := uint(bits.TrailingZeros(uint(unitBits)))
+	groupShift := unitShift + uint(bits.TrailingZeros(uint(unitsPerGroup)))
 	var mins [max(wordsPerSubblock, pairsPerGroup)]float64
 	for i := 0; i < len(data); {
-		g := (int(data[i].cell) - start) / groupBits
+		g := (int(data[i].cell) - start) >> groupShift
 		if g >= groups {
 			break
 		}
 		n, unit := 0, -1
-		for ; i < len(data) && (int(data[i].cell)-start)/groupBits == g; i++ {
-			u, s := (int(data[i].cell)-start)/unitBits, data[i].sev
+		for ; i < len(data) && (int(data[i].cell)-start)>>groupShift == g; i++ {
+			u, s := (int(data[i].cell)-start)>>unitShift, data[i].sev
 			if u != unit {
 				mins[n], unit = s, u
 				n++
@@ -608,15 +676,25 @@ func rankedGroupKill(data []latentFault, start, unitBits, unitsPerGroup, groups,
 
 // rankSeverity returns the r-th smallest of xs (1-based): -Inf when r
 // is 0 (the scheme fails fault-free), +Inf when xs holds fewer than r
-// values (it never fails). Severities lie in [0,1), so counting them
-// into selectBuckets equal-width buckets finds the bucket holding rank
-// r, and only that bucket is gathered and sorted.
+// values (it never fails), and for r = 1 (the baseline's) a plain
+// minimum. Otherwise, severities lying in [0,1), counting them into
+// selectBuckets equal-width buckets finds the bucket holding rank r,
+// and only that bucket is gathered and sorted.
 func (p *prober) rankSeverity(xs []float64, r int) float64 {
 	switch {
 	case r == 0:
 		return math.Inf(-1)
 	case len(xs) < r:
 		return math.Inf(1)
+	case r == 1:
+		// The minimum: a compare per value, rarely taken.
+		m := xs[0]
+		for _, x := range xs[1:] {
+			if x < m {
+				m = x
+			}
+		}
+		return m
 	}
 	var count [selectBuckets]int32
 	for _, x := range xs {
